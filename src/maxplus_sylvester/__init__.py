@@ -8,81 +8,30 @@ Sylvester sums ``⊕_k A_k ⊗ X ⊗ B_k = C``, decides solvability by
 substitution, cross-checks against a brute-force Kronecker
 reformulation, and benchmarks both paths with an instrumented operation
 counter.
+
+The package root exports the solve, file and benchmark entry points;
+kernels and helpers stay importable from their modules.
 """
 
-from .bench import (
-    CSV_HEADER,
-    BenchRecord,
-    fast_op_budget,
-    loglog_slope,
-    oracle_op_budget,
-    records_to_csv,
-    run_grid,
-    run_point,
-)
+from .bench import CSV_HEADER, BenchRecord, records_to_csv, run_grid
 from .instance_io import (
-    GENERATOR_MODES,
     GeneratorConfig,
-    InstanceFileSet,
     ParseError,
     format_matrix,
     generate_instance,
     load_matrix,
     parse_matrix,
     save_matrix,
-    standard_file_set,
     write_instance,
 )
-from .matrix import (
-    ShapeError,
-    TropicalMatrix,
-    conjugate,
-    entrywise_leq,
-    is_integral,
-    kron_max,
-    kron_min,
-    max_plus_matadd,
-    max_plus_matmul,
-    min_plus_matadd,
-    min_plus_matmul,
-    transpose,
-    unvec,
-    vec,
-)
-from .opcount import OpCounter, semiring_ops
-from .oracle import (
-    DEFAULT_SIZE_CAP,
-    OracleSizeError,
-    kron_reformulate,
-    oracle_principal_solution,
-    oracle_solve,
-)
-from .semiring import (
-    NEG_INF,
-    POS_INF,
-    conjugate_scalar,
-    format_scalar,
-    max_plus_add,
-    max_plus_mul,
-    min_plus_add,
-    min_plus_mul,
-    parse_scalar,
-)
+from .matrix import ShapeError, TropicalMatrix
+from .oracle import OracleSizeError, oracle_solve
 from .solver import (
-    DEFAULT_TOLERANCE,
     SolveReport,
     SylvesterInstance,
-    axb_principal_solution,
-    effective_tolerance,
-    is_doubly_r_astic,
-    linear_principal_solution,
-    matrix_mismatches,
     solve_linear,
     solve_sylvester,
     solve_two_sided_special,
-    sylvester_apply,
-    sylvester_principal_solution,
-    two_sided_instance,
 )
 
 __version__ = "0.1.0"
@@ -90,65 +39,23 @@ __version__ = "0.1.0"
 __all__ = [
     "BenchRecord",
     "CSV_HEADER",
-    "DEFAULT_SIZE_CAP",
-    "DEFAULT_TOLERANCE",
-    "GENERATOR_MODES",
     "GeneratorConfig",
-    "InstanceFileSet",
-    "NEG_INF",
-    "OpCounter",
     "OracleSizeError",
-    "POS_INF",
     "ParseError",
     "ShapeError",
     "SolveReport",
     "SylvesterInstance",
     "TropicalMatrix",
-    "axb_principal_solution",
-    "conjugate",
-    "conjugate_scalar",
-    "effective_tolerance",
-    "entrywise_leq",
-    "fast_op_budget",
     "format_matrix",
-    "format_scalar",
     "generate_instance",
-    "is_doubly_r_astic",
-    "is_integral",
-    "kron_max",
-    "kron_min",
-    "kron_reformulate",
-    "linear_principal_solution",
     "load_matrix",
-    "loglog_slope",
-    "matrix_mismatches",
-    "max_plus_add",
-    "max_plus_matadd",
-    "max_plus_matmul",
-    "max_plus_mul",
-    "min_plus_add",
-    "min_plus_matadd",
-    "min_plus_matmul",
-    "min_plus_mul",
-    "oracle_op_budget",
-    "oracle_principal_solution",
     "oracle_solve",
     "parse_matrix",
-    "parse_scalar",
     "records_to_csv",
     "run_grid",
-    "run_point",
     "save_matrix",
-    "semiring_ops",
     "solve_linear",
     "solve_sylvester",
     "solve_two_sided_special",
-    "standard_file_set",
-    "sylvester_apply",
-    "sylvester_principal_solution",
-    "transpose",
-    "two_sided_instance",
-    "unvec",
-    "vec",
     "write_instance",
 ]

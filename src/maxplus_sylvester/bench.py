@@ -36,13 +36,13 @@ class BenchRecord:
 
 
 def fast_op_budget(m: int, n: int, p: int) -> int:
-    """Reference accounting for the fast path: p·(m²n + mn² + mn)."""
-    return p * (m * m * n + m * n * n + m * n)
+    """Exact counted operations of one fast solve: 2·p·(m²n + mn² + mn)."""
+    return 2 * p * (m * m * n + m * n * n + m * n)
 
 
 def oracle_op_budget(m: int, n: int, p: int) -> int:
-    """Reference accounting for the oracle: p·m²n² + (mn)·(mn)."""
-    return p * (m * n) ** 2 + (m * n) ** 2
+    """Exact counted operations of one oracle solve: 2·(p+1)·(mn)²."""
+    return 2 * (p + 1) * (m * n) ** 2
 
 
 def _point_seed(seed: int, m: int, n: int, p: int) -> int:

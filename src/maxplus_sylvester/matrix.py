@@ -5,8 +5,10 @@ interpretation (max-plus or min-plus), so conjugation can hop between
 the two worlds without conversions.  Entries are float64 with ±inf for
 the infinite states.  NaN never enters or leaves a kernel: the only IEEE
 sum that produces it, ``-inf + +inf``, is patched to the absorbing zero
-of whichever semiring the kernel works in, matching the scalar
-conventions of :mod:`.semiring`.
+of whichever semiring the kernel works in, so ``-inf ⊗ +inf = -inf`` and
+``-inf ⊗' +inf = +inf``.  This mixed-infinity convention is what keeps
+the residuation law ``A ⊗ x ≤ b  ⟺  x ≤ conjugate(A) ⊗' b`` true for
+arbitrary inputs, not just finite ones.
 
 All integer-valued inputs stay exact: every kernel is built from
 additions and comparisons only, so integers below 2**53 never round.
@@ -53,15 +55,8 @@ class TropicalMatrix:
 
     @classmethod
     def max_plus_unit(cls, size: int) -> "TropicalMatrix":
-        """Unit of ⊗: zero diagonal, -inf off-diagonal."""
+        """Unit of ⊗: zero diagonal, -inf off-diagonal; its conjugate is the unit of ⊗'."""
         arr = np.full((size, size), NEG_INF)
-        np.fill_diagonal(arr, 0.0)
-        return cls(arr)
-
-    @classmethod
-    def min_plus_unit(cls, size: int) -> "TropicalMatrix":
-        """Unit of ⊗': zero diagonal, +inf off-diagonal."""
-        arr = np.full((size, size), POS_INF)
         np.fill_diagonal(arr, 0.0)
         return cls(arr)
 

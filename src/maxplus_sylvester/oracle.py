@@ -22,9 +22,9 @@ from .semiring import NEG_INF
 from .solver import (
     SolveReport,
     SylvesterInstance,
+    _report,
     effective_tolerance,
     linear_principal_solution,
-    matrix_mismatches,
 )
 
 DEFAULT_SIZE_CAP = 4096
@@ -52,23 +52,10 @@ def kron_reformulate(inst: SylvesterInstance, size_cap=DEFAULT_SIZE_CAP):
     return K, vec(inst.C)
 
 
-def oracle_principal_solution(inst: SylvesterInstance, size_cap=DEFAULT_SIZE_CAP) -> TropicalMatrix:
-    """Greatest candidate read back from the vectorised system."""
-    K, c = kron_reformulate(inst, size_cap)
-    return unvec(linear_principal_solution(K, c), inst.m, inst.n)
-
-
-def _to_matrix_coords(vec_positions, m: int):
-    # vec stacks columns: flat index v sits at row v % m, column v // m
-    return tuple(sorted((v % m, v // m) for v, _ in vec_positions))
-
-
 def oracle_solve(inst: SylvesterInstance, tolerance=None, size_cap=DEFAULT_SIZE_CAP) -> SolveReport:
     """Decide solvability on the Kronecker system, reported in C's coordinates."""
     K, c = kron_reformulate(inst, size_cap)
     x = linear_principal_solution(K, c)
     achieved = max_plus_matmul(K, x)
     eps = effective_tolerance(tolerance, (*inst.A, *inst.B, inst.C))
-    vec_positions, residual = matrix_mismatches(achieved, c, eps)
-    mismatches = _to_matrix_coords(vec_positions, inst.m)
-    return SolveReport(unvec(x, inst.m, inst.n), not mismatches, mismatches, residual)
+    return _report(unvec(x, inst.m, inst.n), unvec(achieved, inst.m, inst.n), inst.C, eps)

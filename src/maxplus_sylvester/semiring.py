@@ -1,57 +1,16 @@
-"""Scalar arithmetic of the completed max-plus and min-plus semirings.
+"""Scalar constants and the token form of the completed tropical scalars.
 
-Scalars are plain Python floats: finite doubles plus the two IEEE
-infinities.  ``-inf`` is the max-plus additive neutral and ``+inf`` the
-min-plus one; conjugation (negation) swaps the two worlds.  NaN is never
-a legal scalar.
-
-Mixed-infinity convention: ``-inf ⊗ +inf = -inf`` and
-``-inf ⊗' +inf = +inf``, i.e. each semiring's own zero absorbs.  This is
-what keeps the residuation law ``A ⊗ x ≤ b  ⟺  x ≤ conjugate(A) ⊗' b``
-true for arbitrary inputs, not just finite ones.
+Scalars are finite doubles plus the two IEEE infinities.  ``-inf`` is the
+max-plus additive neutral and ``+inf`` the min-plus one; conjugation
+(negation) swaps the two worlds.  NaN is never a legal scalar.  The
+arithmetic itself, including the mixed-infinity convention, lives in the
+matrix kernels of :mod:`.matrix`.
 """
 
 import math
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
-
-
-def ensure_scalar(value) -> float:
-    """Coerce to float, rejecting NaN."""
-    out = float(value)
-    if math.isnan(out):
-        raise ValueError("NaN is not a tropical scalar")
-    return out
-
-
-def max_plus_add(a: float, b: float) -> float:
-    """a ⊕ b = max(a, b)."""
-    return a if a >= b else b
-
-
-def max_plus_mul(a: float, b: float) -> float:
-    """a ⊗ b = a + b, with -inf absorbing even against +inf."""
-    if a == NEG_INF or b == NEG_INF:
-        return NEG_INF
-    return a + b
-
-
-def min_plus_add(a: float, b: float) -> float:
-    """a ⊕' b = min(a, b)."""
-    return a if a <= b else b
-
-
-def min_plus_mul(a: float, b: float) -> float:
-    """a ⊗' b = a + b, with +inf absorbing even against -inf."""
-    if a == POS_INF or b == POS_INF:
-        return POS_INF
-    return a + b
-
-
-def conjugate_scalar(a: float) -> float:
-    """Negate, swapping the two infinities; an involution."""
-    return 0.0 - a
 
 
 def format_scalar(a: float) -> str:
@@ -69,7 +28,8 @@ def parse_scalar(token: str) -> float:
     """Inverse of :func:`format_scalar`; case-insensitive infinity tokens.
 
     Raises ValueError on anything that is not a decimal literal or an
-    infinity token (NaN included).
+    infinity token (NaN included), and on finite literals too large for
+    float64, which would otherwise read as an infinity.
     """
     text = token.strip().lower()
     if text in ("-inf", "-infinity"):
@@ -79,4 +39,6 @@ def parse_scalar(token: str) -> float:
     value = float(text)
     if math.isnan(value):
         raise ValueError(f"NaN token not allowed: {token!r}")
+    if math.isinf(value):
+        raise ValueError(f"literal overflows float64: {token!r}")
     return value

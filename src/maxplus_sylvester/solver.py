@@ -73,20 +73,39 @@ class SylvesterInstance:
         return self.C.cols
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveReport:
-    """Outcome of a solve: greatest candidate, verdict, and where it misses.
+    """Outcome of a solve: greatest candidate and where substituting it misses.
 
-    ``solvable`` is true iff ``mismatches`` is empty.  ``residual_max_abs``
-    is 0.0 when solvable, the largest absolute finite discrepancy
-    otherwise, and +inf when some mismatch involves differing infinity
-    states.
+    ``cells`` is the k×2 integer array of the (row, col) positions where
+    the substitution misses the target, in row-major order; the equation
+    is solvable exactly when it is empty.  ``residual_max_abs`` is 0.0
+    when solvable, the largest absolute finite discrepancy otherwise, and
+    +inf when some mismatch involves differing infinity states.
     """
 
     principal: TropicalMatrix
-    solvable: bool
-    mismatches: tuple[tuple[int, int], ...]
+    cells: np.ndarray
     residual_max_abs: float
+
+    @property
+    def solvable(self) -> bool:
+        return len(self.cells) == 0
+
+    @property
+    def mismatches(self) -> tuple[tuple[int, int], ...]:
+        """The mismatch cells as sorted (row, col) pairs, built on each read."""
+        rows, cols = self.cells.T.tolist()
+        return tuple(zip(rows, cols))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SolveReport):
+            return NotImplemented
+        return (
+            self.principal == other.principal
+            and np.array_equal(self.cells, other.cells)
+            and self.residual_max_abs == other.residual_max_abs
+        )
 
 
 def effective_tolerance(tolerance, matrices) -> float:
@@ -97,7 +116,7 @@ def effective_tolerance(tolerance, matrices) -> float:
     """
     if tolerance is not None:
         eps = float(tolerance)
-        if eps < 0:
+        if not eps >= 0:  # also rejects NaN, which would fail every comparison
             raise ValueError(f"tolerance must be >= 0, got {tolerance}")
         return eps
     if all(is_integral(M) for M in matrices):
@@ -109,7 +128,8 @@ def matrix_mismatches(achieved: TropicalMatrix, target: TropicalMatrix, eps: flo
     """Positions where ``achieved`` differs from ``target``.
 
     Finite pairs compare with absolute tolerance ``eps``; infinity states
-    must match exactly.  Returns (sorted positions, residual_max_abs).
+    must match exactly.  Returns (cells, residual_max_abs), where cells
+    is the k×2 array of mismatch positions in row-major order.
     """
     if achieved.shape != target.shape:
         raise ShapeError(f"cannot compare {achieved.shape} with {target.shape}")
@@ -117,21 +137,18 @@ def matrix_mismatches(achieved: TropicalMatrix, target: TropicalMatrix, eps: flo
     finite_pair = np.isfinite(L) & np.isfinite(R)
     with np.errstate(invalid="ignore"):
         diff = np.abs(L - R)
-    ok = np.where(finite_pair, diff <= eps, L == R)
-    bad = ~ok
-    if not bad.any():
-        return (), 0.0
-    positions = tuple((int(i), int(j)) for i, j in np.argwhere(bad))
+    bad = ~np.where(finite_pair, diff <= eps, L == R)
+    cells = np.argwhere(bad)
+    cells.flags.writeable = False
+    if not len(cells):
+        return cells, 0.0
     if (bad & ~finite_pair).any():
-        residual = POS_INF
-    else:
-        residual = float(diff[bad].max())
-    return positions, residual
+        return cells, POS_INF
+    return cells, float(diff[bad].max())
 
 
 def _report(principal, achieved, target, eps) -> SolveReport:
-    mismatches, residual = matrix_mismatches(achieved, target, eps)
-    return SolveReport(principal, not mismatches, mismatches, residual)
+    return SolveReport(principal, *matrix_mismatches(achieved, target, eps))
 
 
 def linear_principal_solution(A: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:

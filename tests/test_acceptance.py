@@ -30,7 +30,7 @@ from maxplus_sylvester.matrix import (
     transpose,
     vec,
 )
-from maxplus_sylvester.oracle import oracle_principal_solution, oracle_solve
+from maxplus_sylvester.oracle import oracle_solve
 from maxplus_sylvester.solver import (
     solve_sylvester,
     solve_two_sided_special,
@@ -77,7 +77,7 @@ def test_criterion_1_oracle_equivalence():
             fast.principal == slow.principal
             and fast.solvable == slow.solvable
             and fast.mismatches == slow.mismatches
-            and sylvester_principal_solution(inst) == oracle_principal_solution(inst)
+            and sylvester_principal_solution(inst) == slow.principal
         ):
             failures += 1
     elapsed = time.perf_counter() - start

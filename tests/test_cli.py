@@ -218,6 +218,28 @@ def test_solve_tolerance_flag(tmp_path, capsys):
     assert main(["solve", "--form", "linear", "--a", a, "--c", c, "--tolerance", "0.5"]) == 0
 
 
+def test_solve_nan_tolerance_is_a_usage_error(tmp_path, capsys):
+    out_dir = tmp_path / "inst"
+    assert main(["generate", "--m", "3", "--n", "3", "--p", "1", "--seed", "1", "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    code = main(["solve", "--a", str(out_dir / "A1.txt"), "--b", str(out_dir / "B1.txt"),
+                 "--c", str(out_dir / "C.txt"), "--tolerance", "nan"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "tolerance" in captured.err
+
+
+def test_solve_overflowing_literal_is_a_parse_error(tmp_path, capsys):
+    a = write(tmp_path / "A.txt", "1 1\n0\n")
+    c = write(tmp_path / "c.txt", "1 1\n1e400\n")
+    code = main(["solve", "--form", "linear", "--a", a, "--c", c])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "line 2" in captured.err and "1e400" in captured.err
+
+
 def test_matrix_files_written_by_save_round_trip(tmp_path):
     target = tmp_path / "m.txt"
     save_matrix(target, M([[1.5, float("-inf")], [0, 7]]))

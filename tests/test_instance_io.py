@@ -46,6 +46,8 @@ def test_parse_matrix_error_cases():
         parse_matrix("1 2\n0 nan\n")
     with pytest.raises(ParseError, match="line 2"):
         parse_matrix("1 1\n0@\n")
+    with pytest.raises(ParseError, match=r"line 3: .*'1e400'"):
+        parse_matrix("2 1\n0\n1e400\n")
     with pytest.raises(ParseError, match="line 4"):
         parse_matrix("2 1\n0\n1\n5\n")
     with pytest.raises(ParseError, match="expected 3 rows"):

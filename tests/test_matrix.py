@@ -63,7 +63,9 @@ def test_min_plus_matmul_example():
 def test_min_plus_matmul_unit_and_absorbing():
     rng = np.random.default_rng(2)
     A = rand(rng, 3, 2, pos=0.2)
-    assert min_plus_matmul(M.min_plus_unit(3), A) == A
+    E = conjugate(M.max_plus_unit(3))  # the unit of ⊗'
+    assert E == M([[0, POS_INF, POS_INF], [POS_INF, 0, POS_INF], [POS_INF, POS_INF, 0]])
+    assert min_plus_matmul(E, A) == A
     assert min_plus_matmul(M.filled(2, 3, POS_INF), A) == M.filled(2, 2, POS_INF)
 
 

@@ -1,22 +1,36 @@
+"""Scalar laws of the two semirings, checked through the matrix kernels on 1×1 operands."""
+
 import math
 
 import numpy as np
 import pytest
 
-from maxplus_sylvester.semiring import (
-    NEG_INF,
-    POS_INF,
-    conjugate_scalar,
-    ensure_scalar,
-    format_scalar,
-    max_plus_add,
-    max_plus_mul,
-    min_plus_add,
-    min_plus_mul,
-    parse_scalar,
+from maxplus_sylvester.matrix import (
+    TropicalMatrix,
+    conjugate,
+    entrywise_leq,
+    max_plus_matadd,
+    max_plus_matmul,
+    min_plus_matadd,
+    min_plus_matmul,
 )
+from maxplus_sylvester.semiring import NEG_INF, POS_INF, format_scalar, parse_scalar
 
 STATES = (NEG_INF, -2.0, 0.0, 3.0, POS_INF)
+
+
+def scalar_op(kernel):
+    """The scalar operation a kernel performs on 1×1 operands."""
+    def op(*args):
+        return kernel(*(TropicalMatrix([[a]]) for a in args)).data[0, 0]
+    return op
+
+
+max_plus_add = scalar_op(max_plus_matadd)
+max_plus_mul = scalar_op(max_plus_matmul)
+min_plus_add = scalar_op(min_plus_matadd)
+min_plus_mul = scalar_op(min_plus_matmul)
+conj = scalar_op(conjugate)
 
 
 def _random_scalars(rng, count):
@@ -50,11 +64,11 @@ def test_min_plus_mul_examples():
 
 
 def test_conjugate_scalar_examples():
-    assert conjugate_scalar(3.0) == -3.0
-    assert conjugate_scalar(NEG_INF) == POS_INF
-    assert conjugate_scalar(POS_INF) == NEG_INF
+    assert conj(3.0) == -3.0
+    assert conj(NEG_INF) == POS_INF
+    assert conj(POS_INF) == NEG_INF
     for a in STATES:
-        assert conjugate_scalar(conjugate_scalar(a)) == a
+        assert conj(conj(a)) == a
 
 
 def test_add_ops_commutative_associative_idempotent():
@@ -83,21 +97,22 @@ def test_conjugation_swaps_the_semirings_all_state_combos():
     # conj(a ⊗ b) == conj(a) ⊗' conj(b) over all nine {finite, -inf, +inf} pairs
     for a in STATES:
         for b in STATES:
-            assert conjugate_scalar(max_plus_mul(a, b)) == min_plus_mul(conjugate_scalar(a), conjugate_scalar(b))
-            assert conjugate_scalar(min_plus_mul(a, b)) == max_plus_mul(conjugate_scalar(a), conjugate_scalar(b))
+            assert conj(max_plus_mul(a, b)) == min_plus_mul(conj(a), conj(b))
+            assert conj(min_plus_mul(a, b)) == max_plus_mul(conj(a), conj(b))
 
 
 def test_conjugation_reverses_order():
     rng = np.random.default_rng(103)
     for a, b in zip(_random_scalars(rng, 300), _random_scalars(rng, 300)):
-        assert (a <= b) == (conjugate_scalar(b) <= conjugate_scalar(a))
+        P, Q = TropicalMatrix([[a]]), TropicalMatrix([[b]])
+        assert entrywise_leq(P, Q) == entrywise_leq(conjugate(Q), conjugate(P))
 
 
-def test_ensure_scalar_rejects_nan():
-    assert ensure_scalar(4) == 4.0
-    assert ensure_scalar("-inf") == NEG_INF
+def test_scalar_entries_reject_nan():
+    assert TropicalMatrix([[4]]).data[0, 0] == 4.0
+    assert TropicalMatrix([["-inf"]]).data[0, 0] == NEG_INF
     with pytest.raises(ValueError):
-        ensure_scalar(float("nan"))
+        TropicalMatrix([[float("nan")]])
 
 
 def test_scalar_tokens_round_trip():
@@ -112,6 +127,12 @@ def test_scalar_tokens_round_trip():
         parse_scalar("nan")
     with pytest.raises(ValueError):
         parse_scalar("abc")
+    # finite literals beyond float64 are errors, not infinities
+    for token in ("1e400", "-1e400", "1E309"):
+        with pytest.raises(ValueError, match=token):
+            parse_scalar(token)
+    assert parse_scalar("1.7976931348623157e308") == 1.7976931348623157e308
+    assert parse_scalar("infinity") == POS_INF and parse_scalar("-Infinity") == NEG_INF
 
 
 def test_integer_sums_stay_exact():

@@ -43,13 +43,16 @@ def test_linear_principal_solution_examples():
 def test_solve_linear_examples():
     r = solve_linear(M([[0, 1], [2, 0]]), M([[3], [4]]))
     assert r.solvable and r.principal == M([[2], [2]]) and r.mismatches == ()
+    assert r.cells.shape == (0, 2)
     assert r.residual_max_abs == 0.0
 
-    r = solve_linear(M([[0, 0], [0, 0]]), M([[0], [1]]))
-    assert not r.solvable
-    assert r.principal == M([[0], [0]])
-    assert r.mismatches == ((1, 0),)
-    assert r.residual_max_abs == 1.0
+    bad = solve_linear(M([[0, 0], [0, 0]]), M([[0], [1]]))
+    assert not bad.solvable
+    assert bad.principal == M([[0], [0]])
+    assert bad.cells.tolist() == [[1, 0]]
+    assert bad.mismatches == ((1, 0),)
+    assert bad.residual_max_abs == 1.0
+    assert bad != r and bad == solve_linear(M([[0, 0], [0, 0]]), M([[0], [1]]))
 
     b = M([[4], [-1], [7]])
     r = solve_linear(M.max_plus_unit(3), b)
@@ -215,6 +218,9 @@ def test_tolerance_policy():
     assert not solve_linear(A, b_int).solvable  # all-integer data compares with eps=0
     with pytest.raises(ValueError):
         solve_linear(A, b_int, tolerance=-1.0)
+    # NaN would fail every finite comparison: a silent "unsolvable"
+    with pytest.raises(ValueError, match="tolerance"):
+        solve_linear(A, M([[0.0], [0.0]]), tolerance=float("nan"))
 
 
 def test_fast_path_op_count_is_exact():

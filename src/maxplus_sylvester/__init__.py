@@ -1,10 +1,10 @@
 """Max-plus linear algebra with residuation-based equation solvers.
 
 The library works over the completed max-plus semiring (the reals with
-both infinities, max as addition, + as multiplication) and its min-plus
-dual.  It computes greatest candidate solutions of linear systems
-``A ⊗ x = b``, matrix equations ``A ⊗ X ⊗ B = C`` and general p-term
-Sylvester sums ``⊕_k A_k ⊗ X ⊗ B_k = C``, decides solvability by
+both infinities, max as addition, + as multiplication).  It computes
+greatest candidate solutions of linear systems ``A ⊗ x = b``, matrix
+equations ``A ⊗ X ⊗ B = C`` and general p-term Sylvester sums
+``⊕_k A_k ⊗ X ⊗ B_k = C`` by residuation, decides solvability by
 substitution, cross-checks against a brute-force Kronecker
 reformulation, and benchmarks both paths with an instrumented operation
 counter.

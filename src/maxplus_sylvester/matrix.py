@@ -1,23 +1,24 @@
-"""Dense matrices over the completed tropical scalars.
+"""Dense matrices over the completed max-plus scalars, and the max-plus kernels.
 
-One matrix type serves both semirings; each operation fixes the
-interpretation (max-plus or min-plus), so conjugation can hop between
-the two worlds without conversions.  Entries are float64 with ±inf for
-the infinite states.  NaN never enters or leaves a kernel: the only IEEE
-sum that produces it, ``-inf + +inf``, is patched to the absorbing zero
-of whichever semiring the kernel works in, so ``-inf ⊗ +inf = -inf`` and
-``-inf ⊗' +inf = +inf``.  This mixed-infinity convention is what keeps
-the residuation law ``A ⊗ x ≤ b  ⟺  x ≤ conjugate(A) ⊗' b`` true for
-arbitrary inputs, not just finite ones.
+Entries are float64 with ±inf for the infinite states.  The kernels work
+in max-plus only; the min-plus dual is reached by negation, which is
+exact in IEEE arithmetic (see :func:`negate`).  NaN never enters or
+leaves a kernel: the only IEEE sum that produces it, ``-inf + +inf``, is
+patched to the max-plus zero, so ``-inf ⊗ +inf = -inf``.  This
+mixed-infinity rule is what keeps the residuation law
+``A ⊗ x ≤ b  ⟺  x ≤ −(Aᵀ ⊗ (−b))`` true for arbitrary inputs, not just
+finite ones.
 
-All integer-valued inputs stay exact: every kernel is built from
-additions and comparisons only, so integers below 2**53 never round.
+A sum of finite entries that overflows float64 would read as an
+infinity state; the kernels refuse it with a ValueError instead.  All
+integer-valued inputs stay exact: every kernel is built from additions
+and comparisons only, so integers below 2**53 never round.
 """
 
 import numpy as np
 
 from .opcount import semiring_ops
-from .semiring import NEG_INF, POS_INF
+from .semiring import NEG_INF
 
 
 class ShapeError(ValueError):
@@ -55,7 +56,7 @@ class TropicalMatrix:
 
     @classmethod
     def max_plus_unit(cls, size: int) -> "TropicalMatrix":
-        """Unit of ⊗: zero diagonal, -inf off-diagonal; its conjugate is the unit of ⊗'."""
+        """Unit of ⊗: zero diagonal, -inf off-diagonal."""
         arr = np.full((size, size), NEG_INF)
         np.fill_diagonal(arr, 0.0)
         return cls(arr)
@@ -91,32 +92,30 @@ def _require_same_shape(P: TropicalMatrix, Q: TropicalMatrix, op: str) -> None:
         raise ShapeError(f"{op} needs equal shapes, got {P.shape} and {Q.shape}")
 
 
-def _tropical_matmul(P: TropicalMatrix, Q: TropicalMatrix, reducer, absorb: float) -> TropicalMatrix:
+def _overflow_error(what: str) -> ValueError:
+    return ValueError(f"{what} overflows float64: a finite sum exceeds the largest double")
+
+
+def max_plus_matmul(P: TropicalMatrix, Q: TropicalMatrix) -> TropicalMatrix:
+    """out[i, j] = max_l (P[i, l] + Q[l, j])."""
     if P.cols != Q.rows:
         raise ShapeError(f"cannot multiply {P.shape} by {Q.shape}: inner dimensions differ")
     m, k = P.shape
     n = Q.cols
     p, q = P.data, Q.data
     out = np.empty((m, n))
-    with np.errstate(invalid="ignore"):
-        for j in range(n):
-            s = p + q[:, j]  # s[i, l] = P[i, l] + Q[l, j]
-            bad = np.isnan(s)
-            if bad.any():
-                s[bad] = absorb
-            out[:, j] = reducer(s, axis=1)
+    try:
+        with np.errstate(invalid="ignore", over="raise"):
+            for j in range(n):
+                s = p + q[:, j]  # s[i, l] = P[i, l] + Q[l, j]
+                bad = np.isnan(s)
+                if bad.any():
+                    s[bad] = NEG_INF
+                out[:, j] = np.max(s, axis=1)
+    except FloatingPointError:
+        raise _overflow_error(f"max-plus product of {P.shape} by {Q.shape}") from None
     semiring_ops.add(m * n * k)
     return TropicalMatrix._wrap(out)
-
-
-def max_plus_matmul(P: TropicalMatrix, Q: TropicalMatrix) -> TropicalMatrix:
-    """out[i, j] = max_l (P[i, l] + Q[l, j])."""
-    return _tropical_matmul(P, Q, np.max, NEG_INF)
-
-
-def min_plus_matmul(P: TropicalMatrix, Q: TropicalMatrix) -> TropicalMatrix:
-    """out[i, j] = min_l (P[i, l] + Q[l, j])."""
-    return _tropical_matmul(P, Q, np.min, POS_INF)
 
 
 def max_plus_matadd(P: TropicalMatrix, Q: TropicalMatrix) -> TropicalMatrix:
@@ -126,16 +125,15 @@ def max_plus_matadd(P: TropicalMatrix, Q: TropicalMatrix) -> TropicalMatrix:
     return TropicalMatrix._wrap(np.maximum(P.data, Q.data))
 
 
-def min_plus_matadd(P: TropicalMatrix, Q: TropicalMatrix) -> TropicalMatrix:
-    """Entrywise min."""
-    _require_same_shape(P, Q, "entrywise min")
-    semiring_ops.add(P.rows * P.cols)
-    return TropicalMatrix._wrap(np.minimum(P.data, Q.data))
+def negate(A: TropicalMatrix) -> TropicalMatrix:
+    """Entrywise ``0.0 - x``: exact, swaps ±inf, and maps 0 to +0.0, never -0.0.
 
-
-def conjugate(A: TropicalMatrix) -> TropicalMatrix:
-    """Negated transpose; maps a max-plus matrix into the min-plus world."""
-    return TropicalMatrix._wrap(np.ascontiguousarray(0.0 - A.data.T))
+    Negation is the bridge to the min-plus dual:
+    ``min_l (−A[l, i] + b[l]) = −max_l (A[l, i] + (−b[l]))`` holds bit for
+    bit, infinities included, so residuals are computed with the max-plus
+    kernels alone.
+    """
+    return TropicalMatrix._wrap(0.0 - A.data)
 
 
 def transpose(A: TropicalMatrix) -> TropicalMatrix:
@@ -154,32 +152,20 @@ def unvec(v: TropicalMatrix, rows: int, cols: int) -> TropicalMatrix:
     return TropicalMatrix._wrap(np.ascontiguousarray(v.data.reshape(cols, rows).T))
 
 
-def _tropical_kron(M: TropicalMatrix, N: TropicalMatrix, absorb: float) -> TropicalMatrix:
-    a, b = M.shape
-    c, d = N.shape
-    with np.errstate(invalid="ignore"):
-        s = M.data[:, None, :, None] + N.data[None, :, None, :]
-        bad = np.isnan(s)
-        if bad.any():
-            s[bad] = absorb
-    semiring_ops.add(a * c * b * d)
-    return TropicalMatrix._wrap(s.reshape(a * c, b * d))
-
-
 def kron_max(M: TropicalMatrix, N: TropicalMatrix) -> TropicalMatrix:
     """Max-plus Kronecker product: block (i, j) is M[i, j] ⊗ N."""
-    return _tropical_kron(M, N, NEG_INF)
-
-
-def kron_min(M: TropicalMatrix, N: TropicalMatrix) -> TropicalMatrix:
-    """Min-plus Kronecker product: block (i, j) is M[i, j] ⊗' N."""
-    return _tropical_kron(M, N, POS_INF)
-
-
-def entrywise_leq(P: TropicalMatrix, Q: TropicalMatrix) -> bool:
-    """P ≤ Q in the entrywise (product) order."""
-    _require_same_shape(P, Q, "entrywise comparison")
-    return bool((P.data <= Q.data).all())
+    a, b = M.shape
+    c, d = N.shape
+    try:
+        with np.errstate(invalid="ignore", over="raise"):
+            s = M.data[:, None, :, None] + N.data[None, :, None, :]
+    except FloatingPointError:
+        raise _overflow_error(f"max-plus Kronecker product of {M.shape} and {N.shape}") from None
+    bad = np.isnan(s)
+    if bad.any():
+        s[bad] = NEG_INF
+    semiring_ops.add(a * c * b * d)
+    return TropicalMatrix._wrap(s.reshape(a * c, b * d))
 
 
 def is_integral(A: TropicalMatrix) -> bool:

@@ -3,9 +3,9 @@
 The counter is the deterministic backbone of the benchmark harness:
 wall time is noisy, operation counts are not.  One multiply-accumulate
 step inside a tropical product counts as a single operation; entrywise
-⊕/⊕' count one per cell; Kronecker entry formation counts one per
-output cell.  Conjugation, transposition and vec/unvec are data
-movement and cost nothing.
+⊕ counts one per cell; Kronecker entry formation counts one per
+output cell.  Negation, transposition and vec/unvec are data movement
+and cost nothing.
 
 A plain module-level counter is enough here: benchmark runs are
 single-threaded by contract, and callers measure with snapshot
@@ -21,9 +21,6 @@ class OpCounter:
 
     def add(self, n: int) -> None:
         self.total += n
-
-    def reset(self) -> None:
-        self.total = 0
 
 
 semiring_ops = OpCounter()

@@ -1,10 +1,10 @@
 """Scalar constants and the token form of the completed tropical scalars.
 
 Scalars are finite doubles plus the two IEEE infinities.  ``-inf`` is the
-max-plus additive neutral and ``+inf`` the min-plus one; conjugation
-(negation) swaps the two worlds.  NaN is never a legal scalar.  The
-arithmetic itself, including the mixed-infinity convention, lives in the
-matrix kernels of :mod:`.matrix`.
+max-plus additive neutral; ``+inf`` is the top element, the value of a
+residual that nothing bounds.  NaN is never a legal scalar.  The
+arithmetic itself, including the mixed-infinity rule, lives in the
+max-plus kernels of :mod:`.matrix`.
 """
 
 import math

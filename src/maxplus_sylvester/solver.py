@@ -1,18 +1,20 @@
 """Principal solutions and solvability verdicts via residuation.
 
-For ``A ⊗ x = b`` the greatest x with ``A ⊗ x ≤ b`` is
-``conjugate(A) ⊗' b``; the system is solvable exactly when that greatest
-candidate satisfies it, so solvability is always decided by direct
-substitution.  The same recipe covers p-term Sylvester sums
-``⊕_k A_k ⊗ X ⊗ B_k = C``: the greatest candidate is the entrywise min
-over k of ``conjugate(A_k) ⊗' C ⊗' conjugate(B_k)``, computed term by
-term with a running min in O(p·(m²n + mn²)) scalar operations.  No
-Kronecker matrix is ever formed here; that brute-force route lives in
-:mod:`.oracle` as a cross-check.
+For ``A ⊗ x = b`` the greatest x with ``A ⊗ x ≤ b`` is the residual
+``x̂ = −(Aᵀ ⊗ (−b))``, the min-plus product ``(−Aᵀ) ⊗' b`` written with
+the max-plus kernel and exact negations; the system is solvable exactly
+when that greatest candidate satisfies it, so solvability is always
+decided by direct substitution.  The same recipe covers p-term
+Sylvester sums ``⊕_k A_k ⊗ X ⊗ B_k = C``: the greatest candidate is
+``X̂ = −(⊕_k A_kᵀ ⊗ (−C) ⊗ B_kᵀ)``, the substitution routine
+:func:`sylvester_apply` run on the transposed factors at ``−C``, in
+O(p·(m²n + mn²)) scalar operations.  No Kronecker matrix is ever formed
+here; that brute-force route lives in :mod:`.oracle` as a cross-check.
 
-No preconditions are imposed on the inputs.  Where a min never meets a
-finite bound the candidate keeps ``+inf`` (the cell is unconstrained
-upward), and substitution handles it through the mixed-infinity rules.
+No preconditions are imposed on the inputs.  Where no finite bound
+meets a cell the candidate keeps ``+inf`` (the cell is unconstrained
+upward), and substitution handles it through the kernels'
+mixed-infinity rule (see :mod:`.matrix`).
 """
 
 from dataclasses import dataclass
@@ -22,12 +24,11 @@ import numpy as np
 from .matrix import (
     ShapeError,
     TropicalMatrix,
-    conjugate,
     is_integral,
     max_plus_matadd,
     max_plus_matmul,
-    min_plus_matadd,
-    min_plus_matmul,
+    negate,
+    transpose,
 )
 from .semiring import NEG_INF, POS_INF
 
@@ -81,7 +82,8 @@ class SolveReport:
     the substitution misses the target, in row-major order; the equation
     is solvable exactly when it is empty.  ``residual_max_abs`` is 0.0
     when solvable, the largest absolute finite discrepancy otherwise, and
-    +inf when some mismatch involves differing infinity states.
+    +inf when some mismatch involves differing infinity states or a
+    finite discrepancy too wide for float64.
     """
 
     principal: TropicalMatrix
@@ -135,7 +137,7 @@ def matrix_mismatches(achieved: TropicalMatrix, target: TropicalMatrix, eps: flo
         raise ShapeError(f"cannot compare {achieved.shape} with {target.shape}")
     L, R = achieved.data, target.data
     finite_pair = np.isfinite(L) & np.isfinite(R)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):  # a miss wider than float64 reads +inf
         diff = np.abs(L - R)
     bad = ~np.where(finite_pair, diff <= eps, L == R)
     cells = np.argwhere(bad)
@@ -152,12 +154,12 @@ def _report(principal, achieved, target, eps) -> SolveReport:
 
 
 def linear_principal_solution(A: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
-    """Greatest x with A ⊗ x ≤ b, namely conjugate(A) ⊗' b."""
+    """Greatest x with A ⊗ x ≤ b, namely −(Aᵀ ⊗ (−b))."""
     if b.cols != 1:
         raise ShapeError(f"right-hand side must be a column vector, got {b.shape}")
     if A.rows != b.rows:
         raise ShapeError(f"system {A.shape} does not match right-hand side {b.shape}")
-    return min_plus_matmul(conjugate(A), b)
+    return negate(max_plus_matmul(transpose(A), negate(b)))
 
 
 def solve_linear(A: TropicalMatrix, b: TropicalMatrix, tolerance=None) -> SolveReport:
@@ -168,25 +170,16 @@ def solve_linear(A: TropicalMatrix, b: TropicalMatrix, tolerance=None) -> SolveR
     return _report(x, achieved, b, eps)
 
 
-def axb_principal_solution(A: TropicalMatrix, B: TropicalMatrix, C: TropicalMatrix) -> TropicalMatrix:
-    """Greatest X with A ⊗ X ⊗ B ≤ C: conjugate(A) ⊗' C ⊗' conjugate(B)."""
-    if A.rows != A.cols or A.rows != C.rows:
-        raise ShapeError(f"left factor must be {C.rows}x{C.rows} to match C {C.shape}, got {A.shape}")
-    if B.rows != B.cols or B.rows != C.cols:
-        raise ShapeError(f"right factor must be {C.cols}x{C.cols} to match C {C.shape}, got {B.shape}")
-    return min_plus_matmul(min_plus_matmul(conjugate(A), C), conjugate(B))
-
-
 def sylvester_principal_solution(inst: SylvesterInstance) -> TropicalMatrix:
-    """Entrywise min over k of the per-term greatest candidates.
+    """Greatest X with ⊕_k A_k ⊗ X ⊗ B_k ≤ C, namely −(⊕_k A_kᵀ ⊗ (−C) ⊗ B_kᵀ).
 
-    Terms are folded sequentially so peak memory stays at one m×n
-    temporary however large p grows.
+    Each term is the min-plus residual (−A_kᵀ) ⊗' C ⊗' (−B_kᵀ) in the same
+    association order, and the min over k is the negated max, so the
+    result is bit-identical to computing it in min-plus.
     """
-    acc = TropicalMatrix.filled(inst.m, inst.n, POS_INF)
-    for A_k, B_k in zip(inst.A, inst.B):
-        acc = min_plus_matadd(acc, axb_principal_solution(A_k, B_k, inst.C))
-    return acc
+    A_t = tuple(transpose(A_k) for A_k in inst.A)
+    B_t = tuple(transpose(B_k) for B_k in inst.B)
+    return negate(sylvester_apply(A_t, B_t, negate(inst.C)))
 
 
 def sylvester_apply(A_terms, B_terms, X: TropicalMatrix) -> TropicalMatrix:
@@ -216,8 +209,3 @@ def solve_two_sided_special(A: TropicalMatrix, B: TropicalMatrix, C: TropicalMat
     """Solve A ⊗ X ⊕ X ⊗ B = C through the two-term reduction."""
     return solve_sylvester(two_sided_instance(A, B, C), tolerance)
 
-
-def is_doubly_r_astic(A: TropicalMatrix) -> bool:
-    """True iff every row and every column has at least one finite entry."""
-    finite = np.isfinite(A.data)
-    return bool(finite.any(axis=1).all() and finite.any(axis=0).all())

@@ -15,8 +15,7 @@ from maxplus_sylvester.instance_io import (
 from maxplus_sylvester.matrix import TropicalMatrix
 from maxplus_sylvester.oracle import oracle_solve
 from maxplus_sylvester.semiring import NEG_INF
-from maxplus_sylvester.solver import is_doubly_r_astic, solve_sylvester
-from maxplus_sylvester.matrix import entrywise_leq
+from maxplus_sylvester.solver import solve_sylvester
 
 M = TropicalMatrix
 
@@ -94,7 +93,7 @@ def test_generator_construction_mode_is_solvable():
         inst, witness = generate_instance(cfg)
         report = solve_sylvester(inst)
         assert report.solvable
-        assert entrywise_leq(witness, report.principal)
+        assert bf.leq(witness.tolist(), report.principal.tolist())
 
 
 def test_generator_factors_are_doubly_r_astic_even_at_high_density():
@@ -107,7 +106,8 @@ def test_generator_factors_are_doubly_r_astic_even_at_high_density():
         inst, witness = generate_instance(cfg)
         assert witness is None
         for factor in (*inst.A, *inst.B):
-            assert is_doubly_r_astic(factor)
+            finite = np.isfinite(factor.data)
+            assert finite.any(axis=1).all() and finite.any(axis=0).all()
         assert np.isfinite(inst.C.data).all()
 
 

@@ -6,15 +6,12 @@ from maxplus_sylvester.instance_io import GeneratorConfig, generate_instance
 from maxplus_sylvester.matrix import (
     ShapeError,
     TropicalMatrix,
-    entrywise_leq,
     max_plus_matadd,
 )
 from maxplus_sylvester.opcount import semiring_ops
 from maxplus_sylvester.semiring import NEG_INF, POS_INF
 from maxplus_sylvester.solver import (
     SylvesterInstance,
-    axb_principal_solution,
-    is_doubly_r_astic,
     linear_principal_solution,
     solve_linear,
     solve_sylvester,
@@ -66,6 +63,11 @@ def test_solve_linear_shape_errors():
         solve_linear(M([[0], [1]]), M([[1, 2]]))
 
 
+def axb_principal_solution(A, B, C):
+    """Greatest X with A ⊗ X ⊗ B ≤ C: the principal solution of a one-term instance."""
+    return sylvester_principal_solution(SylvesterInstance(A=(A,), B=(B,), C=C))
+
+
 def test_axb_principal_solution_examples():
     assert axb_principal_solution(M([[2]]), M([[3]]), M([[9]])) == M([[4]])
     rng = np.random.default_rng(20)
@@ -86,7 +88,8 @@ def test_sylvester_principal_solution_examples():
     rng = np.random.default_rng(21)
     A, B, C = rand(rng, 3, 3, neg=0.2), rand(rng, 2, 2, neg=0.2), rand(rng, 3, 2)
     single = SylvesterInstance(A=(A,), B=(B,), C=C)
-    assert sylvester_principal_solution(single) == axb_principal_solution(A, B, C)
+    expect = bf.axb_principal(A.tolist(), B.tolist(), C.tolist())
+    assert sylvester_principal_solution(single).tolist() == expect
 
     units = SylvesterInstance(
         A=(M.max_plus_unit(3),) * 3, B=(M.max_plus_unit(2),) * 3, C=C
@@ -117,7 +120,7 @@ def test_solvable_by_construction_and_maximality():
         inst, witness = generate_instance(cfg)
         r = solve_sylvester(inst)
         assert r.solvable, f"construction instance must solve (trial {trial})"
-        assert entrywise_leq(witness, r.principal)
+        assert bf.leq(witness.tolist(), r.principal.tolist())
         if (witness.data < r.principal.data).any():
             saw_strict = True
     assert saw_strict
@@ -132,7 +135,7 @@ def test_substitution_never_exceeds_target():
         )
         inst, _ = generate_instance(cfg)
         X = sylvester_principal_solution(inst)
-        assert entrywise_leq(sylvester_apply(inst.A, inst.B, X), inst.C)
+        assert bf.leq(sylvester_apply(inst.A, inst.B, X).tolist(), inst.C.tolist())
 
 
 def test_monotone_in_target():
@@ -146,7 +149,7 @@ def test_monotone_in_target():
         bump = rand(rng, inst.m, inst.n)
         C2 = max_plus_matadd(inst.C, bump)
         inst2 = SylvesterInstance(A=inst.A, B=inst.B, C=C2)
-        assert entrywise_leq(sylvester_principal_solution(inst), sylvester_principal_solution(inst2))
+        assert bf.leq(sylvester_principal_solution(inst).tolist(), sylvester_principal_solution(inst2).tolist())
 
 
 def test_unconstrained_cells_stay_pos_inf():
@@ -188,14 +191,6 @@ def test_two_sided_matches_manual_instance():
         assert special == direct
 
 
-def test_is_doubly_r_astic():
-    assert is_doubly_r_astic(M([[0, NEG_INF], [NEG_INF, 1]]))
-    assert not is_doubly_r_astic(M([[NEG_INF, NEG_INF], [0, 1]]))
-    rng = np.random.default_rng(26)
-    assert is_doubly_r_astic(rand(rng, 4, 4))
-    assert not is_doubly_r_astic(M([[0, NEG_INF], [3, NEG_INF]]))
-
-
 def test_instance_validation():
     with pytest.raises(ShapeError):
         SylvesterInstance(A=(), B=(), C=M([[0]]))
@@ -223,6 +218,24 @@ def test_tolerance_policy():
         solve_linear(A, M([[0.0], [0.0]]), tolerance=float("nan"))
 
 
+def test_overflowing_sums_are_refused():
+    # -(-1e308) + 1e308 is no number a double holds; an infinite principal
+    # would read as "unconstrained" and give a wrong verdict
+    with pytest.raises(ValueError, match="overflows float64"):
+        solve_linear(M([[-1e308]]), M([[1e308]]))
+    inst = SylvesterInstance(A=(M([[-1e308]]),), B=(M([[0]]),), C=M([[1e308]]))
+    with pytest.raises(ValueError, match="overflows float64"):
+        solve_sylvester(inst)
+
+
+def test_miss_wider_than_float64_reads_inf():
+    # the principal and its substitution are finite; only |L - R| overflows
+    r = solve_linear(M([[0], [0]]), M([[1e308], [-1e308]]))
+    assert r.principal == M([[-1e308]])
+    assert r.cells.tolist() == [[0, 0]]
+    assert r.residual_max_abs == POS_INF
+
+
 def test_fast_path_op_count_is_exact():
     rng = np.random.default_rng(27)
     for _ in range(20):
@@ -235,13 +248,39 @@ def test_fast_path_op_count_is_exact():
         assert used == 2 * p * (m * m * n + m * n * n + m * n)
 
 
+def float_entries(rng, rows, cols, scale, neg=0.0, pos=0.0):
+    """Non-integer entries in (-scale, scale), with -inf/+inf at the given densities."""
+    out = rng.uniform(-scale, scale, size=(rows, cols))
+    u = rng.random((rows, cols))
+    out[u < neg] = NEG_INF
+    out[(u >= neg) & (u < neg + pos)] = POS_INF
+    return M(out)
+
+
 def test_principal_matches_bruteforce():
-    rng = np.random.default_rng(28)
-    for _ in range(100):
-        m, n, p = int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(1, 4))
-        A = [rand(rng, m, m, neg=0.2) for _ in range(p)]
-        B = [rand(rng, n, n, neg=0.2) for _ in range(p)]
-        C = rand(rng, m, n)
-        inst = SylvesterInstance(A=A, B=B, C=C)
-        expect = bf.sylvester_principal([a.tolist() for a in A], [b.tolist() for b in B], C.tolist())
-        assert sylvester_principal_solution(inst).tolist() == expect
+    # the min-plus residual computed by scalar loops must come out bit for bit
+    # as the negated max-plus substitution: on integer data, then non-integer
+    # floats, then magnitudes near 1e300 whose sums of three stay finite
+    corpora = (  # (float scale or None for integers, -inf/+inf densities of the factors, of C)
+        (None, (0.2, 0.0), (0.0, 0.0)),
+        (None, (0.2, 0.1), (0.1, 0.1)),
+        (10.0, (0.2, 0.1), (0.1, 0.1)),
+        (1e300, (0.2, 0.1), (0.1, 0.1)),
+    )
+    rng, rng_b = np.random.default_rng(28), np.random.default_rng(29)
+    for scale, factor_inf, c_inf in corpora:
+        def make(g, rows, cols, inf):
+            return rand(g, rows, cols, *inf) if scale is None else float_entries(g, rows, cols, scale, *inf)
+
+        for _ in range(100):
+            m, n, p = int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            A = [make(rng, m, m, factor_inf) for _ in range(p)]
+            B = [make(rng, n, n, factor_inf) for _ in range(p)]
+            C = make(rng, m, n, c_inf)
+            inst = SylvesterInstance(A=A, B=B, C=C)
+            expect = bf.sylvester_principal([a.tolist() for a in A], [b.tolist() for b in B], C.tolist())
+            assert sylvester_principal_solution(inst).tolist() == expect
+
+            b = make(rng_b, m, 1, c_inf)
+            expect = bf.min_plus_matmul(bf.conjugate(A[0].tolist()), b.tolist())
+            assert linear_principal_solution(A[0], b).tolist() == expect

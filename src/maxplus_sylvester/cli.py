@@ -76,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--oracle", action="store_true",
                        help="cross-check against the Kronecker reformulation and print oracle-agrees")
     solve.add_argument("--tolerance", type=float, default=None,
-                       help="absolute equality tolerance (default: 1e-9, exact for all-integer input)")
+                       help="absolute equality tolerance (default: exact for integer input up to 2^53/5, "
+                            "else 1e-9 plus 8 machine epsilons times the largest finite |entry|)")
     solve.add_argument("--oracle-cap", type=int, default=DEFAULT_SIZE_CAP,
                        help=f"largest m*n the oracle accepts (default {DEFAULT_SIZE_CAP})")
 

@@ -24,6 +24,7 @@ import numpy as np
 from .matrix import (
     ShapeError,
     TropicalMatrix,
+    finite_max_abs,
     is_integral,
     max_plus_matadd,
     max_plus_matmul,
@@ -33,6 +34,16 @@ from .matrix import (
 from .semiring import NEG_INF, POS_INF
 
 DEFAULT_TOLERANCE = 1e-9
+
+# Every sum the solvers and the oracle compare has at most five input
+# entries, formed by at most four float64 additions whose partial sums
+# stay within 2, 3, 4 and 5 times the largest |entry|.  Integers up to
+# 2**53 / 5 (about 1.8e15) therefore never round, as float64 holds every
+# integer up to 2**53.  Other data rounds each partial sum by at most half
+# an ulp, 7 units of np.finfo(float).eps times the largest |entry| in all,
+# which ROUNDING_EPS_FACTOR bounds.
+EXACT_INTEGER_LIMIT = 2.0 ** 53 / 5
+ROUNDING_EPS_FACTOR = 8
 
 
 @dataclass(frozen=True)
@@ -113,17 +124,21 @@ class SolveReport:
 def effective_tolerance(tolerance, matrices) -> float:
     """Resolve the equality tolerance for a set of input matrices.
 
-    Explicit values win; otherwise all-integer inputs are compared
-    exactly and anything else with the default absolute tolerance.
+    An explicit value wins and is absolute.  Otherwise integer inputs up
+    to ``EXACT_INTEGER_LIMIT`` in magnitude compare exactly, and anything
+    else with ``DEFAULT_TOLERANCE`` plus a bound on float64 rounding at
+    the largest finite |entry|: a sum of entries near 1e300 rounds by far
+    more than an absolute 1e-9.
     """
     if tolerance is not None:
         eps = float(tolerance)
         if not eps >= 0:  # also rejects NaN, which would fail every comparison
             raise ValueError(f"tolerance must be >= 0, got {tolerance}")
         return eps
-    if all(is_integral(M) for M in matrices):
+    scale = max(finite_max_abs(M) for M in matrices)
+    if scale <= EXACT_INTEGER_LIMIT and all(is_integral(M) for M in matrices):
         return 0.0
-    return DEFAULT_TOLERANCE
+    return DEFAULT_TOLERANCE + ROUNDING_EPS_FACTOR * float(np.finfo(np.float64).eps) * scale
 
 
 def matrix_mismatches(achieved: TropicalMatrix, target: TropicalMatrix, eps: float):

@@ -12,7 +12,10 @@ POS = float("inf")
 def mul_max(a, b):
     if a == NEG or b == NEG:
         return NEG
-    return a + b
+    s = a + b
+    if s in (NEG, POS) and a not in (NEG, POS) and b not in (NEG, POS):
+        raise OverflowError(f"{a!r} + {b!r} overflows float64")
+    return s
 
 
 def mul_min(a, b):

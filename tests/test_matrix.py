@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import bruteforce as bf
 from maxplus_sylvester.matrix import (
     ShapeError,
     TropicalMatrix,
+    finite_max_abs,
     is_integral,
     kron_max,
     max_plus_matadd,
@@ -42,6 +46,17 @@ def test_constructor_validates():
     assert math.copysign(1.0, M([[-0.0]]).data[0, 0]) == 1.0
 
 
+def test_filled_checks_only_its_scalar():
+    Z = M.filled(2, 3, NEG_INF)
+    assert Z == M(np.full((2, 3), NEG_INF))
+    assert not Z.data.flags.writeable
+    assert math.copysign(1.0, M.filled(1, 2, -0.0).data[0, 1]) == 1.0
+    with pytest.raises(ValueError, match="NaN"):
+        M.filled(2, 2, float("nan"))
+    with pytest.raises(ShapeError):
+        M.filled(0, 2, 0.0)
+
+
 def test_max_plus_matmul_example():
     out = max_plus_matmul(M([[0, 1], [2, 0]]), M([[2], [2]]))
     assert out == M([[3], [4]])
@@ -75,6 +90,9 @@ def test_kernels_refuse_overflowing_sums():
     big = M([[1e308]])
     with pytest.raises(ValueError, match="overflows float64"):
         max_plus_matmul(big, big)
+    big2 = M([[1e308, 0], [0, 0]])  # two output columns: the rank-1 path
+    with pytest.raises(ValueError, match="overflows float64"):
+        max_plus_matmul(big2, big2)
     with pytest.raises(ValueError, match="overflows float64"):
         kron_max(big, M([[0, 1e308]]))
     # infinities are states, not overflow; the largest finite sums still work
@@ -194,6 +212,13 @@ def test_integer_inputs_stay_integral():
             assert is_integral(out)
 
 
+def test_is_integral_and_finite_max_abs():
+    assert is_integral(M([[2.0**53, -3, NEG_INF, POS_INF]]))
+    assert not is_integral(M([[0.5]]))
+    assert finite_max_abs(M([[NEG_INF, -3, 2, POS_INF]])) == 3.0
+    assert finite_max_abs(M([[NEG_INF, POS_INF]])) == 0.0
+
+
 def test_matmul_matches_bruteforce_with_infinities():
     rng = np.random.default_rng(12)
     for _ in range(200):
@@ -203,3 +228,69 @@ def test_matmul_matches_bruteforce_with_infinities():
         assert max_plus_matmul(P, Q).tolist() == bf.max_plus_matmul(P.tolist(), Q.tolist())
         assert min_plus_matmul(P, Q).tolist() == bf.min_plus_matmul(P.tolist(), Q.tolist())
         assert kron_max(P, Q).tolist() == bf.kron_max(P.tolist(), Q.tolist())
+
+
+def _assert_same_bits(got: TropicalMatrix, want):
+    want = np.array(want, dtype=np.float64)
+    assert got.shape == want.shape
+    assert np.array_equal(got.data.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("m,k,n", [(16, 300, 16), (40, 300, 7), (256, 3, 256)])
+def test_matmul_block_edges_match_bruteforce(m, k, n):
+    # m·n = 256 and 280 take 256 and 234 inner indices per block, so the last
+    # block is partial (the second also builds the transposed product);
+    # m·n = 2**16 takes one inner index per block
+    rng = np.random.default_rng(13)
+    P, Q = rng.normal(0, 1e3, (m, k)), rng.normal(0, 1e3, (k, n))
+    for X in (P, Q):
+        X[rng.random(X.shape) < 0.3] = NEG_INF
+    # +inf only in column 0 of Q, so the other cells keep finite maxima that
+    # any block may hold; cell (0, 0) sees only -inf + +inf sums
+    P[0, :] = NEG_INF
+    Q[:, 0] = POS_INF
+    _assert_same_bits(max_plus_matmul(M(P), M(Q)), bf.max_plus_matmul(P.tolist(), Q.tolist()))
+
+
+@pytest.mark.parametrize("m,k", [(300, 300), (3, 70000)])
+def test_matvec_block_edges_match_bruteforce(m, k):
+    # 300 rows take 218 rows per block, so the last block is partial;
+    # k above the block size takes one row per block
+    rng = np.random.default_rng(14)
+    P, q = rng.normal(0, 1e3, (m, k)), rng.normal(0, 1e3, (k, 1))
+    for X in (P, q):
+        X[rng.random(X.shape) < 0.3] = NEG_INF
+    # the +inf in q meets only -inf in P: row 0 sees only -inf and
+    # -inf + +inf sums, the other rows keep finite maxima
+    q[1] = POS_INF
+    P[:, 1] = NEG_INF
+    P[0, :] = NEG_INF
+    _assert_same_bits(max_plus_matmul(M(P), M(q)), bf.max_plus_matmul(P.tolist(), q.tolist()))
+
+
+_ENTRIES = st.one_of(
+    st.integers(-20, 20).map(float),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([NEG_INF, POS_INF]),
+    st.builds(math.copysign, st.floats(1e300, 1e308), st.sampled_from([1.0, -1.0])),
+)
+
+
+@st.composite
+def _operands(draw):
+    m, k, n = (draw(st.integers(1, 12)) for _ in range(3))
+    P = draw(arrays(np.float64, (m, k), elements=_ENTRIES))
+    Q = draw(arrays(np.float64, (k, n), elements=_ENTRIES))
+    return M(P), M(Q)
+
+
+@given(_operands())
+def test_matmul_property_matches_bruteforce(operands):
+    P, Q = operands
+    try:
+        want = bf.max_plus_matmul(P.tolist(), Q.tolist())
+    except OverflowError:
+        with pytest.raises(ValueError, match="overflows float64"):
+            max_plus_matmul(P, Q)
+        return
+    _assert_same_bits(max_plus_matmul(P, Q), want)

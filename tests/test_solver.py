@@ -11,7 +11,11 @@ from maxplus_sylvester.matrix import (
 from maxplus_sylvester.opcount import semiring_ops
 from maxplus_sylvester.semiring import NEG_INF, POS_INF
 from maxplus_sylvester.solver import (
+    DEFAULT_TOLERANCE,
+    EXACT_INTEGER_LIMIT,
+    ROUNDING_EPS_FACTOR,
     SylvesterInstance,
+    effective_tolerance,
     linear_principal_solution,
     solve_linear,
     solve_sylvester,
@@ -216,6 +220,49 @@ def test_tolerance_policy():
     # NaN would fail every finite comparison: a silent "unsolvable"
     with pytest.raises(ValueError, match="tolerance"):
         solve_linear(A, M([[0.0], [0.0]]), tolerance=float("nan"))
+
+
+def test_exact_mode_ends_where_integer_sums_can_round():
+    # x = 2**53 + 1 solves (-1) ⊗ x = 2**53, but the principal rounds to 2**53
+    # and its substitution misses by 1, which exact mode would call unsolvable
+    r = solve_linear(M([[-1]]), M([[2.0**53]]))
+    assert r.solvable
+    assert r.principal == M([[2.0**53]])
+    # up to 2**53 / 5 every five-entry sum is exact, so a miss of 1 stays a miss
+    A = M([[0, NEG_INF], [0, NEG_INF], [NEG_INF, 0]])
+    r = solve_linear(A, M([[0], [1], [2.0**50]]))
+    assert not r.solvable and r.residual_max_abs == 1.0
+    top = np.floor(EXACT_INTEGER_LIMIT)
+    assert effective_tolerance(None, (M([[0]]), M([[-top]]))) == 0.0
+    assert effective_tolerance(None, (M([[0]]), M([[-(top + 1)]]))) > 1.0
+    # the rounding bound grows with the largest entry, from 1e-9 upwards
+    rounding = ROUNDING_EPS_FACTOR * np.finfo(np.float64).eps
+    assert effective_tolerance(None, (M([[0]]), M([[-(2.0**51)]]))) == DEFAULT_TOLERANCE + rounding * 2.0**51
+    assert effective_tolerance(None, (M([[0.5, NEG_INF]]),)) == DEFAULT_TOLERANCE + rounding * 0.5
+    # non-integer data of modest size keeps a tolerance close to 1e-9
+    assert not solve_linear(A, M([[0.5], [0.5 + 1e-6], [1000.25]])).solvable
+    # an explicit tolerance stays absolute
+    assert effective_tolerance(0.0, (M([[2.0**53]]),)) == 0.0
+    assert not solve_linear(M([[-1]]), M([[2.0**53]]), tolerance=0.0).solvable
+
+
+def test_default_tolerance_is_relative_to_magnitude():
+    # solvable by construction; at ±1e300 the substitution rounds by about
+    # 1e285, far beyond an absolute 1e-9
+    def unsolvable_count(scale, tolerance):
+        rng = np.random.default_rng(0)
+        count = 0
+        for _ in range(200):
+            A = tuple(M(rng.uniform(-scale, scale, (3, 3))) for _ in range(2))
+            B = tuple(M(rng.uniform(-scale, scale, (3, 3))) for _ in range(2))
+            X0 = M(rng.uniform(-scale, scale, (3, 3)))
+            inst = SylvesterInstance(A=A, B=B, C=sylvester_apply(A, B, X0))
+            count += not solve_sylvester(inst, tolerance).solvable
+        return count
+
+    assert unsolvable_count(10.0, None) == 0
+    assert unsolvable_count(1e300, None) == 0
+    assert unsolvable_count(1e300, DEFAULT_TOLERANCE) > 0  # explicit: absolute
 
 
 def test_overflowing_sums_are_refused():

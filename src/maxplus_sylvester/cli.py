@@ -14,7 +14,6 @@ import numpy as np
 from .bench import CSV_HEADER, METHODS, records_to_csv, run_grid
 from .instance_io import (
     GeneratorConfig,
-    InstanceFileSet,
     format_matrix,
     generate_instance,
     load_matrix,
@@ -22,6 +21,7 @@ from .instance_io import (
 )
 from .oracle import DEFAULT_SIZE_CAP, OracleSizeError, oracle_solve
 from .solver import (
+    SylvesterInstance,
     solve_linear,
     solve_sylvester,
     two_sided_instance,
@@ -155,7 +155,8 @@ def _cmd_solve(args) -> int:
         if not args.a or len(args.a) != len(args.b):
             print("solve needs the same positive number of --a and --b files", file=sys.stderr)
             return EXIT_ERROR
-        inst = InstanceFileSet(a_paths=args.a, b_paths=args.b, c_path=args.c).load()
+        inst = SylvesterInstance(A=[load_matrix(path) for path in args.a],
+                                 B=[load_matrix(path) for path in args.b], C=load_matrix(args.c))
         report = solve_sylvester(inst, args.tolerance)
 
     _print_report(args, report)

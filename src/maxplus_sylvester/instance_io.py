@@ -1,10 +1,14 @@
 """Text serialisation of matrices and instances, plus the seeded generator.
 
 Matrix file format: first line is ``rows cols``; each following line is
-one row with single-space separated entries; tokens are decimal literals
-plus ``-inf``/``+inf`` (case-insensitive); lines starting with ``#`` are
-comments.  Output always ends with a newline and is byte-stable for a
-given matrix, so formatted corpora diff cleanly.
+one row with single-space separated entries; lines starting with ``#``
+are comments.  A token is a decimal literal that float64 holds, or an
+infinity spelled ``inf`` or ``infinity`` in any case, with an optional
+sign.  NaN is never a token, and a finite literal too large for float64
+(``1e400``) is an error, not an infinity.  Output writes integers below
+2**53 without a decimal point, other finite values as ``repr`` does and
+the infinities as ``-inf``/``+inf``; it always ends with a newline and
+is byte-stable for a given matrix, so formatted corpora diff cleanly.
 
 Random instances come from a PCG64 stream (numpy's Generator) seeded
 with the 64-bit config seed.  The draw order is fixed: for each term k,
@@ -13,13 +17,13 @@ its repair); afterwards the witness X0 (construction mode) or C (raw
 mode).  Identical configs therefore yield byte-identical files.
 """
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .matrix import TropicalMatrix
-from .semiring import NEG_INF, format_scalar, parse_scalar
+from .matrix import NEG_INF, POS_INF, TropicalMatrix
 from .solver import SylvesterInstance, sylvester_apply
 
 GENERATOR_MODES = ("solvable_by_construction", "raw_random")
@@ -27,6 +31,27 @@ GENERATOR_MODES = ("solvable_by_construction", "raw_random")
 
 class ParseError(ValueError):
     """Malformed matrix text; the message names the offending line."""
+
+
+def format_scalar(a: float) -> str:
+    """One entry in the token form of the module docstring."""
+    if a == NEG_INF:
+        return "-inf"
+    if a == POS_INF:
+        return "+inf"
+    if a == int(a) and abs(a) < 2.0**53:
+        return str(int(a))
+    return repr(a)
+
+
+def parse_scalar(token: str) -> float:
+    """Inverse of :func:`format_scalar`; a ValueError naming any token the format rejects."""
+    value = float(token)
+    if math.isnan(value):
+        raise ValueError(f"NaN token not allowed: {token!r}")
+    if math.isinf(value) and "inf" not in token.lower():  # float reads 1e400 as inf
+        raise ValueError(f"literal overflows float64: {token!r}")
+    return value
 
 
 def parse_matrix(text: str) -> TropicalMatrix:
@@ -78,41 +103,6 @@ def load_matrix(path) -> TropicalMatrix:
 
 def save_matrix(path, M: TropicalMatrix) -> None:
     Path(path).write_text(format_matrix(M), newline="\n")
-
-
-@dataclass(frozen=True)
-class InstanceFileSet:
-    """Paths of the p left factors, p right factors and C, in term order."""
-
-    a_paths: tuple[Path, ...]
-    b_paths: tuple[Path, ...]
-    c_path: Path
-
-    def __post_init__(self):
-        object.__setattr__(self, "a_paths", tuple(Path(p) for p in self.a_paths))
-        object.__setattr__(self, "b_paths", tuple(Path(p) for p in self.b_paths))
-        object.__setattr__(self, "c_path", Path(self.c_path))
-        if len(self.a_paths) != len(self.b_paths):
-            raise ValueError(f"need as many A files as B files, got {len(self.a_paths)} and {len(self.b_paths)}")
-        if not self.a_paths:
-            raise ValueError("need at least one term")
-
-    def load(self) -> SylvesterInstance:
-        return SylvesterInstance(
-            A=tuple(load_matrix(p) for p in self.a_paths),
-            B=tuple(load_matrix(p) for p in self.b_paths),
-            C=load_matrix(self.c_path),
-        )
-
-
-def standard_file_set(directory, p: int) -> InstanceFileSet:
-    """File set under the A1.txt/B1.txt/C.txt naming used by the CLI."""
-    d = Path(directory)
-    return InstanceFileSet(
-        a_paths=tuple(d / f"A{k}.txt" for k in range(1, p + 1)),
-        b_paths=tuple(d / f"B{k}.txt" for k in range(1, p + 1)),
-        c_path=d / "C.txt",
-    )
 
 
 @dataclass(frozen=True)

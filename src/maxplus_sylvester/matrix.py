@@ -1,13 +1,15 @@
 """Dense matrices over the completed max-plus scalars, and the max-plus kernels.
 
-Entries are float64 with ±inf for the infinite states.  The kernels work
-in max-plus only; the min-plus dual is reached by negation, which is
-exact in IEEE arithmetic (see :func:`negate`).  NaN never enters or
-leaves a kernel: the only IEEE sum that produces it, ``-inf + +inf``, is
-patched to the max-plus zero, so ``-inf ⊗ +inf = -inf``.  This
-mixed-infinity rule is what keeps the residuation law
-``A ⊗ x ≤ b  ⟺  x ≤ −(Aᵀ ⊗ (−b))`` true for arbitrary inputs, not just
-finite ones.
+Entries are float64 with ±inf for the infinite states.  ``NEG_INF`` is
+the max-plus zero: neutral for ⊕ and absorbing for ⊗.  ``POS_INF`` is
+the top element, the value of a residual that nothing bounds.  NaN is
+never an entry.  The kernels work in max-plus only; the min-plus dual
+is reached by negation, which is exact in IEEE arithmetic (see
+:func:`negate`).  NaN never enters or leaves a kernel: the only IEEE sum
+that produces it, ``-inf + +inf``, is patched to the max-plus zero, so
+``-inf ⊗ +inf = -inf``.  This mixed-infinity rule is what keeps the
+residuation law ``A ⊗ x ≤ b  ⟺  x ≤ −(Aᵀ ⊗ (−b))`` true for arbitrary
+inputs, not just finite ones.
 
 :func:`max_plus_matmul` applies the rule without a patch pass per step.
 Its running maxima use ``fmax``, which ignores a NaN operand, so NaN
@@ -33,7 +35,9 @@ import math
 import numpy as np
 
 from .opcount import semiring_ops
-from .semiring import NEG_INF
+
+NEG_INF = float("-inf")
+POS_INF = float("inf")
 
 
 class ShapeError(ValueError):
@@ -120,8 +124,19 @@ def _require_same_shape(P: TropicalMatrix, Q: TropicalMatrix, op: str) -> None:
         raise ShapeError(f"{op} needs equal shapes, got {P.shape} and {Q.shape}")
 
 
-def _overflow_error(what: str) -> ValueError:
-    return ValueError(f"{what} overflows float64: a finite sum exceeds the largest double")
+def _guarded(what: str, compute) -> np.ndarray:
+    """The array ``compute()`` returns, under the kernels' IEEE rules.
+
+    A finite sum that overflows raises a ValueError naming ``what``, and
+    NaN cells, which only ``-inf + +inf`` sums leave, become ``-inf``.
+    """
+    try:
+        with np.errstate(invalid="ignore", over="raise"):
+            out = compute()
+    except FloatingPointError:
+        raise ValueError(f"{what} overflows float64: a finite sum exceeds the largest double") from None
+    out[np.isnan(out)] = NEG_INF
+    return out
 
 
 def max_plus_matmul(P: TropicalMatrix, Q: TropicalMatrix) -> TropicalMatrix:
@@ -130,12 +145,8 @@ def max_plus_matmul(P: TropicalMatrix, Q: TropicalMatrix) -> TropicalMatrix:
         raise ShapeError(f"cannot multiply {P.shape} by {Q.shape}: inner dimensions differ")
     m, k = P.shape
     n = Q.cols
-    try:
-        with np.errstate(invalid="ignore", over="raise"):
-            out = _matvec(P.data, Q.data) if n == 1 else _rank1_matmul(P.data, Q.data)
-    except FloatingPointError:
-        raise _overflow_error(f"max-plus product of {P.shape} by {Q.shape}") from None
-    out[np.isnan(out)] = NEG_INF  # cells that saw only -inf + +inf
+    kernel = _matvec if n == 1 else _rank1_matmul
+    out = _guarded(f"max-plus product of {P.shape} by {Q.shape}", lambda: kernel(P.data, Q.data))
     semiring_ops.add(m * n * k)
     return TropicalMatrix._wrap(out)
 
@@ -211,24 +222,8 @@ def kron_max(M: TropicalMatrix, N: TropicalMatrix) -> TropicalMatrix:
     """Max-plus Kronecker product: block (i, j) is M[i, j] ⊗ N."""
     a, b = M.shape
     c, d = N.shape
-    try:
-        with np.errstate(invalid="ignore", over="raise"):
-            s = M.data[:, None, :, None] + N.data[None, :, None, :]
-    except FloatingPointError:
-        raise _overflow_error(f"max-plus Kronecker product of {M.shape} and {N.shape}") from None
-    bad = np.isnan(s)
-    if bad.any():
-        s[bad] = NEG_INF
+    s = _guarded(f"max-plus Kronecker product of {M.shape} and {N.shape}",
+                 lambda: M.data[:, None, :, None] + N.data[None, :, None, :])
     semiring_ops.add(a * c * b * d)
     return TropicalMatrix._wrap(s.reshape(a * c, b * d))
 
-
-def is_integral(A: TropicalMatrix) -> bool:
-    """True when every finite entry is an exact integer."""
-    finite = A.data[np.isfinite(A.data)]
-    return bool(np.all(finite == np.floor(finite)))
-
-
-def finite_max_abs(A: TropicalMatrix) -> float:
-    """Largest |entry| over the finite entries; 0.0 when there are none."""
-    return float(np.abs(A.data[np.isfinite(A.data)]).max(initial=0.0))

@@ -10,6 +10,7 @@ caller raises it.
 """
 
 from .matrix import (
+    NEG_INF,
     TropicalMatrix,
     kron_max,
     max_plus_matadd,
@@ -18,7 +19,6 @@ from .matrix import (
     unvec,
     vec,
 )
-from .semiring import NEG_INF
 from .solver import (
     SolveReport,
     SylvesterInstance,

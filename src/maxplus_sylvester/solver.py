@@ -22,16 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix import (
+    NEG_INF,
+    POS_INF,
     ShapeError,
     TropicalMatrix,
-    finite_max_abs,
-    is_integral,
     max_plus_matadd,
     max_plus_matmul,
     negate,
     transpose,
 )
-from .semiring import NEG_INF, POS_INF
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -135,8 +134,12 @@ def effective_tolerance(tolerance, matrices) -> float:
         if not eps >= 0:  # also rejects NaN, which would fail every comparison
             raise ValueError(f"tolerance must be >= 0, got {tolerance}")
         return eps
-    scale = max(finite_max_abs(M) for M in matrices)
-    if scale <= EXACT_INTEGER_LIMIT and all(is_integral(M) for M in matrices):
+    scale, integral = 0.0, True
+    for M in matrices:
+        finite = M.data[np.isfinite(M.data)]
+        scale = max(scale, float(np.abs(finite).max(initial=0.0)))
+        integral = integral and bool((finite == np.floor(finite)).all())
+    if integral and scale <= EXACT_INTEGER_LIMIT:
         return 0.0
     return DEFAULT_TOLERANCE + ROUNDING_EPS_FACTOR * float(np.finfo(np.float64).eps) * scale
 

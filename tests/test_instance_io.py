@@ -4,17 +4,15 @@ import pytest
 import bruteforce as bf
 from maxplus_sylvester.instance_io import (
     GeneratorConfig,
-    InstanceFileSet,
     ParseError,
     format_matrix,
     generate_instance,
+    load_matrix,
     parse_matrix,
-    standard_file_set,
     write_instance,
 )
-from maxplus_sylvester.matrix import TropicalMatrix
+from maxplus_sylvester.matrix import NEG_INF, TropicalMatrix
 from maxplus_sylvester.oracle import oracle_solve
-from maxplus_sylvester.semiring import NEG_INF
 from maxplus_sylvester.solver import solve_sylvester
 
 M = TropicalMatrix
@@ -141,12 +139,8 @@ def test_file_set_round_trip(tmp_path):
     written = write_instance(tmp_path, inst, witness)
     names = sorted(p.name for p in written)
     assert names == ["A1.txt", "A2.txt", "B1.txt", "B2.txt", "C.txt", "X0.txt"]
-    loaded = standard_file_set(tmp_path, p=2).load()
-    assert loaded.A == inst.A and loaded.B == inst.B and loaded.C == inst.C
-
-
-def test_file_set_validation():
-    with pytest.raises(ValueError):
-        InstanceFileSet(a_paths=("a.txt",), b_paths=(), c_path="c.txt")
-    with pytest.raises(ValueError):
-        InstanceFileSet(a_paths=(), b_paths=(), c_path="c.txt")
+    for k in range(2):
+        assert load_matrix(tmp_path / f"A{k + 1}.txt") == inst.A[k]
+        assert load_matrix(tmp_path / f"B{k + 1}.txt") == inst.B[k]
+    assert load_matrix(tmp_path / "C.txt") == inst.C
+    assert load_matrix(tmp_path / "X0.txt") == witness

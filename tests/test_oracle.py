@@ -4,6 +4,7 @@ import pytest
 import bruteforce as bf
 from maxplus_sylvester.instance_io import GeneratorConfig, generate_instance
 from maxplus_sylvester.matrix import (
+    NEG_INF,
     TropicalMatrix,
     max_plus_matadd,
     max_plus_matmul,
@@ -18,7 +19,6 @@ from maxplus_sylvester.oracle import (
     kron_reformulate,
     oracle_solve,
 )
-from maxplus_sylvester.semiring import NEG_INF
 from maxplus_sylvester.solver import (
     SylvesterInstance,
     solve_sylvester,

@@ -1,6 +1,7 @@
-"""The README's library quick start runs as written, and every root export resolves."""
+"""The README's library quick start runs as written, and every name its API paragraph gives resolves."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -36,3 +37,38 @@ def test_root_exports_resolve():
     import maxplus_sylvester
 
     assert all(hasattr(maxplus_sylvester, name) for name in maxplus_sylvester.__all__)
+
+
+def resolve(dotted: str):
+    """The object a dotted name refers to: its longest importable module prefix, then attributes."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            obj = getattr(obj, attr)
+        return obj
+    raise ImportError(dotted)
+
+
+def test_api_paragraph_names_resolve():
+    # a sentence that names `maxplus_sylvester.<module>` (or an object in
+    # it) lists attributes of that; a sentence that names none lists root
+    # exports, so a module or name the package drops fails here
+    text = README.read_text()
+    start = text.index("The package root exports")
+    paragraph = text[start:text.index("\n\n", start)]
+    checked = set()
+    for sentence in re.split(r"\.\s+", paragraph):
+        names = re.findall(r"`([A-Za-z_][\w.]*)`", sentence)
+        dotted = [name for name in names if name.startswith("maxplus_sylvester.")]
+        owner = resolve(dotted[0]) if dotted else resolve("maxplus_sylvester")
+        for name in names:
+            if name in dotted:
+                resolve(name)
+            else:
+                assert hasattr(owner, name), f"README names {name!r}, which {owner!r} lacks"
+            checked.add(name)
+    assert {"max_plus_matmul", "unvec", "NEG_INF", "parse_scalar", "maxplus_sylvester.opcount.semiring_ops"} <= checked

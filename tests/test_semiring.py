@@ -7,18 +7,22 @@ side from the independent scalar loops in ``bruteforce``.
 """
 
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
 
 import bruteforce as bf
+from maxplus_sylvester.instance_io import format_scalar, parse_scalar
 from maxplus_sylvester.matrix import (
+    NEG_INF,
+    POS_INF,
     TropicalMatrix,
     max_plus_matadd,
     max_plus_matmul,
     negate,
 )
-from maxplus_sylvester.semiring import NEG_INF, POS_INF, format_scalar, parse_scalar
 
 STATES = (NEG_INF, -2.0, 0.0, 3.0, POS_INF)
 
@@ -132,18 +136,18 @@ def test_scalar_tokens_round_trip():
     assert format_scalar(5.0) == "5"
     assert format_scalar(NEG_INF) == "-inf"
     assert format_scalar(POS_INF) == "+inf"
-    assert parse_scalar("-INF") == NEG_INF
-    assert parse_scalar("+Inf") == POS_INF
-    with pytest.raises(ValueError):
-        parse_scalar("nan")
-    with pytest.raises(ValueError):
-        parse_scalar("abc")
-    # finite literals beyond float64 are errors, not infinities
-    for token in ("1e400", "-1e400", "1E309"):
-        with pytest.raises(ValueError, match=token):
+    # every infinity spelling, unsigned, signed and in any case
+    for spelling in ("inf", "INF", "Inf", "iNf", "infinity", "INFINITY", "Infinity", "InFiNiTy"):
+        assert parse_scalar(spelling) == POS_INF
+        assert parse_scalar("+" + spelling) == POS_INF
+        assert parse_scalar("-" + spelling) == NEG_INF
+    # NaN, finite literals beyond float64 and non-decimal tokens are errors naming the token
+    for token in ("1e400", "-1E309", "-1e400", "nan", "-nan", "NaN", "infinit", "0x10", "abc", ""):
+        with pytest.raises(ValueError, match=re.escape(repr(token))):
             parse_scalar(token)
-    assert parse_scalar("1.7976931348623157e308") == 1.7976931348623157e308
-    assert parse_scalar("infinity") == POS_INF and parse_scalar("-Infinity") == NEG_INF
+    # finite literals parse to the bits float gives them, -0.0 and subnormals included
+    for token in ("0", "-0", "+7", "-3.5", ".5", "5.", "1E5", "2.5e-3", "4.9e-324", "1.7976931348623157e308"):
+        assert struct.pack("<d", parse_scalar(token)) == struct.pack("<d", float(token))
 
 
 def test_integer_sums_stay_exact():

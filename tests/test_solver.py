@@ -4,12 +4,13 @@ import pytest
 import bruteforce as bf
 from maxplus_sylvester.instance_io import GeneratorConfig, generate_instance
 from maxplus_sylvester.matrix import (
+    NEG_INF,
+    POS_INF,
     ShapeError,
     TropicalMatrix,
     max_plus_matadd,
 )
 from maxplus_sylvester.opcount import semiring_ops
-from maxplus_sylvester.semiring import NEG_INF, POS_INF
 from maxplus_sylvester.solver import (
     DEFAULT_TOLERANCE,
     EXACT_INTEGER_LIMIT,
@@ -244,6 +245,22 @@ def test_exact_mode_ends_where_integer_sums_can_round():
     # an explicit tolerance stays absolute
     assert effective_tolerance(0.0, (M([[2.0**53]]),)) == 0.0
     assert not solve_linear(M([[-1]]), M([[2.0**53]]), tolerance=0.0).solvable
+
+
+def test_effective_tolerance_scans_finite_entries():
+    rounding = ROUNDING_EPS_FACTOR * np.finfo(np.float64).eps
+    # integrality and scale ignore ±inf: an integer at 2**53 sets the scale,
+    # past the exact limit, and -3 beside the infinities keeps exact mode
+    assert effective_tolerance(None, (M([[2.0**53, -3, NEG_INF, POS_INF]]),)) == DEFAULT_TOLERANCE + rounding * 2.0**53
+    assert effective_tolerance(None, (M([[-3, NEG_INF, POS_INF]]),)) == 0.0
+    # one fractional entry in any input ends exact mode
+    assert effective_tolerance(None, (M([[0.5]]),)) == DEFAULT_TOLERANCE + rounding * 0.5
+    assert effective_tolerance(None, (M([[0.5]]), M([[4, 1]]))) == DEFAULT_TOLERANCE + rounding * 4
+    # the scale is the largest |entry| over every input, ignoring ±inf
+    assert effective_tolerance(None, (M([[NEG_INF, -3, 2, POS_INF]]), M([[0.5]]))) == DEFAULT_TOLERANCE + rounding * 3
+    # inputs with only infinities add nothing
+    assert effective_tolerance(None, (M([[NEG_INF, POS_INF]]),)) == 0.0
+    assert effective_tolerance(None, (M([[NEG_INF]]), M([[0.5]]))) == DEFAULT_TOLERANCE + rounding * 0.5
 
 
 def test_default_tolerance_is_relative_to_magnitude():

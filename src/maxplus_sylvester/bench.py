@@ -15,7 +15,7 @@ import numpy as np
 
 from .instance_io import GeneratorConfig, generate_instance
 from .opcount import semiring_ops
-from .oracle import DEFAULT_SIZE_CAP, oracle_solve
+from .oracle import OracleSizeError, oracle_solve
 from .solver import solve_sylvester
 
 CSV_HEADER = "m,n,p,method,rep,wall_seconds,op_count"
@@ -35,31 +35,16 @@ class BenchRecord:
     op_count: int
 
 
-def fast_op_budget(m: int, n: int, p: int) -> int:
-    """Exact counted operations of one fast solve: 2·p·(m²n + mn² + mn)."""
-    return 2 * p * (m * m * n + m * n * n + m * n)
-
-
-def oracle_op_budget(m: int, n: int, p: int) -> int:
-    """Exact counted operations of one oracle solve: 2·(p+1)·(mn)²."""
-    return 2 * (p + 1) * (m * n) ** 2
-
-
 def _point_seed(seed: int, m: int, n: int, p: int) -> int:
     # stable per-point split of the base seed
     return int(np.random.SeedSequence([seed, m, n, p]).generate_state(1, dtype=np.uint64)[0])
 
 
-def run_point(m, n, p, method, reps, seed=0, size_cap=DEFAULT_SIZE_CAP, entry_low=-10, entry_high=10):
+def run_point(m, n, p, method, reps, seed=0):
     """Measure one (m, n, p, method) point over ``reps`` repetitions."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    cfg = GeneratorConfig(
-        m=m, n=n, p=p,
-        seed=_point_seed(seed, m, n, p),
-        entry_low=entry_low, entry_high=entry_high,
-        mode="raw_random",
-    )
+    cfg = GeneratorConfig(m=m, n=n, p=p, seed=_point_seed(seed, m, n, p), mode="raw_random")
     inst, _ = generate_instance(cfg)
     records = []
     for rep in range(reps):
@@ -68,25 +53,26 @@ def run_point(m, n, p, method, reps, seed=0, size_cap=DEFAULT_SIZE_CAP, entry_lo
         if method == "fast":
             solve_sylvester(inst)
         else:
-            oracle_solve(inst, size_cap=size_cap)
+            oracle_solve(inst)
         wall = time.perf_counter() - start
         records.append(BenchRecord(m, n, p, method, rep, wall, semiring_ops.total - before))
     return records
 
 
-def run_grid(points, reps, seed=0, methods=METHODS, size_cap=DEFAULT_SIZE_CAP):
+def run_grid(points, reps, seed=0, methods=METHODS):
     """Measure every (m, n, p) point with every method.
 
-    Oracle points whose mn exceeds ``size_cap`` are skipped; the skipped
-    points come back in the second element so callers can report them.
+    Oracle points the oracle refuses (mn above ``SIZE_CAP``) are skipped;
+    the skipped points come back in the second element so callers can
+    report them.
     """
     records, skipped = [], []
     for m, n, p in points:
         for method in methods:
-            if method == "oracle" and m * n > size_cap:
+            try:
+                records.extend(run_point(m, n, p, method, reps, seed=seed))
+            except OracleSizeError:
                 skipped.append((m, n, p))
-                continue
-            records.extend(run_point(m, n, p, method, reps, seed=seed, size_cap=size_cap))
     return records, skipped
 
 
@@ -96,8 +82,3 @@ def records_to_csv(records) -> str:
     for r in records:
         lines.append(f"{r.m},{r.n},{r.p},{r.method},{r.rep},{r.wall_seconds:.9f},{r.op_count}")
     return "\n".join(lines) + "\n"
-
-
-def loglog_slope(xs, ys) -> float:
-    """Least-squares slope of log(ys) against log(xs)."""
-    return float(np.polyfit(np.log(np.asarray(xs, dtype=float)), np.log(np.asarray(ys, dtype=float)), 1)[0])

@@ -4,8 +4,9 @@ Matrix file format: first line is ``rows cols``; each following line is
 one row with single-space separated entries; lines starting with ``#``
 are comments.  A token is a decimal literal that float64 holds, or an
 infinity spelled ``inf`` or ``infinity`` in any case, with an optional
-sign.  NaN is never a token, and a finite literal too large for float64
-(``1e400``) is an error, not an infinity.  Output writes integers below
+sign; every line but a comment is ASCII and holds no ``_``.  NaN is
+never a token, and a finite literal too large for float64 (``1e400``)
+is an error, not an infinity.  Output writes integers below
 2**53 without a decimal point, other finite values as ``repr`` does and
 the infinities as ``-inf``/``+inf``; it always ends with a newline and
 is byte-stable for a given matrix, so formatted corpora diff cleanly.
@@ -44,14 +45,31 @@ def format_scalar(a: float) -> str:
     return repr(a)
 
 
-def parse_scalar(token: str) -> float:
-    """Inverse of :func:`format_scalar`; a ValueError naming any token the format rejects."""
+def _check_charset(text: str) -> None:
+    """A ValueError naming the first token of ``text`` that is not ASCII or holds ``_``.
+
+    Python's float also reads digit separators (``1_000``) and non-ASCII
+    digits (``١٢``, ``１２``); past this check it reads exactly the decimal
+    literals and the infinity and NaN spellings.
+    """
+    if not text.isascii() or "_" in text:
+        bad = next((t for t in text.split() if not t.isascii() or "_" in t), text)
+        raise ValueError(f"token is not ASCII without '_': {bad!r}")
+
+
+def _token_value(token: str) -> float:
     value = float(token)
     if math.isnan(value):
         raise ValueError(f"NaN token not allowed: {token!r}")
     if math.isinf(value) and "inf" not in token.lower():  # float reads 1e400 as inf
         raise ValueError(f"literal overflows float64: {token!r}")
     return value
+
+
+def parse_scalar(token: str) -> float:
+    """Inverse of :func:`format_scalar`; a ValueError naming any token the format rejects."""
+    _check_charset(token)
+    return _token_value(token)
 
 
 def parse_matrix(text: str) -> TropicalMatrix:
@@ -62,6 +80,10 @@ def parse_matrix(text: str) -> TropicalMatrix:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        try:
+            _check_charset(line)  # once per line: comments stay free text
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
         parts = line.split()
         if header is None:
             if len(parts) != 2:
@@ -79,7 +101,7 @@ def parse_matrix(text: str) -> TropicalMatrix:
         if len(parts) != header[1]:
             raise ParseError(f"line {lineno}: expected {header[1]} entries, got {len(parts)}")
         try:
-            rows.append([parse_scalar(token) for token in parts])
+            rows.append([_token_value(token) for token in parts])
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
     if header is None:

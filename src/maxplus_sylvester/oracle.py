@@ -5,8 +5,8 @@ Any p-term instance collapses into one max-plus linear system
 (mn×mn, right Kronecker orientation).  Materialising K costs
 O(p·m²n²) time and (mn)² memory, so this path exists to validate the
 fast solver and to anchor the benchmark's complexity separation, not for
-production solving; instances above the size cap are refused unless the
-caller raises it.
+production solving; instances with mn above ``SIZE_CAP`` (a 128 MB K)
+are refused before K is allocated.
 """
 
 from .matrix import (
@@ -27,34 +27,27 @@ from .solver import (
     linear_principal_solution,
 )
 
-DEFAULT_SIZE_CAP = 4096
+SIZE_CAP = 4096
 
 
 class OracleSizeError(ValueError):
-    """The instance's mn exceeds the oracle's size cap."""
+    """The instance's mn exceeds ``SIZE_CAP``."""
 
 
-def _check_cap(inst: SylvesterInstance, size_cap) -> None:
-    cells = inst.m * inst.n
-    if size_cap is not None and cells > size_cap:
-        raise OracleSizeError(
-            f"oracle refuses mn={cells} (> cap {size_cap}); pass a larger size_cap to override"
-        )
-
-
-def kron_reformulate(inst: SylvesterInstance, size_cap=DEFAULT_SIZE_CAP):
+def kron_reformulate(inst: SylvesterInstance):
     """Return (K, c) with K = ⊕_k kron_max(transpose(B_k), A_k), c = vec(C)."""
-    _check_cap(inst, size_cap)
     cells = inst.m * inst.n
+    if cells > SIZE_CAP:
+        raise OracleSizeError(f"oracle refuses mn={cells} (> cap {SIZE_CAP})")
     K = TropicalMatrix.filled(cells, cells, NEG_INF)
     for A_k, B_k in zip(inst.A, inst.B):
         K = max_plus_matadd(K, kron_max(transpose(B_k), A_k))
     return K, vec(inst.C)
 
 
-def oracle_solve(inst: SylvesterInstance, tolerance=None, size_cap=DEFAULT_SIZE_CAP) -> SolveReport:
+def oracle_solve(inst: SylvesterInstance, tolerance=None) -> SolveReport:
     """Decide solvability on the Kronecker system, reported in C's coordinates."""
-    K, c = kron_reformulate(inst, size_cap)
+    K, c = kron_reformulate(inst)
     x = linear_principal_solution(K, c)
     achieved = max_plus_matmul(K, x)
     eps = effective_tolerance(tolerance, (*inst.A, *inst.B, inst.C))

@@ -1,9 +1,12 @@
 """Pure-Python scalar-loop references, independent of the library kernels.
 
-Everything here works on plain lists of floats and re-implements the
+The matrix routines work on plain lists of floats and re-implement the
 mixed-infinity conventions from scratch so the numpy-backed kernels are
-checked against a genuinely separate path.
+checked against a genuinely separate path.  The closing section holds
+the benchmark's cost formulas and the slope fit its tests check with.
 """
+
+import numpy as np
 
 NEG = float("-inf")
 POS = float("inf")
@@ -103,6 +106,15 @@ def sylvester_apply(A_terms, B_terms, X):
     return acc
 
 
+def two_sided_principal(A, B, C):
+    """Greatest X with A ⊗ X ⊕ X ⊗ B ≤ C: the min of the two one-sided residuals."""
+    return min_plus_matadd(min_plus_matmul(conjugate(A), C), min_plus_matmul(C, conjugate(B)))
+
+
+def two_sided_apply(A, B, X):
+    return max_plus_matadd(max_plus_matmul(A, X), max_plus_matmul(X, B))
+
+
 def random_entries(rng, rows, cols, low=-10, high=10, neg_density=0.0, pos_density=0.0):
     """Integer-valued list-of-lists with optional ±inf entries."""
     out = []
@@ -118,3 +130,18 @@ def random_entries(rng, rows, cols, low=-10, high=10, neg_density=0.0, pos_densi
                 row.append(float(rng.integers(low, high, endpoint=True)))
         out.append(row)
     return out
+
+
+def fast_op_budget(m, n, p):
+    """Exact counted operations of one fast solve: 2·p·(m²n + mn² + mn)."""
+    return 2 * p * (m * m * n + m * n * n + m * n)
+
+
+def oracle_op_budget(m, n, p):
+    """Exact counted operations of one oracle solve: 2·(p+1)·(mn)²."""
+    return 2 * (p + 1) * (m * n) ** 2
+
+
+def loglog_slope(xs, ys):
+    """Least-squares slope of log(ys) against log(xs)."""
+    return float(np.polyfit(np.log(np.asarray(xs, dtype=float)), np.log(np.asarray(ys, dtype=float)), 1)[0])

@@ -1,14 +1,7 @@
 import pytest
 
-from maxplus_sylvester.bench import (
-    CSV_HEADER,
-    fast_op_budget,
-    loglog_slope,
-    oracle_op_budget,
-    records_to_csv,
-    run_grid,
-    run_point,
-)
+from bruteforce import fast_op_budget, loglog_slope, oracle_op_budget
+from maxplus_sylvester.bench import CSV_HEADER, records_to_csv, run_grid, run_point
 
 
 def test_run_point_fast_counts():
@@ -36,13 +29,13 @@ def test_run_point_rejects_unknown_method():
 
 
 def test_run_grid_skips_oracle_above_cap():
-    points = [(2, 2, 1), (4, 4, 1)]
-    records, skipped = run_grid(points, reps=3, size_cap=8)
-    assert skipped == [(4, 4, 1)]
+    points = [(2, 2, 1), (65, 64, 1)]  # 65·64 = 4160 cells, above SIZE_CAP
+    records, skipped = run_grid(points, reps=3)
+    assert skipped == [(65, 64, 1)]
     methods_at = {(r.m, r.n, r.method) for r in records}
     assert (2, 2, "oracle") in methods_at
-    assert (4, 4, "oracle") not in methods_at
-    assert (4, 4, "fast") in methods_at
+    assert (65, 64, "oracle") not in methods_at
+    assert (65, 64, "fast") in methods_at
     assert len(records) == 3 * 3  # two fast points + one oracle point, 3 reps each
 
 

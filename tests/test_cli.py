@@ -1,8 +1,10 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from maxplus_sylvester import cli
 from maxplus_sylvester.cli import main
 from maxplus_sylvester.instance_io import load_matrix, save_matrix
 from maxplus_sylvester.matrix import TropicalMatrix
@@ -94,12 +96,46 @@ def test_solve_with_oracle_check(scalar_two_term, capsys):
     assert "oracle-agrees: true" in out
 
 
-def test_solve_oracle_skipped_above_cap(scalar_two_term, capsys):
-    code = main(solve_args(scalar_two_term, "--oracle", "--oracle-cap", "0"))
+def test_solve_oracle_with_inexact_sums_agrees(tmp_path, capsys):
+    # the fast principal is -2.78e-17 and the oracle's -5.55e-17: equal
+    # under the tolerance the verdict uses, not bit for bit
+    a = write(tmp_path / "A.txt", "1 1\n0.1\n")
+    b = write(tmp_path / "B.txt", "1 1\n0.2\n")
+    c = write(tmp_path / "C.txt", "1 1\n0.3\n")
+    code = main(["solve", "--a", a, "--b", b, "--c", c, "--oracle"])
     captured = capsys.readouterr()
     assert code == 0
-    assert "oracle-agrees" not in captured.out
-    assert "skipped" in captured.err
+    assert captured.out.endswith("solvable: true\noracle-agrees: true\n")
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("skew", [
+    lambda r: replace(r, principal=M(r.principal.data + 1e-6)),
+    lambda r: replace(r, cells=np.array([[0, 0]])),
+])
+def test_solve_oracle_disagreement_exits_2(scalar_two_term, capsys, monkeypatch, skew):
+    oracle_solve = cli.oracle_solve
+    monkeypatch.setattr(cli, "oracle_solve", lambda *args: skew(oracle_solve(*args)))
+    code = main(solve_args(scalar_two_term, "--oracle"))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.endswith("solvable: true\noracle-agrees: false\n")
+    assert captured.err.startswith("oracle disagreement diagnostic:\n")
+
+
+def test_solve_oracle_skipped_above_cap(tmp_path, capsys):
+    # 65·64 = 4160 cells, above the oracle's fixed limit of 4096
+    out_dir = tmp_path / "inst"
+    assert main(["generate", "--m", "65", "--n", "64", "--p", "1", "--seed", "1", "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    argv = ["solve", "--a", str(out_dir / "A1.txt"), "--b", str(out_dir / "B1.txt"),
+            "--c", str(out_dir / "C.txt"), "--oracle"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.startswith("65 64\n") and captured.out.endswith("solvable: true\n")
+    assert captured.err == "oracle check skipped: oracle refuses mn=4160 (> cap 4096)\n"
+    assert main(argv + ["--oracle-cap", "5000"]) == 2  # the limit is not a setting
 
 
 def test_solve_linear_form(tmp_path, capsys):
@@ -201,14 +237,16 @@ def test_generate_unwritable_destination(tmp_path, capsys):
 
 
 def test_bench_csv_and_skip_notes(capsys):
-    code = main(["bench", "--m", "2,3", "--n", "2", "--p", "1", "--reps", "3", "--oracle-cap", "4"])
+    code = main(["bench", "--m", "2,65", "--n", "64", "--p", "1", "--reps", "3"])
     captured = capsys.readouterr()
     assert code == 0
     lines = captured.out.splitlines()
     assert lines[0] == "m,n,p,method,rep,wall_seconds,op_count"
-    # (2,2) runs both methods, (3,2) only fast: (2+1) points * 3 reps
+    # (2,64) runs both methods, (65,64) only fast: (2+1) points * 3 reps
     assert len(lines) == 1 + 9
-    assert "skipping oracle at m=3 n=2 p=1" in captured.err
+    assert [line.split(",")[3] for line in lines if line.startswith("65,")] == ["fast"] * 3
+    assert captured.err == "skipping oracle at m=65 n=64 p=1: m*n=4160 exceeds size cap 4096\n"
+    assert main(["bench", "--m", "2", "--n", "2", "--p", "1", "--oracle-cap", "4"]) == 2
 
 
 def test_bench_rejects_low_reps(capsys):

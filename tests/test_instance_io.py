@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,13 @@ def test_parse_matrix_error_cases():
         parse_matrix("2 1\n0\n1\n5\n")
     with pytest.raises(ParseError, match="expected 3 rows"):
         parse_matrix("3 1\n0\n1\n")
+    # float reads digit separators and non-ASCII digits; the format does not
+    for token in ("1_000", "0_0", "١٢", "１２"):
+        with pytest.raises(ParseError, match=f"line 3: .*{re.escape(repr(token))}"):
+            parse_matrix(f"1 2\n# note\n0 {token}\n")
+    with pytest.raises(ParseError, match="line 1: .*'1_0'"):
+        parse_matrix("1_0 1\n0\n")
+    assert parse_matrix("# free text: ١٢ 1_000\n1 1\n5\n") == M([[5]])
 
 
 def test_format_matrix_examples():

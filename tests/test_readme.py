@@ -1,9 +1,13 @@
-"""The README's library quick start runs as written, and every name its API paragraph gives resolves."""
+"""The README's library quick start runs as written, every name its API paragraph gives resolves,
+and its command-line section names exactly the parser's flags."""
 
+import argparse
 import ast
 import importlib
 import re
 from pathlib import Path
+
+from maxplus_sylvester.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -72,3 +76,21 @@ def test_api_paragraph_names_resolve():
                 assert hasattr(owner, name), f"README names {name!r}, which {owner!r} lacks"
             checked.add(name)
     assert {"max_plus_matmul", "unvec", "NEG_INF", "parse_scalar", "maxplus_sylvester.opcount.semiring_ops"} <= checked
+
+
+def test_command_line_section_names_exactly_the_parsers_flags():
+    text = README.read_text()
+    start = text.index("## Command line")
+    section = text[start:text.index("\n## ", start + 1)]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        flag
+        for command in sub.choices.values()
+        for action in command._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag != "--help"
+    }
+    assert documented - options == set(), "README names flags the parser lacks"
+    assert options - documented == set(), "parser flags missing from the README"

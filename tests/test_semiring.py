@@ -141,8 +141,10 @@ def test_scalar_tokens_round_trip():
         assert parse_scalar(spelling) == POS_INF
         assert parse_scalar("+" + spelling) == POS_INF
         assert parse_scalar("-" + spelling) == NEG_INF
-    # NaN, finite literals beyond float64 and non-decimal tokens are errors naming the token
-    for token in ("1e400", "-1E309", "-1e400", "nan", "-nan", "NaN", "infinit", "0x10", "abc", ""):
+    # NaN, finite literals beyond float64 and non-decimal tokens are errors naming the token,
+    # digit separators and non-ASCII digits (which float reads) included
+    for token in ("1e400", "-1E309", "-1e400", "nan", "-nan", "NaN", "infinit", "0x10", "abc", "",
+                  "1_000", "0_0", "١٢", "１２"):
         with pytest.raises(ValueError, match=re.escape(repr(token))):
             parse_scalar(token)
     # finite literals parse to the bits float gives them, -0.0 and subnormals included

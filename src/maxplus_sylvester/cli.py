@@ -1,9 +1,10 @@
 """Command-line front end: solve, generate, bench.
 
 Exit codes are a stable contract: 0 = solvable, 1 = unsolvable,
-2 = usage, parse or shape errors.  All output is newline-terminated;
-benchmark CSV goes to stdout and skip notes to stderr so the CSV stays
-machine-parseable.
+2 = an error: usage, parse or shape errors, a float64 overflow the
+kernels refuse, or an ``--oracle`` check that disagrees with the fast
+path.  All output is newline-terminated; benchmark CSV goes to stdout
+and skip notes to stderr so the CSV stays machine-parseable.
 """
 
 import argparse
@@ -19,11 +20,9 @@ from .instance_io import (
     load_matrix,
     write_instance,
 )
-from .oracle import SIZE_CAP, OracleSizeError, oracle_solve
+from .oracle import SIZE_CAP, OracleSizeError, oracle_agrees, oracle_solve
 from .solver import (
     SylvesterInstance,
-    effective_tolerance,
-    matrix_mismatches,
     solve_linear,
     solve_sylvester,
     two_sided_instance,
@@ -166,11 +165,7 @@ def _cmd_solve(args) -> int:
         except OracleSizeError as exc:
             print(f"oracle check skipped: {exc}", file=sys.stderr)
         else:
-            # the principals agree under the tolerance the verdict compared with,
-            # since the two paths add their sums in different orders
-            eps = effective_tolerance(args.tolerance, (*inst.A, *inst.B, inst.C))
-            agrees = (np.array_equal(check.cells, report.cells)
-                      and not len(matrix_mismatches(check.principal, report.principal, eps)[0]))
+            agrees = oracle_agrees(inst, report, check, args.tolerance)
             print(f"oracle-agrees: {'true' if agrees else 'false'}")
             if not agrees:
                 print("oracle disagreement diagnostic:", file=sys.stderr)

@@ -12,17 +12,15 @@ residuation law ``A ⊗ x ≤ b  ⟺  x ≤ −(Aᵀ ⊗ (−b))`` true for arbi
 inputs, not just finite ones.
 
 :func:`max_plus_matmul` applies the rule without a patch pass per step.
-Its running maxima use ``fmax``, which ignores a NaN operand, so NaN
-acts as the identity; a cell is still NaN at the end only when every sum
-of its row and column was ``-inf + +inf``, and one final pass sets those
-cells to ``-inf``.  A product with two or more output columns
-accumulates rank-1 updates ``out = fmax(out, P[:, l] + Q[l, :])`` over
-blocks of the inner index.  A product with one output column (``n == 1``,
-a matrix-vector product) instead adds ``q`` to blocks of rows of P and
-reduces each row: a rank-1 loop would read P column by column, and on
-768 and 1024 rows it takes 3 to 5 times as long.  The choice depends on
-the operand shapes only, and both paths return the same bits, since a
-max does not depend on the order of its terms.
+It takes blocks of rows of P, forms every sum ``P[i, l] + Q[l, j]`` of a
+block in one reused buffer and reduces over l with ``fmax``, which
+ignores a NaN operand, so NaN acts as the identity; a cell is still NaN
+at the end only when every sum of its row and column was
+``-inf + +inf``, and one final pass sets those cells to ``-inf``.  Its
+one shape rule is orientation: when m > n > 1 it builds
+``(Qᵀ ⊗ Pᵀ)ᵀ``, since each reduction step runs along an output row and
+short rows make it slow.  The bits are the same either way, as each
+cell is the max of the same two-term sums.
 
 A sum of finite entries that overflows float64 would read as an
 infinity state; the kernels refuse it with a ValueError instead.
@@ -145,43 +143,26 @@ def max_plus_matmul(P: TropicalMatrix, Q: TropicalMatrix) -> TropicalMatrix:
         raise ShapeError(f"cannot multiply {P.shape} by {Q.shape}: inner dimensions differ")
     m, k = P.shape
     n = Q.cols
-    kernel = _matvec if n == 1 else _rank1_matmul
-    out = _guarded(f"max-plus product of {P.shape} by {Q.shape}", lambda: kernel(P.data, Q.data))
+    out = _guarded(f"max-plus product of {P.shape} by {Q.shape}", lambda: _product(P.data, Q.data))
     semiring_ops.add(m * n * k)
     return TropicalMatrix._wrap(out)
 
 
-def _matvec(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    m, k = p.shape
-    rows = max(1, _BLOCK // k)
-    out = np.empty((m, 1))
-    buf = np.empty((min(rows, m), k))
-    for i in range(0, m, rows):
-        s = buf[:min(rows, m - i)]
-        np.add(p[i:i + rows], q[:, 0], out=s)  # s[r, l] = P[i+r, l] + q[l]
-        np.fmax.reduce(s, axis=1, out=out[i:i + rows, 0])
-    return out
-
-
-def _rank1_matmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    out = dst = np.empty((p.shape[0], q.shape[1]))
+    if p.shape[0] > q.shape[1] > 1:
+        p, q, dst = q.T, np.ascontiguousarray(p.T), out.T  # (Qᵀ ⊗ Pᵀ)ᵀ
     m, k = p.shape
     n = q.shape[1]
-    # When m > n, build Qᵀ ⊗ Pᵀ = (P ⊗ Q)ᵀ, so the contiguous axis of every
-    # temporary is the longer side of the output; the bits are the same,
-    # as each sum has the same two terms.
-    swap = m > n
-    pt = np.ascontiguousarray(p.T)
-    a, b = (q, pt) if swap else (pt, q)
-    step = min(k, max(1, _BLOCK // (m * n)))
-    out = np.full((a.shape[1], b.shape[1]), np.nan)
-    # one temporary for all blocks: a fresh 512 KiB array per block costs
+    rows = max(1, _BLOCK // (k * n))
+    # one buffer for all blocks: a fresh 512 KiB array per block costs
     # more in page faults than a small product costs in arithmetic
-    buf = np.empty((step, *out.shape))
-    for l in range(0, k, step):
-        s = buf[:min(step, k - l)]
-        np.add(a[l:l + step, :, None], b[l:l + step, None, :], out=s)  # s[t, i, j] = a[l+t, i] + b[l+t, j]
-        np.fmax(out, s[0] if step == 1 else np.fmax.reduce(s, axis=0), out=out)
-    return np.ascontiguousarray(out.T) if swap else out
+    buf = np.empty((min(rows, m), k, n))
+    for i in range(0, m, rows):
+        s = buf[:min(rows, m - i)]
+        np.add(p[i:i + rows, :, None], q, out=s)  # s[r, l, j] = p[i+r, l] + q[l, j]
+        dst[i:i + rows] = np.fmax.reduce(s, axis=1)  # reducing with out= into a strided out.T is 2x slower
+    return out
 
 
 def max_plus_matadd(P: TropicalMatrix, Q: TropicalMatrix) -> TropicalMatrix:

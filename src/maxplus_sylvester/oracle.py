@@ -9,6 +9,9 @@ production solving; instances with mn above ``SIZE_CAP`` (a 128 MB K)
 are refused before K is allocated.
 """
 
+import numpy as np
+
+from . import solver  # the scan is called as solver.matrix_mismatches, the name the benchmark tracer patches
 from .matrix import (
     NEG_INF,
     TropicalMatrix,
@@ -52,3 +55,15 @@ def oracle_solve(inst: SylvesterInstance, tolerance=None) -> SolveReport:
     achieved = max_plus_matmul(K, x)
     eps = effective_tolerance(tolerance, (*inst.A, *inst.B, inst.C))
     return _report(unvec(x, inst.m, inst.n), unvec(achieved, inst.m, inst.n), inst.C, eps)
+
+
+def oracle_agrees(inst: SylvesterInstance, fast: SolveReport, check: SolveReport, tolerance=None) -> bool:
+    """True when the oracle's report ``check`` confirms the fast path's ``fast``.
+
+    They must find the same mismatch cells, and their principals must match
+    under the tolerance the verdict compared with: the two paths add their
+    sums in different orders, so fractional data need not agree bit for bit.
+    """
+    eps = effective_tolerance(tolerance, (*inst.A, *inst.B, inst.C))
+    return (np.array_equal(check.cells, fast.cells)
+            and not len(solver.matrix_mismatches(check.principal, fast.principal, eps)[0]))

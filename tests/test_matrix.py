@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import bruteforce as bf
+from maxplus_sylvester import matrix
 from maxplus_sylvester.matrix import (
     NEG_INF,
     POS_INF,
@@ -89,7 +91,7 @@ def test_kernels_refuse_overflowing_sums():
     big = M([[1e308]])
     with pytest.raises(ValueError, match="overflows float64"):
         max_plus_matmul(big, big)
-    big2 = M([[1e308, 0], [0, 0]])  # two output columns: the rank-1 path
+    big2 = M([[1e308, 0], [0, 0]])  # two output columns
     with pytest.raises(ValueError, match="overflows float64"):
         max_plus_matmul(big2, big2)
     with pytest.raises(ValueError, match="overflows float64"):
@@ -229,11 +231,15 @@ def _assert_same_bits(got: TropicalMatrix, want):
     assert np.array_equal(got.data.view(np.int64), want.view(np.int64))
 
 
-@pytest.mark.parametrize("m,k,n", [(16, 300, 16), (40, 300, 7), (256, 3, 256)])
+@pytest.mark.parametrize("m,k,n", [(16, 300, 16), (40, 300, 7), (300, 50, 11), (256, 3, 256), (3, 300, 300)])
 def test_matmul_block_edges_match_bruteforce(m, k, n):
-    # m·n = 256 and 280 take 256 and 234 inner indices per block, so the last
-    # block is partial (the second also builds the transposed product);
-    # m·n = 2**16 takes one inner index per block
+    # a block holds max(1, 2**16 // (k·n)) rows of P, or of Qᵀ when m > n > 1
+    # and the product is built transposed:
+    # 16 rows take 13 per block, so the last block holds 3;
+    # 40×300·7 is transposed, its 7 rows of Qᵀ take 5 per block, the last 2;
+    # 300×50·11 is transposed, its 11 rows of Qᵀ take 4 per block, the last 3;
+    # 256 rows take 85 per block, so the last block holds 1;
+    # k·n = 90000 is above the block size, so every block holds 1 row
     rng = np.random.default_rng(13)
     P, Q = rng.normal(0, 1e3, (m, k)), rng.normal(0, 1e3, (k, n))
     for X in (P, Q):
@@ -247,8 +253,8 @@ def test_matmul_block_edges_match_bruteforce(m, k, n):
 
 @pytest.mark.parametrize("m,k", [(300, 300), (3, 70000)])
 def test_matvec_block_edges_match_bruteforce(m, k):
-    # 300 rows take 218 rows per block, so the last block is partial;
-    # k above the block size takes one row per block
+    # 300 rows take 2**16 // 300 = 218 per block, so the last block holds 82;
+    # k above the block size clamps to one row per block
     rng = np.random.default_rng(14)
     P, q = rng.normal(0, 1e3, (m, k)), rng.normal(0, 1e3, (k, 1))
     for X in (P, q):
@@ -259,6 +265,22 @@ def test_matvec_block_edges_match_bruteforce(m, k):
     P[:, 1] = NEG_INF
     P[0, :] = NEG_INF
     _assert_same_bits(max_plus_matmul(M(P), M(q)), bf.max_plus_matmul(P.tolist(), q.tolist()))
+
+
+@pytest.mark.parametrize("m,k,n", [(256, 256, 256), (256, 256, 24)])
+def test_matmul_peak_memory_is_bounded(m, k, n):
+    # the output, a transposed copy of the larger operand and one block of
+    # sums, plus 128 KiB for numpy's iterator buffers; every sum at once
+    # would take 128 MiB and 12 MiB
+    rng = np.random.default_rng(15)
+    P, Q = M(rng.normal(0, 1e3, (m, k))), M(rng.normal(0, 1e3, (k, n)))
+    tracemalloc.start()
+    try:
+        max_plus_matmul(P, Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (m * n + max(m * k, k * n) + matrix._BLOCK) + 2**17
 
 
 _ENTRIES = st.one_of(
@@ -277,13 +299,21 @@ def _operands(draw):
     return M(P), M(Q)
 
 
-@given(_operands())
-def test_matmul_property_matches_bruteforce(operands):
+@given(_operands(), st.integers(1, 256))
+def test_matmul_property_matches_bruteforce(operands, small_block):
     P, Q = operands
     try:
         want = bf.max_plus_matmul(P.tolist(), Q.tolist())
     except OverflowError:
-        with pytest.raises(ValueError, match="overflows float64"):
-            max_plus_matmul(P, Q)
-        return
-    _assert_same_bits(max_plus_matmul(P, Q), want)
+        want = None
+    # a tiny block makes the same shapes cross block edges, end in partial
+    # blocks and clamp to one row per block; it runs first, so no output
+    # can find a correct result left in recycled memory
+    for block in (small_block, matrix._BLOCK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matrix, "_BLOCK", block)
+            if want is None:
+                with pytest.raises(ValueError, match="overflows float64"):
+                    max_plus_matmul(P, Q)
+            else:
+                _assert_same_bits(max_plus_matmul(P, Q), want)

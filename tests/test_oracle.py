@@ -25,12 +25,11 @@ from maxplus_sylvester.oracle import (
     SIZE_CAP,
     OracleSizeError,
     kron_reformulate,
+    oracle_agrees,
     oracle_solve,
 )
 from maxplus_sylvester.solver import (
     SylvesterInstance,
-    effective_tolerance,
-    matrix_mismatches,
     solve_sylvester,
     sylvester_apply,
     sylvester_principal_solution,
@@ -196,12 +195,7 @@ def _instances(draw):
 
 @given(_instances())
 def test_fast_path_agrees_with_oracle_on_inexact_data(inst):
-    # the paths add their sums in different orders, so the principals
-    # agree under the verdict's tolerance rather than bit for bit
-    fast, slow = solve_sylvester(inst), oracle_solve(inst)
-    eps = effective_tolerance(None, (*inst.A, *inst.B, inst.C))
-    assert np.array_equal(fast.cells, slow.cells)
-    assert len(matrix_mismatches(slow.principal, fast.principal, eps)[0]) == 0
+    assert oracle_agrees(inst, solve_sylvester(inst), oracle_solve(inst))
 
 
 def test_oracle_op_count_is_exact():

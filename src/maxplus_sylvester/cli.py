@@ -77,9 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--oracle", action="store_true",
                        help="cross-check against the Kronecker reformulation and print oracle-agrees "
                             f"(skipped with a note on stderr when m*n exceeds {SIZE_CAP})")
-    solve.add_argument("--tolerance", type=float, default=None,
-                       help="absolute equality tolerance (default: exact for integer input up to 2^53/5, "
-                            "else 1e-9 plus 8 machine epsilons times the largest finite |entry|)")
 
     generate = sub.add_parser(
         "generate",
@@ -141,31 +138,31 @@ def _cmd_solve(args) -> int:
         if args.oracle:
             print("--oracle applies to the sylvester and two-sided forms", file=sys.stderr)
             return EXIT_ERROR
-        report = solve_linear(load_matrix(args.a[0]), load_matrix(args.c), args.tolerance)
+        report = solve_linear(load_matrix(args.a[0]), load_matrix(args.c))
         inst = None
     elif args.form == "two-sided":
         if len(args.a) != 1 or len(args.b) != 1:
             print("solve --form two-sided takes exactly one --a and one --b", file=sys.stderr)
             return EXIT_ERROR
         inst = two_sided_instance(load_matrix(args.a[0]), load_matrix(args.b[0]), load_matrix(args.c))
-        report = solve_sylvester(inst, args.tolerance)
+        report = solve_sylvester(inst)
     else:
         if not args.a or len(args.a) != len(args.b):
             print("solve needs the same positive number of --a and --b files", file=sys.stderr)
             return EXIT_ERROR
         inst = SylvesterInstance(A=[load_matrix(path) for path in args.a],
                                  B=[load_matrix(path) for path in args.b], C=load_matrix(args.c))
-        report = solve_sylvester(inst, args.tolerance)
+        report = solve_sylvester(inst)
 
     _print_report(args, report)
 
     if args.oracle and inst is not None:
         try:
-            check = oracle_solve(inst, args.tolerance)
+            check = oracle_solve(inst)
         except OracleSizeError as exc:
             print(f"oracle check skipped: {exc}", file=sys.stderr)
         else:
-            agrees = oracle_agrees(inst, report, check, args.tolerance)
+            agrees = oracle_agrees(inst, report, check)
             print(f"oracle-agrees: {'true' if agrees else 'false'}")
             if not agrees:
                 print("oracle disagreement diagnostic:", file=sys.stderr)

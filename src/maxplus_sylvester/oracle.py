@@ -48,22 +48,22 @@ def kron_reformulate(inst: SylvesterInstance):
     return K, vec(inst.C)
 
 
-def oracle_solve(inst: SylvesterInstance, tolerance=None) -> SolveReport:
+def oracle_solve(inst: SylvesterInstance) -> SolveReport:
     """Decide solvability on the Kronecker system, reported in C's coordinates."""
     K, c = kron_reformulate(inst)
     x = linear_principal_solution(K, c)
     achieved = max_plus_matmul(K, x)
-    eps = effective_tolerance(tolerance, (*inst.A, *inst.B, inst.C))
+    eps = effective_tolerance((*inst.A, *inst.B, inst.C))
     return _report(unvec(x, inst.m, inst.n), unvec(achieved, inst.m, inst.n), inst.C, eps)
 
 
-def oracle_agrees(inst: SylvesterInstance, fast: SolveReport, check: SolveReport, tolerance=None) -> bool:
+def oracle_agrees(inst: SylvesterInstance, fast: SolveReport, check: SolveReport) -> bool:
     """True when the oracle's report ``check`` confirms the fast path's ``fast``.
 
     They must find the same mismatch cells, and their principals must match
     under the tolerance the verdict compared with: the two paths add their
     sums in different orders, so fractional data need not agree bit for bit.
     """
-    eps = effective_tolerance(tolerance, (*inst.A, *inst.B, inst.C))
+    eps = effective_tolerance((*inst.A, *inst.B, inst.C))
     return (np.array_equal(check.cells, fast.cells)
             and not len(solver.matrix_mismatches(check.principal, fast.principal, eps)[0]))

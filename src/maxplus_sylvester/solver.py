@@ -120,20 +120,14 @@ class SolveReport:
         )
 
 
-def effective_tolerance(tolerance, matrices) -> float:
-    """Resolve the equality tolerance for a set of input matrices.
+def effective_tolerance(matrices) -> float:
+    """The equality tolerance a verdict on these input matrices compares with.
 
-    An explicit value wins and is absolute.  Otherwise integer inputs up
-    to ``EXACT_INTEGER_LIMIT`` in magnitude compare exactly, and anything
-    else with ``DEFAULT_TOLERANCE`` plus a bound on float64 rounding at
-    the largest finite |entry|: a sum of entries near 1e300 rounds by far
-    more than an absolute 1e-9.
+    Integer inputs up to ``EXACT_INTEGER_LIMIT`` in magnitude compare
+    exactly (0.0).  Anything else compares with ``DEFAULT_TOLERANCE`` plus
+    a bound on float64 rounding at the largest finite |entry|: a sum of
+    entries near 1e300 rounds by far more than an absolute 1e-9.
     """
-    if tolerance is not None:
-        eps = float(tolerance)
-        if not eps >= 0:  # also rejects NaN, which would fail every comparison
-            raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-        return eps
     scale, integral = 0.0, True
     for M in matrices:
         finite = M.data[np.isfinite(M.data)]
@@ -180,11 +174,11 @@ def linear_principal_solution(A: TropicalMatrix, b: TropicalMatrix) -> TropicalM
     return negate(max_plus_matmul(transpose(A), negate(b)))
 
 
-def solve_linear(A: TropicalMatrix, b: TropicalMatrix, tolerance=None) -> SolveReport:
+def solve_linear(A: TropicalMatrix, b: TropicalMatrix) -> SolveReport:
     """Decide A ⊗ x = b by substituting the greatest candidate back."""
     x = linear_principal_solution(A, b)
     achieved = max_plus_matmul(A, x)
-    eps = effective_tolerance(tolerance, (A, b))
+    eps = effective_tolerance((A, b))
     return _report(x, achieved, b, eps)
 
 
@@ -208,11 +202,11 @@ def sylvester_apply(A_terms, B_terms, X: TropicalMatrix) -> TropicalMatrix:
     return acc
 
 
-def solve_sylvester(inst: SylvesterInstance, tolerance=None) -> SolveReport:
+def solve_sylvester(inst: SylvesterInstance) -> SolveReport:
     """Decide ⊕_k A_k ⊗ X ⊗ B_k = C by substitution of the greatest candidate."""
     X = sylvester_principal_solution(inst)
     achieved = sylvester_apply(inst.A, inst.B, X)
-    eps = effective_tolerance(tolerance, (*inst.A, *inst.B, inst.C))
+    eps = effective_tolerance((*inst.A, *inst.B, inst.C))
     return _report(X, achieved, inst.C, eps)
 
 
@@ -223,7 +217,7 @@ def two_sided_instance(A: TropicalMatrix, B: TropicalMatrix, C: TropicalMatrix) 
     return SylvesterInstance(A=(A, E_m), B=(E_n, B), C=C)
 
 
-def solve_two_sided_special(A: TropicalMatrix, B: TropicalMatrix, C: TropicalMatrix, tolerance=None) -> SolveReport:
+def solve_two_sided_special(A: TropicalMatrix, B: TropicalMatrix, C: TropicalMatrix) -> SolveReport:
     """Solve A ⊗ X ⊕ X ⊗ B = C through the two-term reduction."""
-    return solve_sylvester(two_sided_instance(A, B, C), tolerance)
+    return solve_sylvester(two_sided_instance(A, B, C))
 

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -194,6 +194,8 @@ def _instances(draw):
 
 
 @given(_instances())
+# cell (0, 1) misses C by 0.5 on both paths, whose principals differ in the last bits
+@example(SylvesterInstance(A=(M([[-0.7]]),), B=(M([[-2.9, 1.3], [-2.4, 0.7]]),), C=M([[-2.0, 2.7]])))
 def test_fast_path_agrees_with_oracle_on_inexact_data(inst):
     assert oracle_agrees(inst, solve_sylvester(inst), oracle_solve(inst))
 

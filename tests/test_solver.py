@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import bruteforce as bf
 from maxplus_sylvester.instance_io import GeneratorConfig, generate_instance
@@ -18,6 +21,7 @@ from maxplus_sylvester.solver import (
     SylvesterInstance,
     effective_tolerance,
     linear_principal_solution,
+    matrix_mismatches,
     solve_linear,
     solve_sylvester,
     solve_two_sided_special,
@@ -157,6 +161,53 @@ def test_monotone_in_target():
         assert bf.leq(sylvester_principal_solution(inst).tolist(), sylvester_principal_solution(inst2).tolist())
 
 
+# integers with ±inf, about one entry in six infinite: every sum is exact,
+# so both laws hold bit for bit, and most principals keep a finite cell
+_INTEGER_ENTRIES = st.sampled_from([float(v) for v in range(-20, 21)] + [NEG_INF, POS_INF] * 4)
+
+
+def _integer_matrix(draw, rows, cols):
+    return M(draw(arrays(np.float64, (rows, cols), elements=_INTEGER_ENTRIES)))
+
+
+@st.composite
+def _integer_instances(draw):
+    m, n, p = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    return SylvesterInstance(A=tuple(_integer_matrix(draw, m, m) for _ in range(p)),
+                             B=tuple(_integer_matrix(draw, n, n) for _ in range(p)),
+                             C=_integer_matrix(draw, m, n))
+
+
+def _below_target(inst, X) -> bool:
+    return bf.leq(sylvester_apply(inst.A, inst.B, X).tolist(), inst.C.tolist())
+
+
+@given(_integer_instances(), st.data())
+def test_residuation_law_property(inst, data):
+    # ⊕_k A_k ⊗ X ⊗ B_k ≤ C ⟺ X ≤ X̂, at X̂, at X̂ with one finite cell
+    # moved down (≤ X̂) and up (not ≤ X̂) by 1, and at an arbitrary X
+    X_hat = sylvester_principal_solution(inst)
+    assert _below_target(inst, X_hat)
+    finite = np.argwhere(np.isfinite(X_hat.data))
+    if len(finite):
+        cell = tuple(finite[data.draw(st.integers(0, len(finite) - 1))])
+        for step, below in ((-1.0, True), (1.0, False)):
+            moved = X_hat.data.copy()
+            moved[cell] += step
+            assert _below_target(inst, M(moved)) is below
+    X = _integer_matrix(data.draw, inst.m, inst.n)
+    assert _below_target(inst, X) == bf.leq(X.tolist(), X_hat.tolist())
+
+
+@given(_integer_instances(), st.data())
+def test_principal_is_monotone_in_target_property(inst, data):
+    # C ≤ C′ implies X̂(C) ≤ X̂(C′); C′ = C ⊕ D raises cells to finite
+    # values or +inf, and lifts -inf cells
+    raised = max_plus_matadd(inst.C, _integer_matrix(data.draw, inst.m, inst.n))
+    wider = SylvesterInstance(A=inst.A, B=inst.B, C=raised)
+    assert bf.leq(sylvester_principal_solution(inst).tolist(), sylvester_principal_solution(wider).tolist())
+
+
 def test_unconstrained_cells_stay_pos_inf():
     # a -inf row in the only A forces an unconstrained X* column pattern
     A = M([[NEG_INF, NEG_INF], [0, 0]])
@@ -208,19 +259,13 @@ def test_instance_validation():
 
 
 def test_tolerance_policy():
-    # a 1e-12 near-miss fails under an explicit zero tolerance but passes
-    # the default float tolerance; integer data always compares exactly
+    # a 1e-12 near-miss passes the default float tolerance; integer data
+    # always compares exactly
     A = M([[0.0], [0.0]])
     b = M([[0.0], [1e-12]])
-    assert not solve_linear(A, b, tolerance=0.0).solvable
     assert solve_linear(A, b).solvable  # non-integer data gets the default 1e-9
     b_int = M([[0.0], [1.0]])
     assert not solve_linear(A, b_int).solvable  # all-integer data compares with eps=0
-    with pytest.raises(ValueError):
-        solve_linear(A, b_int, tolerance=-1.0)
-    # NaN would fail every finite comparison: a silent "unsolvable"
-    with pytest.raises(ValueError, match="tolerance"):
-        solve_linear(A, M([[0.0], [0.0]]), tolerance=float("nan"))
 
 
 def test_exact_mode_ends_where_integer_sums_can_round():
@@ -234,52 +279,53 @@ def test_exact_mode_ends_where_integer_sums_can_round():
     r = solve_linear(A, M([[0], [1], [2.0**50]]))
     assert not r.solvable and r.residual_max_abs == 1.0
     top = np.floor(EXACT_INTEGER_LIMIT)
-    assert effective_tolerance(None, (M([[0]]), M([[-top]]))) == 0.0
-    assert effective_tolerance(None, (M([[0]]), M([[-(top + 1)]]))) > 1.0
+    assert effective_tolerance((M([[0]]), M([[-top]]))) == 0.0
+    assert effective_tolerance((M([[0]]), M([[-(top + 1)]]))) > 1.0
     # the rounding bound grows with the largest entry, from 1e-9 upwards
     rounding = ROUNDING_EPS_FACTOR * np.finfo(np.float64).eps
-    assert effective_tolerance(None, (M([[0]]), M([[-(2.0**51)]]))) == DEFAULT_TOLERANCE + rounding * 2.0**51
-    assert effective_tolerance(None, (M([[0.5, NEG_INF]]),)) == DEFAULT_TOLERANCE + rounding * 0.5
+    assert effective_tolerance((M([[0]]), M([[-(2.0**51)]]))) == DEFAULT_TOLERANCE + rounding * 2.0**51
+    assert effective_tolerance((M([[0.5, NEG_INF]]),)) == DEFAULT_TOLERANCE + rounding * 0.5
     # non-integer data of modest size keeps a tolerance close to 1e-9
     assert not solve_linear(A, M([[0.5], [0.5 + 1e-6], [1000.25]])).solvable
-    # an explicit tolerance stays absolute
-    assert effective_tolerance(0.0, (M([[2.0**53]]),)) == 0.0
-    assert not solve_linear(M([[-1]]), M([[2.0**53]]), tolerance=0.0).solvable
 
 
 def test_effective_tolerance_scans_finite_entries():
     rounding = ROUNDING_EPS_FACTOR * np.finfo(np.float64).eps
     # integrality and scale ignore ±inf: an integer at 2**53 sets the scale,
     # past the exact limit, and -3 beside the infinities keeps exact mode
-    assert effective_tolerance(None, (M([[2.0**53, -3, NEG_INF, POS_INF]]),)) == DEFAULT_TOLERANCE + rounding * 2.0**53
-    assert effective_tolerance(None, (M([[-3, NEG_INF, POS_INF]]),)) == 0.0
+    assert effective_tolerance((M([[2.0**53, -3, NEG_INF, POS_INF]]),)) == DEFAULT_TOLERANCE + rounding * 2.0**53
+    assert effective_tolerance((M([[-3, NEG_INF, POS_INF]]),)) == 0.0
     # one fractional entry in any input ends exact mode
-    assert effective_tolerance(None, (M([[0.5]]),)) == DEFAULT_TOLERANCE + rounding * 0.5
-    assert effective_tolerance(None, (M([[0.5]]), M([[4, 1]]))) == DEFAULT_TOLERANCE + rounding * 4
+    assert effective_tolerance((M([[0.5]]),)) == DEFAULT_TOLERANCE + rounding * 0.5
+    assert effective_tolerance((M([[0.5]]), M([[4, 1]]))) == DEFAULT_TOLERANCE + rounding * 4
     # the scale is the largest |entry| over every input, ignoring ±inf
-    assert effective_tolerance(None, (M([[NEG_INF, -3, 2, POS_INF]]), M([[0.5]]))) == DEFAULT_TOLERANCE + rounding * 3
+    assert effective_tolerance((M([[NEG_INF, -3, 2, POS_INF]]), M([[0.5]]))) == DEFAULT_TOLERANCE + rounding * 3
     # inputs with only infinities add nothing
-    assert effective_tolerance(None, (M([[NEG_INF, POS_INF]]),)) == 0.0
-    assert effective_tolerance(None, (M([[NEG_INF]]), M([[0.5]]))) == DEFAULT_TOLERANCE + rounding * 0.5
+    assert effective_tolerance((M([[NEG_INF, POS_INF]]),)) == 0.0
+    assert effective_tolerance((M([[NEG_INF]]), M([[0.5]]))) == DEFAULT_TOLERANCE + rounding * 0.5
 
 
 def test_default_tolerance_is_relative_to_magnitude():
     # solvable by construction; at ±1e300 the substitution rounds by about
     # 1e285, far beyond an absolute 1e-9
-    def unsolvable_count(scale, tolerance):
+    def counts(scale):
         rng = np.random.default_rng(0)
-        count = 0
+        unsolvable = absolute_misses = 0
         for _ in range(200):
             A = tuple(M(rng.uniform(-scale, scale, (3, 3))) for _ in range(2))
             B = tuple(M(rng.uniform(-scale, scale, (3, 3))) for _ in range(2))
             X0 = M(rng.uniform(-scale, scale, (3, 3)))
             inst = SylvesterInstance(A=A, B=B, C=sylvester_apply(A, B, X0))
-            count += not solve_sylvester(inst, tolerance).solvable
-        return count
+            report = solve_sylvester(inst)
+            unsolvable += not report.solvable
+            achieved = sylvester_apply(A, B, report.principal)
+            absolute_misses += len(matrix_mismatches(achieved, inst.C, DEFAULT_TOLERANCE)[0]) > 0
+        return unsolvable, absolute_misses
 
-    assert unsolvable_count(10.0, None) == 0
-    assert unsolvable_count(1e300, None) == 0
-    assert unsolvable_count(1e300, DEFAULT_TOLERANCE) > 0  # explicit: absolute
+    assert counts(10.0) == (0, 0)
+    unsolvable, absolute_misses = counts(1e300)
+    assert unsolvable == 0
+    assert absolute_misses > 0  # an absolute 1e-9 would call these unsolvable
 
 
 def test_overflowing_sums_are_refused():

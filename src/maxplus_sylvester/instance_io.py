@@ -6,10 +6,12 @@ are comments.  A token is a decimal literal that float64 holds, or an
 infinity spelled ``inf`` or ``infinity`` in any case, with an optional
 sign; every line but a comment is ASCII and holds no ``_``.  NaN is
 never a token, and a finite literal too large for float64 (``1e400``)
-is an error, not an infinity.  Output writes integers below
-2**53 without a decimal point, other finite values as ``repr`` does and
-the infinities as ``-inf``/``+inf``; it always ends with a newline and
-is byte-stable for a given matrix, so formatted corpora diff cleanly.
+is an error, not an infinity; so is an integer literal (sign and digits
+only) that float64 cannot hold exactly, such as ``9007199254740993``.
+Output writes integers below 2**53 without a decimal point, other finite
+values as ``repr`` does and the infinities as ``-inf``/``+inf``; it
+always ends with a newline and is byte-stable for a given matrix, so
+formatted corpora diff cleanly.
 
 Random instances come from a PCG64 stream (numpy's Generator) seeded
 with the 64-bit config seed.  The draw order is fixed: for each term k,
@@ -59,10 +61,16 @@ def _check_charset(text: str) -> None:
 
 def _token_value(token: str) -> float:
     value = float(token)
+    # the common case in one test: finite (inf - inf is NaN) and at most 15
+    # characters, so at most 15 digits, below 2**53, where every integer is exact
+    if value - value == 0.0 and len(token) <= 15:
+        return value
     if math.isnan(value):
         raise ValueError(f"NaN token not allowed: {token!r}")
     if math.isinf(value) and "inf" not in token.lower():  # float reads 1e400 as inf
         raise ValueError(f"literal overflows float64: {token!r}")
+    if token.lstrip("+-").isdigit() and int(token) != value:
+        raise ValueError(f"integer literal is not exact in float64: {token!r}")
     return value
 
 

@@ -6,21 +6,31 @@ the top element, the value of a residual that nothing bounds.  NaN is
 never an entry.  The kernels work in max-plus only; the min-plus dual
 is reached by negation, which is exact in IEEE arithmetic (see
 :func:`negate`).  NaN never enters or leaves a kernel: the only IEEE sum
-that produces it, ``-inf + +inf``, is patched to the max-plus zero, so
+that produces it, ``-inf + +inf``, yields the max-plus zero, so
 ``-inf ⊗ +inf = -inf``.  This mixed-infinity rule is what keeps the
 residuation law ``A ⊗ x ≤ b  ⟺  x ≤ −(Aᵀ ⊗ (−b))`` true for arbitrary
 inputs, not just finite ones.
 
-:func:`max_plus_matmul` applies the rule without a patch pass per step.
-It takes blocks of rows of P, forms every sum ``P[i, l] + Q[l, j]`` of a
-block in one reused buffer and reduces over l with ``fmax``, which
-ignores a NaN operand, so NaN acts as the identity; a cell is still NaN
-at the end only when every sum of its row and column was
-``-inf + +inf``, and one final pass sets those cells to ``-inf``.  Its
-one shape rule is orientation: when m > n > 1 it builds
+The one kernel with a loop of its own is :func:`max_plus_matmul`.  It
+runs a compiled C loop (``maxplus_product.c``, built by :mod:`.ckernel`)
+when a C compiler can build it, and otherwise the numpy kernel
+:func:`_product`, which also serves the tests as the bit reference;
+``KERNEL`` names the live one, ``"c"`` or ``"numpy"``.  The C loop starts
+each cell at ``-inf`` and takes a sum ``s`` only when ``s > cell``.  The
+NaN of ``-inf + +inf`` loses every IEEE comparison, so the mixed-infinity
+rule holds with no patch pass; an overflowing sum raises the FPU's
+overflow flag, which the loop tests once at the end.
+
+The numpy kernel takes blocks of rows of P, forms every sum
+``P[i, l] + Q[l, j]`` of a block in one reused buffer and reduces over l
+with ``fmax``, which ignores a NaN operand, so NaN acts as the identity;
+a cell is still NaN at the end only when every sum of its row and column
+was ``-inf + +inf``, and one final pass sets those cells to ``-inf``.
+Its one shape rule is orientation: when m > n > 1 it builds
 ``(Qᵀ ⊗ Pᵀ)ᵀ``, since each reduction step runs along an output row and
-short rows make it slow.  The bits are the same either way, as each
-cell is the max of the same two-term sums.
+short rows make it slow.  Both kernels give the same bits, whatever
+their blocking and orientation, as each cell is the max of the same
+two-term sums and no ``-0.0`` ever reaches a kernel.
 
 A sum of finite entries that overflows float64 would read as an
 infinity state; the kernels refuse it with a ValueError instead.
@@ -32,6 +42,7 @@ import math
 
 import numpy as np
 
+from . import ckernel
 from .opcount import semiring_ops
 
 NEG_INF = float("-inf")
@@ -123,18 +134,12 @@ def _require_same_shape(P: TropicalMatrix, Q: TropicalMatrix, op: str) -> None:
 
 
 def _guarded(what: str, compute) -> np.ndarray:
-    """The array ``compute()`` returns, under the kernels' IEEE rules.
-
-    A finite sum that overflows raises a ValueError naming ``what``, and
-    NaN cells, which only ``-inf + +inf`` sums leave, become ``-inf``.
-    """
+    """The array ``compute()`` returns; a finite sum that overflows raises a ValueError naming ``what``."""
     try:
         with np.errstate(invalid="ignore", over="raise"):
-            out = compute()
+            return compute()
     except FloatingPointError:
         raise ValueError(f"{what} overflows float64: a finite sum exceeds the largest double") from None
-    out[np.isnan(out)] = NEG_INF
-    return out
 
 
 def max_plus_matmul(P: TropicalMatrix, Q: TropicalMatrix) -> TropicalMatrix:
@@ -143,12 +148,13 @@ def max_plus_matmul(P: TropicalMatrix, Q: TropicalMatrix) -> TropicalMatrix:
         raise ShapeError(f"cannot multiply {P.shape} by {Q.shape}: inner dimensions differ")
     m, k = P.shape
     n = Q.cols
-    out = _guarded(f"max-plus product of {P.shape} by {Q.shape}", lambda: _product(P.data, Q.data))
+    out = _guarded(f"max-plus product of {P.shape} by {Q.shape}", lambda: _kernel(P.data, Q.data))
     semiring_ops.add(m * n * k)
     return TropicalMatrix._wrap(out)
 
 
 def _product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The numpy kernel; under ``np.errstate(over="raise")`` an overflowing sum raises."""
     out = dst = np.empty((p.shape[0], q.shape[1]))
     if p.shape[0] > q.shape[1] > 1:
         p, q, dst = q.T, np.ascontiguousarray(p.T), out.T  # (Qᵀ ⊗ Pᵀ)ᵀ
@@ -162,7 +168,17 @@ def _product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         s = buf[:min(rows, m - i)]
         np.add(p[i:i + rows, :, None], q, out=s)  # s[r, l, j] = p[i+r, l] + q[l, j]
         dst[i:i + rows] = np.fmax.reduce(s, axis=1)  # reducing with out= into a strided out.T is 2x slower
+    out[np.isnan(out)] = NEG_INF
     return out
+
+
+def _load_kernel(compiler: str = "gcc"):
+    """``(name, kernel)``: the compiled loop built with ``compiler``, else the numpy kernel."""
+    compiled = ckernel.load(compiler)
+    return ("numpy", _product) if compiled is None else ("c", compiled)
+
+
+KERNEL, _kernel = _load_kernel()
 
 
 def max_plus_matadd(P: TropicalMatrix, Q: TropicalMatrix) -> TropicalMatrix:
@@ -205,6 +221,7 @@ def kron_max(M: TropicalMatrix, N: TropicalMatrix) -> TropicalMatrix:
     c, d = N.shape
     s = _guarded(f"max-plus Kronecker product of {M.shape} and {N.shape}",
                  lambda: M.data[:, None, :, None] + N.data[None, :, None, :])
+    s[np.isnan(s)] = NEG_INF  # -inf + +inf
     semiring_ops.add(a * c * b * d)
     return TropicalMatrix._wrap(s.reshape(a * c, b * d))
 

@@ -289,6 +289,16 @@ def test_solve_overflowing_literal_is_a_parse_error(tmp_path, capsys):
     assert "line 2" in captured.err and "1e400" in captured.err
 
 
+def test_solve_inexact_integer_literal_is_a_parse_error(tmp_path, capsys):
+    a = write(tmp_path / "A.txt", "1 1\n0\n")
+    c = write(tmp_path / "c.txt", "1 1\n9007199254740993\n")
+    code = main(["solve", "--form", "linear", "--a", a, "--c", c])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "line 2" in captured.err and "9007199254740993" in captured.err
+
+
 def test_matrix_files_written_by_save_round_trip(tmp_path):
     target = tmp_path / "m.txt"
     save_matrix(target, M([[1.5, float("-inf")], [0, 7]]))

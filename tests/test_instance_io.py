@@ -60,6 +60,19 @@ def test_parse_matrix_error_cases():
     assert parse_matrix("# free text: ١٢ 1_000\n1 1\n5\n") == M([[5]])
 
 
+def test_integer_literals_float64_cannot_hold_are_parse_errors():
+    # 2**53 + 1 would read silently as 2**53
+    for token in ("9007199254740993", "-9007199254740993", "+12345678901234567"):
+        with pytest.raises(ParseError, match=f"line 2: .*{re.escape(repr(token))}"):
+            parse_matrix(f"1 2\n0 {token}\n")
+    # exact integers of any length still read, and so does any other literal
+    text = "1 5\n9007199254740992 -100000000000000000000 0000000000000000005 9007199254740993.0 1e20\n"
+    assert parse_matrix(text) == M([[2.0**53, -1e20, 5, 2.0**53, 1e20]])
+    # format writes integers only below 2**53, so a written file reads back
+    big = M([[2.0**53 - 1, 2.0**53, -(2.0**60), 3e20]])
+    assert parse_matrix(format_matrix(big)) == big
+
+
 def test_format_matrix_examples():
     assert format_matrix(M([[0, 1], [2, 0]])) == "2 2\n0 1\n2 0\n"
     assert format_matrix(M([[NEG_INF]])) == "1 1\n-inf\n"

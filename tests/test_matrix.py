@@ -1,5 +1,7 @@
 import math
+import shutil
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import bruteforce as bf
-from maxplus_sylvester import matrix
+from maxplus_sylvester import ckernel, matrix
 from maxplus_sylvester.matrix import (
     NEG_INF,
     POS_INF,
@@ -25,6 +27,26 @@ from maxplus_sylvester.matrix import (
 from maxplus_sylvester.solver import linear_principal_solution
 
 M = TropicalMatrix
+
+
+@pytest.fixture
+def kernel(request, monkeypatch):
+    """The product kernel a test runs on: "live", the compiled C loop wherever
+    gcc exists (see test_compiled_kernel_is_live_when_a_compiler_exists),
+    or "numpy", the fallback and bit reference."""
+    if request.param == "numpy":
+        monkeypatch.setattr(matrix, "_kernel", matrix._product)
+    return request.param
+
+
+def on_both_kernels(argnames, cases):
+    """Parametrize over ``cases``, each on the live kernel under its plain id
+    and again on the numpy kernel as ``numpy-<id>``."""
+    params = []
+    for case in cases:
+        case_id = "-".join(map(str, case))
+        params += [pytest.param(*case, "live", id=case_id), pytest.param(*case, "numpy", id=f"numpy-{case_id}")]
+    return pytest.mark.parametrize(f"{argnames},kernel", params, indirect=["kernel"])
 
 
 def rand(rng, rows, cols, neg=0.0, pos=0.0):
@@ -100,6 +122,22 @@ def test_kernels_refuse_overflowing_sums():
     assert max_plus_matmul(M([[POS_INF, NEG_INF]]), M([[1e308], [1e308]])) == M([[POS_INF]])
     assert max_plus_matmul(M([[1e308]]), M([[-1e308]])) == M([[0]])
     assert kron_max(M([[NEG_INF]]), M([[POS_INF, 1e308]])) == M([[NEG_INF, NEG_INF]])
+    # one overflowing sum anywhere refuses the product, even where a larger
+    # infinity would win the max, in a register tile and in the n == 1 lanes
+    P = np.zeros((9, 20))
+    P[0, 5] = 1e308
+    Q = np.zeros((20, 9))
+    Q[5, :] = 1e308
+    Q[0, :] = POS_INF
+    with pytest.raises(ValueError, match="overflows float64"):
+        max_plus_matmul(M(P), M(Q))
+    with pytest.raises(ValueError, match="overflows float64"):
+        max_plus_matmul(M(P), M(Q[:, :1]))
+
+
+def test_numpy_kernel_refuses_overflowing_sums(monkeypatch):
+    monkeypatch.setattr(matrix, "_kernel", matrix._product)
+    test_kernels_refuse_overflowing_sums()
 
 
 def test_matmul_shape_error_names_both_shapes():
@@ -231,15 +269,19 @@ def _assert_same_bits(got: TropicalMatrix, want):
     assert np.array_equal(got.data.view(np.int64), want.view(np.int64))
 
 
-@pytest.mark.parametrize("m,k,n", [(16, 300, 16), (40, 300, 7), (300, 50, 11), (256, 3, 256), (3, 300, 300)])
-def test_matmul_block_edges_match_bruteforce(m, k, n):
-    # a block holds max(1, 2**16 // (k·n)) rows of P, or of Qᵀ when m > n > 1
-    # and the product is built transposed:
+@on_both_kernels("m,k,n", [(16, 300, 16), (40, 300, 7), (300, 50, 11), (256, 3, 256), (3, 300, 300),
+                            (9, 65, 513), (13, 513, 17)])
+def test_matmul_block_edges_match_bruteforce(m, k, n, kernel):
+    # numpy: a block holds max(1, 2**16 // (k·n)) rows of P, or of Qᵀ when
+    # m > n > 1 and the product is built transposed:
     # 16 rows take 13 per block, so the last block holds 3;
     # 40×300·7 is transposed, its 7 rows of Qᵀ take 5 per block, the last 2;
     # 300×50·11 is transposed, its 11 rows of Qᵀ take 4 per block, the last 3;
     # 256 rows take 85 per block, so the last block holds 1;
-    # k·n = 90000 is above the block size, so every block holds 1 row
+    # k·n = 90000 is above the block size, so every block holds 1 row.
+    # C: 8×8 register tiles over passes of 256 inner indices; 3 rows, or 7
+    # columns, fill no tile; 9×513 leaves one row and one column over;
+    # k = 300 and 513 end in a short pass
     rng = np.random.default_rng(13)
     P, Q = rng.normal(0, 1e3, (m, k)), rng.normal(0, 1e3, (k, n))
     for X in (P, Q):
@@ -251,10 +293,11 @@ def test_matmul_block_edges_match_bruteforce(m, k, n):
     _assert_same_bits(max_plus_matmul(M(P), M(Q)), bf.max_plus_matmul(P.tolist(), Q.tolist()))
 
 
-@pytest.mark.parametrize("m,k", [(300, 300), (3, 70000)])
-def test_matvec_block_edges_match_bruteforce(m, k):
-    # 300 rows take 2**16 // 300 = 218 per block, so the last block holds 82;
-    # k above the block size clamps to one row per block
+@on_both_kernels("m,k", [(300, 300), (3, 70000), (5, 15), (4, 33)])
+def test_matvec_block_edges_match_bruteforce(m, k, kernel):
+    # numpy: 300 rows take 2**16 // 300 = 218 per block, so the last block
+    # holds 82; k above the block size clamps to one row per block.
+    # C: 16 lanes per row, then a tail of k mod 16 (12, 0, 15 and 1) sums
     rng = np.random.default_rng(14)
     P, q = rng.normal(0, 1e3, (m, k)), rng.normal(0, 1e3, (k, 1))
     for X in (P, q):
@@ -267,11 +310,11 @@ def test_matvec_block_edges_match_bruteforce(m, k):
     _assert_same_bits(max_plus_matmul(M(P), M(q)), bf.max_plus_matmul(P.tolist(), q.tolist()))
 
 
-@pytest.mark.parametrize("m,k,n", [(256, 256, 256), (256, 256, 24)])
-def test_matmul_peak_memory_is_bounded(m, k, n):
-    # the output, a transposed copy of the larger operand and one block of
-    # sums, plus 128 KiB for numpy's iterator buffers; every sum at once
-    # would take 128 MiB and 12 MiB
+@on_both_kernels("m,k,n", [(256, 256, 256), (256, 256, 24)])
+def test_matmul_peak_memory_is_bounded(m, k, n, kernel):
+    # numpy: the output, a transposed copy of the larger operand and one
+    # block of sums, plus 128 KiB for numpy's iterator buffers; every sum at
+    # once would take 128 MiB and 12 MiB.  C: the output alone
     rng = np.random.default_rng(15)
     P, Q = M(rng.normal(0, 1e3, (m, k))), M(rng.normal(0, 1e3, (k, n)))
     tracemalloc.start()
@@ -293,7 +336,9 @@ _ENTRIES = st.one_of(
 
 @st.composite
 def _operands(draw):
-    m, k, n = (draw(st.integers(1, 12)) for _ in range(3))
+    # k up to 20 crosses the C loop's 16 lanes when n == 1, and m, n up to
+    # 12 cross its 8×8 tiles
+    m, k, n = draw(st.integers(1, 12)), draw(st.integers(1, 20)), draw(st.integers(1, 12))
     P = draw(arrays(np.float64, (m, k), elements=_ENTRIES))
     Q = draw(arrays(np.float64, (k, n), elements=_ENTRIES))
     return M(P), M(Q)
@@ -306,9 +351,9 @@ def test_matmul_property_matches_bruteforce(operands, small_block):
         want = bf.max_plus_matmul(P.tolist(), Q.tolist())
     except OverflowError:
         want = None
-    # a tiny block makes the same shapes cross block edges, end in partial
-    # blocks and clamp to one row per block; it runs first, so no output
-    # can find a correct result left in recycled memory
+    # a tiny block makes the same shapes cross the numpy kernel's block
+    # edges, end in partial blocks and clamp to one row per block; it runs
+    # first, so no output can find a correct result left in recycled memory
     for block in (small_block, matrix._BLOCK):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(matrix, "_BLOCK", block)
@@ -317,3 +362,39 @@ def test_matmul_property_matches_bruteforce(operands, small_block):
                     max_plus_matmul(P, Q)
             else:
                 _assert_same_bits(max_plus_matmul(P, Q), want)
+
+
+def test_numpy_kernel_property_matches_bruteforce(monkeypatch):
+    monkeypatch.setattr(matrix, "_kernel", matrix._product)
+    test_matmul_property_matches_bruteforce()
+
+
+def test_compiled_kernel_is_live_when_a_compiler_exists():
+    # a broken build would otherwise pass every test on the slower numpy kernel
+    assert matrix.KERNEL == ("c" if shutil.which("gcc") else "numpy")
+
+
+def test_loader_without_a_compiler_returns_the_numpy_kernel(tmp_path):
+    name, kernel = matrix._load_kernel(str(tmp_path / "no-such-gcc"))
+    assert (name, kernel) == ("numpy", matrix._product)
+    rng = np.random.default_rng(16)
+    P, Q = rand(rng, 20, 30, 0.2, 0.1), rand(rng, 30, 17, 0.2, 0.1)
+    with np.errstate(invalid="ignore"):  # -inf + +inf sums
+        want = kernel(P.data, Q.data)
+    _assert_same_bits(max_plus_matmul(P, Q), want)
+
+
+def test_concurrent_builds_each_load_a_whole_library(tmp_path, monkeypatch):
+    # loaders that find no cached build at once each compile to a temporary
+    # file and rename it into place, so each one loads a whole library
+    if shutil.which("gcc") is None:
+        pytest.skip("no C compiler")
+    monkeypatch.setattr(ckernel, "CACHE", tmp_path)
+    with ThreadPoolExecutor(3) as pool:
+        products = list(pool.map(lambda _: ckernel.load(), range(3)))
+    assert [path.suffix for path in tmp_path.iterdir()] == [".so"]
+    rng = np.random.default_rng(17)
+    P, Q = rand(rng, 10, 20, 0.2, 0.1), rand(rng, 20, 9, 0.2, 0.1)
+    want = bf.max_plus_matmul(P.tolist(), Q.tolist())
+    for product in products:
+        _assert_same_bits(TropicalMatrix._wrap(product(P.data, Q.data)), want)

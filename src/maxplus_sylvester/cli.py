@@ -8,6 +8,7 @@ and skip notes to stderr so the CSV stays machine-parseable.
 """
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -207,8 +208,15 @@ def _cmd_bench(args) -> int:
     return EXIT_SOLVABLE
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves a parser as it found it, so one build serves every
+    # call; building it took about half of a small in-process solve
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors

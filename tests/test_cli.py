@@ -192,6 +192,22 @@ def test_usage_error_exit_code():
     assert main([]) == 2
 
 
+def test_one_parser_serves_every_call(scalar_two_term, tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process, so no call may leave anything
+    # in it for the next: each output must equal that of a fresh parser
+    linear = ["solve", "--form", "linear", "--a", scalar_two_term["a1"], "--c", scalar_two_term["c"]]
+    calls = [solve_args(scalar_two_term, "--mismatches"), ["solve"], linear, ["generate", "--m"],
+             ["generate", "--m", "2", "--n", "2", "--p", "1", "--seed", "3", "--out", str(tmp_path / "g")],
+             solve_args(scalar_two_term), linear]
+    assert cli._parser() is cli._parser()
+    outputs = []
+    for argv in calls:
+        outputs.append((main(argv), *capsys.readouterr()))
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    for argv, cached in zip(calls, outputs):
+        assert (main(argv), *capsys.readouterr()) == cached
+
+
 def test_generate_is_deterministic(tmp_path, capsys):
     args = ["generate", "--m", "3", "--n", "2", "--p", "2", "--seed", "42", "--mode", "solvable"]
     assert main(args + ["--out", str(tmp_path / "one")]) == 0

@@ -123,16 +123,15 @@ def test_kernels_refuse_overflowing_sums():
     assert max_plus_matmul(M([[1e308]]), M([[-1e308]])) == M([[0]])
     assert kron_max(M([[NEG_INF]]), M([[POS_INF, 1e308]])) == M([[NEG_INF, NEG_INF]])
     # one overflowing sum anywhere refuses the product, even where a larger
-    # infinity would win the max, in a register tile and in the n == 1 lanes
+    # infinity would win the max: in an 8×8 tile, a 6×32 tile and the n == 1 lanes
     P = np.zeros((9, 20))
     P[0, 5] = 1e308
-    Q = np.zeros((20, 9))
+    Q = np.zeros((20, 32))
     Q[5, :] = 1e308
     Q[0, :] = POS_INF
-    with pytest.raises(ValueError, match="overflows float64"):
-        max_plus_matmul(M(P), M(Q))
-    with pytest.raises(ValueError, match="overflows float64"):
-        max_plus_matmul(M(P), M(Q[:, :1]))
+    for cols in (9, 32, 1):
+        with pytest.raises(ValueError, match="overflows float64"):
+            max_plus_matmul(M(P), M(Q[:, :cols]))
 
 
 def test_numpy_kernel_refuses_overflowing_sums(monkeypatch):
@@ -269,19 +268,26 @@ def _assert_same_bits(got: TropicalMatrix, want):
     assert np.array_equal(got.data.view(np.int64), want.view(np.int64))
 
 
-@on_both_kernels("m,k,n", [(16, 300, 16), (40, 300, 7), (300, 50, 11), (256, 3, 256), (3, 300, 300),
-                            (9, 65, 513), (13, 513, 17)])
-def test_matmul_block_edges_match_bruteforce(m, k, n, kernel):
-    # numpy: a block holds max(1, 2**16 // (k·n)) rows of P, or of Qᵀ when
-    # m > n > 1 and the product is built transposed:
-    # 16 rows take 13 per block, so the last block holds 3;
-    # 40×300·7 is transposed, its 7 rows of Qᵀ take 5 per block, the last 2;
-    # 300×50·11 is transposed, its 11 rows of Qᵀ take 4 per block, the last 3;
-    # 256 rows take 85 per block, so the last block holds 1;
-    # k·n = 90000 is above the block size, so every block holds 1 row.
-    # C: 8×8 register tiles over passes of 256 inner indices; 3 rows, or 7
-    # columns, fill no tile; 9×513 leaves one row and one column over;
-    # k = 300 and 513 end in a short pass
+# numpy: a block holds max(1, 2**16 // (k·n)) rows of P, or of Qᵀ when
+# m > n > 1 and the product is built transposed:
+# 16 rows take 13 per block, so the last block holds 3;
+# 40×300·7 is transposed, its 7 rows of Qᵀ take 5 per block, the last 2;
+# 300×50·11 is transposed, its 11 rows of Qᵀ take 4 per block, the last 3;
+# 256 rows take 85 per block, so the last block holds 1;
+# k·n = 90000 is above the block size, so every block holds 1 row.
+# C: passes of 256 inner indices, so k = 257, 300 and 513 end in a short
+# pass.  The widest multiple of 32 columns takes 6×32 tiles and leaves
+# m mod 6 rows to a strip; the columns after it take 8×8 tiles and leave
+# m mod 8 rows and n mod 8 columns to strips.  3 rows, or 7 columns, fill
+# no tile; 7×33 is one row and one column past a 6×32 tile, 9×513 three
+# rows and one column; 16×16 is whole 8×8 tiles and 12×64 whole 6×32
+# tiles; 5×64 has no whole row tile; 13×95 has 6×32 tiles, then 8×8
+# tiles in 8 of its rows, then a strip 7 columns wide
+MATMUL_EDGES = [(16, 300, 16), (40, 300, 7), (300, 50, 11), (256, 3, 256), (3, 300, 300), (9, 65, 513),
+                (13, 513, 17), (7, 257, 33), (12, 256, 64), (5, 300, 64), (13, 40, 95)]
+
+
+def _edge_operands(m, k, n):
     rng = np.random.default_rng(13)
     P, Q = rng.normal(0, 1e3, (m, k)), rng.normal(0, 1e3, (k, n))
     for X in (P, Q):
@@ -290,7 +296,31 @@ def test_matmul_block_edges_match_bruteforce(m, k, n, kernel):
     # any block may hold; cell (0, 0) sees only -inf + +inf sums
     P[0, :] = NEG_INF
     Q[:, 0] = POS_INF
+    return P, Q
+
+
+@on_both_kernels("m,k,n", MATMUL_EDGES)
+def test_matmul_block_edges_match_bruteforce(m, k, n, kernel):
+    P, Q = _edge_operands(m, k, n)
     _assert_same_bits(max_plus_matmul(M(P), M(Q)), bf.max_plus_matmul(P.tolist(), Q.tolist()))
+
+
+def test_avx2_build_matches_bruteforce(tmp_path, monkeypatch):
+    # built for AVX2, with 16 vector registers where AVX-512 has 32, gcc
+    # lays out the register tiles differently; that build must give the
+    # same bits
+    if "avx2" not in ckernel._cpu_flags().split():
+        pytest.skip("the CPU cannot run AVX2 code")
+    if shutil.which("gcc") is None:
+        pytest.skip("no C compiler")
+    monkeypatch.setattr(ckernel, "FLAGS", tuple("-march=x86-64-v3" if f == "-march=native" else f
+                                                 for f in ckernel.FLAGS))
+    monkeypatch.setattr(ckernel, "CACHE", tmp_path)
+    product = ckernel.load()
+    assert product is not None
+    for m, k, n in MATMUL_EDGES:
+        P, Q = _edge_operands(m, k, n)
+        _assert_same_bits(TropicalMatrix._wrap(product(P, Q)), bf.max_plus_matmul(P.tolist(), Q.tolist()))
 
 
 @on_both_kernels("m,k", [(300, 300), (3, 70000), (5, 15), (4, 33)])
@@ -336,9 +366,9 @@ _ENTRIES = st.one_of(
 
 @st.composite
 def _operands(draw):
-    # k up to 20 crosses the C loop's 16 lanes when n == 1, and m, n up to
-    # 12 cross its 8×8 tiles
-    m, k, n = draw(st.integers(1, 12)), draw(st.integers(1, 20)), draw(st.integers(1, 12))
+    # k up to 20 crosses the C loop's 16 lanes when n == 1; m up to 14 and
+    # n up to 44 fill a 6×32 tile and an 8×8 tile and leave strips after each
+    m, k, n = draw(st.integers(1, 14)), draw(st.integers(1, 20)), draw(st.integers(1, 44))
     P = draw(arrays(np.float64, (m, k), elements=_ENTRIES))
     Q = draw(arrays(np.float64, (k, n), elements=_ENTRIES))
     return M(P), M(Q)

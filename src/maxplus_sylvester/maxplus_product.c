@@ -9,29 +9,24 @@
  * sum is formed, and a finite one that overflows raises FE_OVERFLOW.
  * -ffast-math would break both rules; build without it.
  *
- * The columns of out fall into two bands, each held in register tiles
- * over passes of KB inner indices.  The wide band, the widest multiple of
- * 32 columns, takes 6×32 tiles: 24 accumulator vectors of 8 doubles, which
- * keep enough add-max chains in flight and still fit the 32 vector
- * registers of AVX-512.  The narrow band, the columns left, takes 8×8
- * tiles as far as whole ones fit, and a strip does the rest cell by cell.
- * Two bands because neither tile serves every width: 8×8 tiles keep only 8
- * chains in flight and run a 256³ product at a third of the speed, while
- * 6×32 tiles alone would leave outputs 8 to 31 wide to the strip, which
- * runs 128×128·8 at half the speed of 8×8 tiles.  The shapes were chosen
- * by measurement with gcc 12 (BENCH_10.json): 6×16 and 8×16 tiles ran
- * slower than 8×8.
- * Built for AVX2 (16 vector registers), gcc keeps the 6×32 accumulators
- * in L1 instead, and they still run 4 to 5 times faster than 8×8 tiles.
+ * One 6×32 register tile serves every block of out, over passes of KB inner
+ * indices: its 24 accumulator vectors of 8 doubles keep enough add-max
+ * chains in flight and fit AVX-512's 32 vector registers (BENCH_10.json;
+ * built for AVX2, gcc keeps them in L1).  Blocks past the last multiple of
+ * 6 rows or of 32 columns run the tile on stack copies padded with -inf,
+ * about 78 KiB: the pass's slice of the last rows of p and of the last
+ * columns of q, and the block of out, whose real cells alone are copied
+ * back.  A padded sum is -inf or NaN, which never raises FE_OVERFLOW, and
+ * each real cell still takes exactly its own sums.  Fewer than 6 rows cost
+ * up to 6 times the work; the solvers form such products only when C has
+ * fewer than 6 rows, as n == 1 takes the lanes below.
  */
 #include <fenv.h>
 #include <math.h>
 #include <stddef.h>
 
-#define WR 6     /* rows of p per wide-band register tile */
-#define WJ 32    /* columns of q per wide-band register tile */
-#define RB 8     /* rows of p per narrow-band register tile */
-#define JB 8     /* columns of q per narrow-band register tile */
+#define WR 6     /* rows of p per register tile */
+#define WJ 32    /* columns of q per register tile */
 #define KB 256   /* inner indices per pass, so a pass's rows of q stay in cache */
 #define LANES 16 /* independent maxima per row when n == 1 */
 
@@ -55,53 +50,34 @@ static void matvec(const double *p, const double *q, double *out, ptrdiff_t m, p
     }
 }
 
-/* One WR×WJ block of out, held in registers over inner indices [l0, l1). */
-static void tile_wide(const double *p, const double *q, double *out, ptrdiff_t k, ptrdiff_t n,
-                      ptrdiff_t l0, ptrdiff_t l1)
+/* One WR×WJ block of out, held in registers over kl inner indices; p, q
+ * and out have row strides ps, qs and os.  Not inlined: inside the block
+ * loops gcc 12 spills accumulators to the stack. */
+__attribute__((noinline)) static void tile(const double *p, ptrdiff_t ps, const double *q,
+                                           ptrdiff_t qs, double *out, ptrdiff_t os, ptrdiff_t kl)
 {
     double acc[WR][WJ];
     for (int r = 0; r < WR; r++)
-        for (int j = 0; j < WJ; j++) acc[r][j] = out[r * n + j];
-    for (ptrdiff_t l = l0; l < l1; l++) {
-        const double *b = q + l * n;
+        for (int j = 0; j < WJ; j++) acc[r][j] = out[r * os + j];
+    for (ptrdiff_t l = 0; l < kl; l++) {
+        const double *b = q + l * qs;
         for (int r = 0; r < WR; r++) {
-            double a = p[r * k + l];
+            double a = p[r * ps + l];
             for (int j = 0; j < WJ; j++) acc[r][j] = mp_max(a + b[j], acc[r][j]);
         }
     }
     for (int r = 0; r < WR; r++)
-        for (int j = 0; j < WJ; j++) out[r * n + j] = acc[r][j];
+        for (int j = 0; j < WJ; j++) out[r * os + j] = acc[r][j];
 }
 
-/* One RB×JB block of out, held in registers over inner indices [l0, l1). */
-static void tile(const double *p, const double *q, double *out, ptrdiff_t k, ptrdiff_t n,
-                 ptrdiff_t l0, ptrdiff_t l1)
-{
-    double acc[RB][JB];
-    for (int r = 0; r < RB; r++)
-        for (int j = 0; j < JB; j++) acc[r][j] = out[r * n + j];
-    for (ptrdiff_t l = l0; l < l1; l++) {
-        const double *b = q + l * n;
-        for (int r = 0; r < RB; r++) {
-            double a = p[r * k + l];
-            for (int j = 0; j < JB; j++) acc[r][j] = mp_max(a + b[j], acc[r][j]);
-        }
-    }
-    for (int r = 0; r < RB; r++)
-        for (int j = 0; j < JB; j++) out[r * n + j] = acc[r][j];
-}
-
-/* The cells that fill no whole tile: columns [j0, j1) of `rows` rows. */
-static void strip(const double *p, const double *q, double *out, ptrdiff_t rows, ptrdiff_t k,
-                  ptrdiff_t n, ptrdiff_t j0, ptrdiff_t j1, ptrdiff_t l0, ptrdiff_t l1)
+/* Writes rows × cols cells of dst (row stride ds): src's cells (row stride
+ * ss) where r < sr and c < sc, -inf elsewhere. */
+static void pad(double *dst, ptrdiff_t ds, ptrdiff_t rows, ptrdiff_t cols, const double *src,
+                ptrdiff_t ss, ptrdiff_t sr, ptrdiff_t sc)
 {
     for (ptrdiff_t r = 0; r < rows; r++)
-        for (ptrdiff_t l = l0; l < l1; l++) {
-            double a = p[r * k + l];
-            const double *b = q + l * n;
-            double *o = out + r * n;
-            for (ptrdiff_t j = j0; j < j1; j++) o[j] = mp_max(a + b[j], o[j]);
-        }
+        for (ptrdiff_t c = 0; c < cols; c++)
+            dst[r * ds + c] = r < sr && c < sc ? src[r * ss + c] : -INFINITY;
 }
 
 /* p is m×k, q is k×n, out is m×n, all C-contiguous.
@@ -112,24 +88,29 @@ int maxplus_product(const double *p, const double *q, double *out, ptrdiff_t m, 
     feclearexcept(FE_OVERFLOW);
     if (n == 1) {
         matvec(p, q, out, m, k);
-    } else {
-        for (ptrdiff_t c = 0; c < m * n; c++) out[c] = -INFINITY;
-        /* wide band: columns [0, nw) in WR-row tiles; narrow band: [nw, n) */
-        ptrdiff_t nw = n - n % WJ, nt = n - n % JB;
-        ptrdiff_t mw = m - m % WR, mt = m - m % RB;
-        for (ptrdiff_t l0 = 0; l0 < k; l0 += KB) {
-            ptrdiff_t l1 = l0 + KB < k ? l0 + KB : k;
-            for (ptrdiff_t i = 0; i < mw; i += WR)
-                for (ptrdiff_t j = 0; j < nw; j += WJ)
-                    tile_wide(p + i * k, q + j, out + i * n + j, k, n, l0, l1);
-            strip(p + mw * k, q, out + mw * n, m - mw, k, n, 0, nw, l0, l1);
-            for (ptrdiff_t i = 0; i < mt; i += RB) {
-                for (ptrdiff_t j = nw; j < nt; j += JB)
-                    tile(p + i * k, q + j, out + i * n + j, k, n, l0, l1);
-                strip(p + i * k, q, out + i * n, RB, k, n, nt, n, l0, l1);
+        return fetestexcept(FE_OVERFLOW) != 0;
+    }
+    double pp[WR * KB], qq[KB * WJ], oo[WR * WJ]; /* padded edges of p, q and out */
+    for (ptrdiff_t c = 0; c < m * n; c++) out[c] = -INFINITY;
+    ptrdiff_t mw = m - m % WR, nw = n - n % WJ;
+    for (ptrdiff_t l0 = 0; l0 < k; l0 += KB) {
+        ptrdiff_t kl = k - l0 < KB ? k - l0 : KB;
+        if (mw < m) pad(pp, KB, WR, kl, p + mw * k + l0, k, m - mw, kl);
+        if (nw < n) pad(qq, WJ, kl, WJ, q + l0 * n + nw, n, kl, n - nw);
+        for (ptrdiff_t i = 0; i < m; i += WR)
+            for (ptrdiff_t j = 0; j < n; j += WJ) {
+                int wr = i < mw, wc = j < nw; /* whole rows, whole columns */
+                const double *a = wr ? p + i * k + l0 : pp, *b = wc ? q + l0 * n + j : qq;
+                double *o = out + i * n + j;
+                if (wr && wc) {
+                    tile(a, k, b, n, o, n, kl);
+                } else {
+                    ptrdiff_t rows = wr ? WR : m - mw, cols = wc ? WJ : n - nw;
+                    pad(oo, WJ, WR, WJ, o, n, rows, cols);
+                    tile(a, wr ? k : KB, b, wc ? n : WJ, oo, WJ, kl);
+                    pad(o, n, rows, cols, oo, WJ, rows, cols);
+                }
             }
-            strip(p + mt * k, q, out + mt * n, m - mt, k, n, nw, n, l0, l1);
-        }
     }
     return fetestexcept(FE_OVERFLOW) != 0;
 }

@@ -23,7 +23,6 @@ import numpy as np
 
 from .matrix import (
     NEG_INF,
-    POS_INF,
     ShapeError,
     TropicalMatrix,
     max_plus_matadd,
@@ -148,17 +147,14 @@ def matrix_mismatches(achieved: TropicalMatrix, target: TropicalMatrix, eps: flo
     if achieved.shape != target.shape:
         raise ShapeError(f"cannot compare {achieved.shape} with {target.shape}")
     L, R = achieved.data, target.data
-    finite_pair = np.isfinite(L) & np.isfinite(R)
-    with np.errstate(invalid="ignore", over="ignore"):  # a miss wider than float64 reads +inf
+    # equal infinities give a NaN diff but match as L == R; differing
+    # infinity states and a miss wider than float64 give a diff of +inf
+    with np.errstate(invalid="ignore", over="ignore"):
         diff = np.abs(L - R)
-    bad = ~np.where(finite_pair, diff <= eps, L == R)
+    bad = ~((L == R) | (diff <= eps))
     cells = np.argwhere(bad)
     cells.flags.writeable = False
-    if not len(cells):
-        return cells, 0.0
-    if (bad & ~finite_pair).any():
-        return cells, POS_INF
-    return cells, float(diff[bad].max())
+    return cells, float(diff[bad].max(initial=0.0))
 
 
 def _report(principal, achieved, target, eps) -> SolveReport:

@@ -123,15 +123,27 @@ def test_kernels_refuse_overflowing_sums():
     assert max_plus_matmul(M([[1e308]]), M([[-1e308]])) == M([[0]])
     assert kron_max(M([[NEG_INF]]), M([[POS_INF, 1e308]])) == M([[NEG_INF, NEG_INF]])
     # one overflowing sum anywhere refuses the product, even where a larger
-    # infinity would win the max: in an 8×8 tile, a 6×32 tile and the n == 1 lanes
-    P = np.zeros((9, 20))
-    P[0, 5] = 1e308
+    # infinity would win the max: in a whole 6×32 tile (row 0, 32 columns),
+    # in a padded one (row 7 of 9, or 9 columns) and in the n == 1 lanes
     Q = np.zeros((20, 32))
     Q[5, :] = 1e308
     Q[0, :] = POS_INF
-    for cols in (9, 32, 1):
+    for row, cols in ((0, 9), (0, 32), (0, 1), (7, 32), (7, 9)):
+        P = np.zeros((9, 20))
+        P[row, 5] = 1e308
         with pytest.raises(ValueError, match="overflows float64"):
             max_plus_matmul(M(P), M(Q[:, :cols]))
+    # entries near the limit whose true sums fit are not refused where a
+    # padded tile meets them: in the rows past a multiple of 6 (Q's row of
+    # 1e308 meets the padded rows of P) and in the columns past a multiple
+    # of 32 (P's column of 1e308 meets the padded columns of Q)
+    Q = np.zeros((20, 32))
+    Q[5, :] = 1e308
+    assert max_plus_matmul(M(np.zeros((9, 20))), M(Q)) == M.filled(9, 32, 1e308)
+    P = np.zeros((6, 20))
+    P[:, 5] = 1e308
+    for cols in (33, 9):
+        assert max_plus_matmul(M(P), M(np.zeros((20, cols)))) == M.filled(6, cols, 1e308)
 
 
 def test_numpy_kernel_refuses_overflowing_sums(monkeypatch):
@@ -276,15 +288,18 @@ def _assert_same_bits(got: TropicalMatrix, want):
 # 256 rows take 85 per block, so the last block holds 1;
 # k·n = 90000 is above the block size, so every block holds 1 row.
 # C: passes of 256 inner indices, so k = 257, 300 and 513 end in a short
-# pass.  The widest multiple of 32 columns takes 6×32 tiles and leaves
-# m mod 6 rows to a strip; the columns after it take 8×8 tiles and leave
-# m mod 8 rows and n mod 8 columns to strips.  3 rows, or 7 columns, fill
-# no tile; 7×33 is one row and one column past a 6×32 tile, 9×513 three
-# rows and one column; 16×16 is whole 8×8 tiles and 12×64 whole 6×32
-# tiles; 5×64 has no whole row tile; 13×95 has 6×32 tiles, then 8×8
-# tiles in 8 of its rows, then a strip 7 columns wide
+# pass.  Whole 6×32 blocks run the register tile in place; the rows past
+# the last multiple of 6 and the columns past the last multiple of 32 run
+# it on copies padded with -inf.  12×64 is whole tiles only; 3 rows, or
+# 7 columns, fill no whole tile; 7×33 is one row and one column past a
+# tile, 9×513 three rows and one column; 16×16 is two whole row blocks
+# and four rows past them, all in one partial column block; 5×64 and
+# 1×40 (over two passes) have no whole row block; 13×95 is one row and
+# 31 columns past whole tiles; 11×65 is five rows and one column past
+# them, over three passes; 6×56 is 24 columns past a whole tile
 MATMUL_EDGES = [(16, 300, 16), (40, 300, 7), (300, 50, 11), (256, 3, 256), (3, 300, 300), (9, 65, 513),
-                (13, 513, 17), (7, 257, 33), (12, 256, 64), (5, 300, 64), (13, 40, 95)]
+                (13, 513, 17), (7, 257, 33), (12, 256, 64), (5, 300, 64), (13, 40, 95), (1, 257, 40),
+                (11, 513, 65), (6, 300, 56)]
 
 
 def _edge_operands(m, k, n):
@@ -367,7 +382,8 @@ _ENTRIES = st.one_of(
 @st.composite
 def _operands(draw):
     # k up to 20 crosses the C loop's 16 lanes when n == 1; m up to 14 and
-    # n up to 44 fill a 6×32 tile and an 8×8 tile and leave strips after each
+    # n up to 44 fill whole 6×32 tiles and leave padded row and column
+    # blocks after them
     m, k, n = draw(st.integers(1, 14)), draw(st.integers(1, 20)), draw(st.integers(1, 44))
     P = draw(arrays(np.float64, (m, k), elements=_ENTRIES))
     Q = draw(arrays(np.float64, (k, n), elements=_ENTRIES))

@@ -1,0 +1,15 @@
+"""The seeded corpus of ``same_bits.py`` must hash to the committed digest
+on the live kernel and on the numpy kernel: every principal, mismatch
+cell, residual, op count, error text and CLI output stays byte for byte."""
+
+import pytest
+
+import same_bits
+from maxplus_sylvester import matrix
+
+
+@pytest.mark.parametrize("kernel", ["live", "numpy"])
+def test_corpus_digest_is_unchanged(kernel, monkeypatch):
+    if kernel == "numpy":
+        monkeypatch.setattr(matrix, "_kernel", matrix._product)
+    assert same_bits.digest()[0] == same_bits.DIGEST_FILE.read_text().strip()

@@ -7,9 +7,11 @@ C = sylvester_apply(A, B, X0).  m·n stays at most 256, so the Kronecker
 oracle runs on every instance.  Each instance goes through the four solve
 entry points; a subset also goes through the in-process ``solve`` CLI in
 every form and flag set.  ``generate`` runs in both modes, and the usage
-errors run too.  A record keeps the principal's bytes, the mismatch
-``cells``, ``residual_max_abs`` and the op count, or the error's type and
-text; a CLI record keeps the exit code, stdout and stderr (not argparse's
+errors run too, and so does ``solve`` on hand-written matrix files: comments,
+``\r\n``, tabs, decimals, exponents, long literals, bad counts and the other
+texts the compiled scanner leaves to the Python parser.  A record keeps
+the principal's bytes, the mismatch ``cells``, ``residual_max_abs`` and the
+op count, or the error's type and text; a CLI record keeps the exit code, stdout and stderr (not argparse's
 own messages, whose layout changes between Python versions).
 
 ``tests/same_bits.sha256`` holds the digest every kernel must give.  A
@@ -142,6 +144,46 @@ def _usage_records(tmp):
         yield "cli usage", _cli(argv, tmp)
 
 
+# Hand-written matrix files.  Most hold a byte, a token or a count that the
+# compiled scanner declines, so the Python parser reads the whole text; the
+# rest stay inside the scanner's subset.  Each file is read as C with unit
+# factors, so the principal is C itself and every token is formatted back.
+TEXTS = {
+    "comment": b"# note\n2 2\n0 1\n-inf 0\n",
+    "crlf": b"2 2\r\n0 1\r\n-inf 0\r\n",
+    "tab": b"2 2\n0\t1\n-inf 0\n",
+    "decimal": b"2 2\n0 1.5\n-inf -0.25\n",
+    "exponent": b"2 2\n0 1e+300\n-inf 0\n",
+    "underscore": b"2 2\n0 1_0\n-inf 0\n",
+    "16 digits": b"2 2\n0 1000000000000000\n-inf 0\n",
+    "2**53": b"2 2\n0 9007199254740992\n-inf 0\n",
+    "2**53 + 1": b"2 2\n0 9007199254740993\n-inf 0\n",
+    "nan": b"2 2\n0 nan\n-inf 0\n",
+    "1e400": b"2 2\n0 1e400\n-inf 0\n",
+    "spaces": b"2 2\n 0  1 \n-inf 0\n",
+    "header sign": b"+2 2\n0 1\n-inf 0\n",
+    "header width": b"2 2 2\n0 1\n-inf 0\n",
+    "zero rows": b"0 2\n",
+    "empty": b"",
+    "too few rows": b"3 2\n0 1\n-inf 0\n",
+    "too many rows": b"1 2\n0 1\n-inf 0\n",
+    "too few entries": b"2 2\n0\n-inf 0\n",
+    "too many entries": b"2 2\n0 1 2\n-inf 0\n",
+    "entries across rows": b"2 2\n0 1 -inf\n0\n",
+    "15 digits": b"2 2\n999999999999999 -999999999999999\n-inf 0\n",
+    "signs and infinities": b"2 2\n+5 -0\nINFINITY -Inf\n",
+    "blank lines, no last newline": b"\n2 2\n\n0 1\n\n+inf 0",
+}
+
+
+def _text_records(tmp):
+    save_matrix(tmp / "U.txt", TropicalMatrix.max_plus_unit(2))
+    for name, text in TEXTS.items():
+        (tmp / "text.txt").write_bytes(text)
+        argv = ["solve", "--a", tmp / "U.txt", "--b", tmp / "U.txt", "--c", tmp / "text.txt", "--mismatches"]
+        yield "cli solve text", name.encode() + b"\n" + _cli(argv, tmp)
+
+
 def _generate_records(tmp):
     for mode in ("solvable", "raw"):
         for seed in (7, 2**63 + 5):
@@ -171,6 +213,7 @@ def records():
                 yield from _cli_records(inst, tmp)
         yield from _generate_records(tmp)
         yield from _usage_records(tmp)
+        yield from _text_records(tmp)
 
 
 def digest():

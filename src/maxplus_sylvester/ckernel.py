@@ -1,13 +1,17 @@
-"""Build, cache and load the compiled max-plus product (``maxplus_product.c``).
+"""Build, cache and load the package's compiled library.
 
-The first import on a machine runs the C compiler once and writes a
-shared library into the package's ``__pycache__``; later imports load
-that file.  The file name holds a hash of the C source, the compiler
-command and the host CPU's flags, so a cached build is never loaded from
-a different source or on a CPU that lacks what ``-march=native`` chose.
-A build goes to a temporary file that is renamed into place, so
-processes that import at the same time each see a whole library or none.
-The library is loaded with ``ctypes`` and links against no Python.
+The library holds two C sources: ``maxplus_product.c``, the max-plus
+product that :mod:`.matrix` binds, and ``matrix_text.c``, the matrix text
+scanner and formatter that :mod:`.instance_io` binds.  The first import
+on a machine runs the C compiler once on both and writes one shared
+library into the package's ``__pycache__``; later imports load that file.
+The file name holds a hash of every source, the compiler command and the
+host CPU's flags, so a cached build is never loaded from a different
+source or on a CPU that lacks what ``-march=native`` chose.  A build goes
+to a temporary file that is renamed into place, so processes that import
+at the same time each see a whole library or none.  The library is
+loaded with ``ctypes`` and links against no Python; each module declares
+the argument types of the functions it binds.
 """
 
 import ctypes
@@ -18,9 +22,7 @@ import subprocess
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
-SOURCE = Path(__file__).with_name("maxplus_product.c")
+SOURCES = tuple(Path(__file__).with_name(name) for name in ("maxplus_product.c", "matrix_text.c"))
 CACHE = Path(__file__).with_name("__pycache__")
 # never -ffast-math: the kernel's NaN and overflow rules need IEEE arithmetic
 FLAGS = ("-O3", "-march=native", "-shared", "-fPIC", "-lm")
@@ -39,17 +41,17 @@ def _cpu_flags() -> str:
 
 def _library(compiler: str) -> Path:
     """The built library for ``compiler``, compiling it first when no cached build matches."""
-    source = SOURCE.read_bytes()
-    key = hashlib.sha256(b"\0".join([source, " ".join([compiler, *FLAGS]).encode(),
+    key = hashlib.sha256(b"\0".join([*(source.read_bytes() for source in SOURCES),
+                                     " ".join([compiler, *FLAGS]).encode(),
                                      _cpu_flags().encode()])).hexdigest()[:16]
-    path = CACHE / f"maxplus_product-{key}.so"
+    path = CACHE / f"maxplus-{key}.so"
     if path.exists():
         return path
     CACHE.mkdir(exist_ok=True)
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=CACHE)
     os.close(fd)
     try:
-        subprocess.run([compiler, str(SOURCE), *FLAGS, "-o", tmp],
+        subprocess.run([compiler, *map(str, SOURCES), *FLAGS, "-o", tmp],
                        check=True, capture_output=True, timeout=120)
         os.replace(tmp, path)
     finally:
@@ -59,29 +61,8 @@ def _library(compiler: str) -> Path:
 
 
 def load(compiler: str = "gcc"):
-    """``product(p, q)`` computed in C, or None when ``compiler`` cannot build or load it.
-
-    ``product`` takes float64 arrays of shapes m×k and k×n and returns the
-    m×n max-plus product; it raises FloatingPointError when a finite sum
-    overflows.
-    """
+    """The library as a ``ctypes.CDLL``, or None when ``compiler`` cannot build or load it."""
     try:
-        fn = ctypes.CDLL(str(_library(compiler))).maxplus_product
+        return ctypes.CDLL(str(_library(compiler)))
     except (OSError, subprocess.SubprocessError):
         return None
-    fn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_ssize_t] * 3
-    fn.restype = ctypes.c_int
-
-    def product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        # the C loop reads both operands as dense row-major float64
-        p = np.ascontiguousarray(p, dtype=np.float64)
-        q = np.ascontiguousarray(q, dtype=np.float64)
-        (m, k), n = p.shape, q.shape[1]
-        if q.shape[0] != k:
-            raise ValueError(f"inner dimensions differ: {p.shape} by {q.shape}")
-        out = np.empty((m, n))
-        if fn(p.ctypes.data, q.ctypes.data, out.ctypes.data, m, k, n):
-            raise FloatingPointError("overflow encountered in max-plus product")
-        return out
-
-    return product

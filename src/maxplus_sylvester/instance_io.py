@@ -20,12 +20,14 @@ its repair); afterwards the witness X0 (construction mode) or C (raw
 mode).  Identical configs therefore yield byte-identical files.
 """
 
+import ctypes
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import ckernel
 from .matrix import NEG_INF, POS_INF, TropicalMatrix
 from .solver import SylvesterInstance, sylvester_apply
 
@@ -80,8 +82,57 @@ def parse_scalar(token: str) -> float:
     return _token_value(token)
 
 
+def _load_text(compiler: str = "gcc"):
+    """``(scan, write)`` from the library built with ``compiler``, or ``(None, None)``.
+
+    ``scan(data)`` returns the entries of the ASCII text ``data`` as a
+    rows×cols float64 array, or None when the text is outside the C
+    scanner's subset.  ``write(values)`` returns the text of a float64
+    matrix, or None when an entry is neither an integer below 2**53 in
+    magnitude nor an infinity.
+    """
+    library = ckernel.load(compiler)
+    if library is None:
+        return None, None
+    scan_fn, write_fn = library.scan_matrix, library.write_matrix
+    scan_fn.argtypes = [ctypes.c_char_p, ctypes.c_ssize_t, ctypes.POINTER(ctypes.c_ssize_t),
+                        ctypes.c_void_p]
+    scan_fn.restype = ctypes.c_int
+    write_fn.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_void_p]
+    write_fn.restype = ctypes.c_ssize_t
+
+    def scan(data: bytes):
+        dims = (ctypes.c_ssize_t * 2)()
+        if scan_fn(data, len(data), dims, None):  # the header alone
+            return None
+        out = np.empty((dims[0], dims[1]))
+        return None if scan_fn(data, len(data), dims, out.ctypes.data) else out
+
+    def write(values: np.ndarray):
+        values = np.ascontiguousarray(values)
+        rows, cols = values.shape
+        buf = np.empty(40 + 18 * rows * cols, dtype=np.uint8)  # the bound write_matrix states
+        size = write_fn(values.ctypes.data, rows, cols, buf.ctypes.data)
+        return None if size < 0 else str(buf[:size], "ascii")
+
+    return scan, write
+
+
+_scan, _write = _load_text()
+
+
 def parse_matrix(text: str) -> TropicalMatrix:
-    """Parse the text format into a matrix; errors carry line numbers."""
+    """Parse the text format into a matrix; errors carry line numbers.
+
+    A text inside the C scanner's subset (integers of up to 15 digits and
+    infinities, single spaces, ``\\n`` line ends) is read in C; any other
+    text, and every malformed one, is read by the Python code below, which
+    defines the grammar and the error messages.
+    """
+    if _scan is not None and text.isascii():
+        values = _scan(text.encode())
+        if values is not None:
+            return TropicalMatrix(values)
     header = None
     rows: list[list[float]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -120,7 +171,15 @@ def parse_matrix(text: str) -> TropicalMatrix:
 
 
 def format_matrix(M: TropicalMatrix) -> str:
-    """Inverse of :func:`parse_matrix`; round-trips bit-exactly."""
+    """Inverse of :func:`parse_matrix`; round-trips bit-exactly.
+
+    A matrix of integers below 2**53 in magnitude and infinities is written
+    in C; any other goes to :func:`format_scalar` whole, with the same bytes.
+    """
+    if _write is not None:
+        text = _write(M.data)
+        if text is not None:
+            return text
     lines = [f"{M.rows} {M.cols}"]
     for row in M.tolist():
         lines.append(" ".join(format_scalar(v) for v in row))

@@ -38,6 +38,7 @@ Integer-valued inputs stay exact while their sums stay below 2**53:
 every kernel is built from additions and comparisons only.
 """
 
+import ctypes
 import math
 
 import numpy as np
@@ -173,9 +174,32 @@ def _product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _load_kernel(compiler: str = "gcc"):
-    """``(name, kernel)``: the compiled loop built with ``compiler``, else the numpy kernel."""
-    compiled = ckernel.load(compiler)
-    return ("numpy", _product) if compiled is None else ("c", compiled)
+    """``(name, kernel)``: the compiled loop built with ``compiler``, else the numpy kernel.
+
+    The compiled kernel takes float64 arrays of shapes m×k and k×n and
+    returns the m×n max-plus product; it raises FloatingPointError when a
+    finite sum overflows.
+    """
+    library = ckernel.load(compiler)
+    if library is None:
+        return "numpy", _product
+    fn = library.maxplus_product
+    fn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_ssize_t] * 3
+    fn.restype = ctypes.c_int
+
+    def product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        # the C loop reads both operands as dense row-major float64
+        p = np.ascontiguousarray(p, dtype=np.float64)
+        q = np.ascontiguousarray(q, dtype=np.float64)
+        (m, k), n = p.shape, q.shape[1]
+        if q.shape[0] != k:
+            raise ValueError(f"inner dimensions differ: {p.shape} by {q.shape}")
+        out = np.empty((m, n))
+        if fn(p.ctypes.data, q.ctypes.data, out.ctypes.data, m, k, n):
+            raise FloatingPointError("overflow encountered in max-plus product")
+        return out
+
+    return "c", product
 
 
 KERNEL, _kernel = _load_kernel()

@@ -1,19 +1,25 @@
 import re
+import shutil
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import bruteforce as bf
+from maxplus_sylvester import instance_io
 from maxplus_sylvester.instance_io import (
     GeneratorConfig,
     ParseError,
     format_matrix,
+    format_scalar,
     generate_instance,
     load_matrix,
     parse_matrix,
     write_instance,
 )
-from maxplus_sylvester.matrix import NEG_INF, TropicalMatrix
+from maxplus_sylvester.matrix import NEG_INF, POS_INF, TropicalMatrix
 from maxplus_sylvester.oracle import oracle_solve
 from maxplus_sylvester.solver import solve_sylvester
 
@@ -166,3 +172,116 @@ def test_file_set_round_trip(tmp_path):
         assert load_matrix(tmp_path / f"B{k + 1}.txt") == inst.B[k]
     assert load_matrix(tmp_path / "C.txt") == inst.C
     assert load_matrix(tmp_path / "X0.txt") == witness
+
+
+# Matrix texts drawn from fragments of the grammar.  Half of them stay inside
+# the C scanner's subset.  In the other half some pieces are reasons for it to
+# decline: a literal of 16 or more digits, a decimal, an exponent, NaN, '_', a
+# tab, a doubled or stray space, \r, a comment, a header that is signed, wide
+# or too large, and row or entry counts that differ from the header's.
+_SUBSET_TOKENS = st.one_of(
+    st.integers(-(10**15) + 1, 10**15 - 1).map(str),
+    st.sampled_from(["-0", "+0", "+5", "000000000000005", "-999999999999999",
+                     "inf", "-inf", "+inf", "INF", "Inf", "infinity", "-Infinity", "+iNfInItY"]),
+)
+_OTHER_TOKENS = st.one_of(
+    st.integers(10**15, 10**17).map(str),
+    st.sampled_from(["-1000000000000000", "0000000000000005", "9007199254740992", "9007199254740993",
+                     "1.5", "-0.25", "2.", ".5", "1e400", "1e+300", "-1E5", "nan", "-NaN", "1_0",
+                     "infin", "infinit", "infinityy", "inff", "+", "-", "+-1", "0x10", "5-"]),
+)
+
+
+@st.composite
+def _matrix_texts(draw):
+    """(text, whether the text is inside the C scanner's subset)."""
+    subset = draw(st.booleans())
+
+    def piece(clean, *others):
+        return clean if subset else draw(st.sampled_from([clean] * 6 + list(others)))
+
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    header = piece(f"{rows} {cols}", f"{rows + 1} {cols}", f"{rows} {cols + 1}", f"{rows - 1} {cols}",
+                   f"+{rows} {cols}", f"{rows} {cols} 1", f"{rows}", f"{rows}  {cols}",
+                   f"999999999999999 {cols}", f"{'9' * 20} {cols}", "# header")
+    lines = [header]
+    for _ in range(rows + piece(0, -1, 1)):
+        tokens = [draw(_SUBSET_TOKENS) if subset or draw(st.integers(0, 3)) else draw(_OTHER_TOKENS)
+                  for _ in range(cols + piece(0, -1, 1))]
+        lines.append("".join(token + piece(" ", "  ", "\t", " \t") for token in tokens)[:-1])
+    blank_lines = st.sampled_from(["\n", "\n\n", "\n\n\n"])
+    text = "".join(line + piece(draw(blank_lines), "\r\n", "\r", " \n", "\n# note\n", "\n \n")
+                   for line in lines)
+    lead = piece(draw(st.sampled_from(["", "\n", "\n\n"])), "# c\n", " ")
+    return lead + (text if draw(st.booleans()) else text.rstrip("\n")), subset
+
+
+def _parse_outcome(text):
+    """The matrix's shape and bits, or the ParseError's text."""
+    try:
+        M = parse_matrix(text)
+    except ParseError as exc:
+        return str(exc)
+    return M.shape, M.data.tobytes()
+
+
+def _python_alone(function, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(instance_io, "_scan", None)
+        mp.setattr(instance_io, "_write", None)
+        return function(*args)
+
+
+@settings(max_examples=400)
+@given(_matrix_texts())
+# counts that are wrong row by row but right in total, and lone \r line ends
+@example(("1 2\n0\n1\n", False))
+@example(("2 2\n0 1 -inf\n0\n", False))
+@example(("2 2\r0 1\r\r-inf 0\r", False))
+@example(("2 1\n0\n\r\n5", False))
+def test_parse_matrix_matches_the_python_grammar(drawn):
+    text, subset = drawn
+    assert _parse_outcome(text) == _python_alone(_parse_outcome, text)
+    if subset and instance_io._scan is not None:
+        assert instance_io._scan(text.encode()) is not None
+
+
+_CELLS = st.one_of(
+    st.integers(-(2**53) - 2, 2**53 + 2).map(float),
+    st.sampled_from([NEG_INF, POS_INF, 2.0**53 - 1, 2.0**53, -(2.0**53) + 1, -(2.0**53), -0.0,
+                     0.5, -2.5, 1e-300, 1e300, -1.7e308, 2.0**63, 2.0**64]),
+    st.floats(allow_nan=False),
+)
+
+
+@given(arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)), elements=_CELLS))
+def test_format_matrix_matches_the_format_scalar_join(values):
+    # _wrap keeps -0.0, which the constructor would fold, so the writer meets it too
+    M = TropicalMatrix._wrap(values)
+    want = "".join(" ".join(map(format_scalar, row)) + "\n" for row in values.tolist())
+    assert format_matrix(M) == f"{M.rows} {M.cols}\n{want}"
+    assert parse_matrix(format_matrix(M)) == M
+
+
+def test_text_without_a_compiler_runs_in_python(tmp_path, monkeypatch):
+    assert instance_io._load_text(str(tmp_path / "no-such-gcc")) == (None, None)
+    monkeypatch.setattr(instance_io, "_scan", None)
+    monkeypatch.setattr(instance_io, "_write", None)
+    test_parse_matrix_matches_the_python_grammar()
+    test_format_matrix_matches_the_format_scalar_join()
+
+
+def test_c_path_serves_integer_text_when_a_compiler_exists(monkeypatch):
+    # a broken build would otherwise pass every test on the Python fallback
+    if shutil.which("gcc") is None:
+        pytest.skip("no C compiler")
+
+    def python_path(*args):
+        raise AssertionError("the Python path ran")
+
+    monkeypatch.setattr(instance_io, "_token_value", python_path)
+    monkeypatch.setattr(instance_io, "format_scalar", python_path)
+    text = "2 3\n0 -5 +inf\n-inf 999999999999999 -999999999999999\n"
+    assert format_matrix(parse_matrix(text)) == text
+    assert parse_matrix("\n2 1\n\n+7\n-INFINITY") == M([[7], [NEG_INF]])
+    assert format_matrix(M([[2.0**53 - 1, -0.0]])) == "1 2\n9007199254740991 0\n"

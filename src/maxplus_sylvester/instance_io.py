@@ -13,6 +13,20 @@ values as ``repr`` does and the infinities as ``-inf``/``+inf``; it
 always ends with a newline and is byte-stable for a given matrix, so
 formatted corpora diff cleanly.
 
+Most matrix text is read and written in C (``matrix_text.c``, built into
+the library :mod:`.ckernel` loads).  The scanner takes only a strict
+subset: a header of two positive digit strings, tokens of up to 15 digits
+with an optional sign or an infinity, single spaces, ``\\n`` line ends and
+blank lines.  On anything else, a comment, a decimal or a count error
+among them, it declines and the Python parser below reads the whole text.
+That parser is the one definition of the grammar and of every error
+message.  The C formatter writes a matrix of integers below 2**53 and
+infinities; any other matrix goes whole to :func:`format_scalar`.
+Decimals stay in Python because ``strtod`` follows ``LC_NUMERIC`` and libc
+has no shortest round-trip form like ``repr``.  So both paths give the
+same matrices, errors and bytes.  Without a C compiler the Python code
+runs alone.
+
 Random instances come from a PCG64 stream (numpy's Generator) seeded
 with the 64-bit config seed.  The draw order is fixed: for each term k,
 the left factor then the right factor (values, then the -inf mask, then

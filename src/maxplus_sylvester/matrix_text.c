@@ -105,8 +105,7 @@ int scan_matrix(const char *s, ptrdiff_t len, ptrdiff_t *dims, double *out)
     return skip_empty_lines(p, end) != end;
 }
 
-/* The decimal digits of v, an integer of magnitude below 2**53, at p;
- * returns the end of what it wrote. */
+/* v in decimal, with a '-' when negative, at p; returns the end of what it wrote. */
 static char *put_int(char *p, int64_t v)
 {
     char digits[20];

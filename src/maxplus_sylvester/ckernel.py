@@ -1,8 +1,8 @@
-"""Build, cache and load the package's compiled library.
+"""Build, cache, load and bind the package's compiled library.
 
 The library holds two C sources: ``maxplus_product.c``, the max-plus
-product that :mod:`.matrix` binds, and ``matrix_text.c``, the matrix text
-scanner and formatter that :mod:`.instance_io` binds.  The first import
+product that :mod:`.matrix` calls, and ``matrix_text.c``, the matrix text
+scanner and formatter that :mod:`.instance_io` calls.  The first import
 on a machine runs the C compiler once on both and writes one shared
 library into the package's ``__pycache__``; later imports load that file.
 The file name holds a hash of every source, the compiler command and the
@@ -10,8 +10,14 @@ host CPU's flags, so a cached build is never loaded from a different
 source or on a CPU that lacks what ``-march=native`` chose.  A build goes
 to a temporary file that is renamed into place, so processes that import
 at the same time each see a whole library or none.  The library is
-loaded with ``ctypes`` and links against no Python; each module declares
-the argument types of the functions it binds.
+loaded with ``ctypes`` and links against no Python.
+
+This module is the one handle on the library.  An import builds and loads
+it once and binds its three functions once: ``LIBRARY`` is a
+:class:`Library`, or None when no compiler could build it or the build
+could not be loaded.  :mod:`.matrix` and :mod:`.instance_io` read
+``LIBRARY`` on every call, so setting it to None runs every product, read
+and write in Python.
 """
 
 import ctypes
@@ -21,6 +27,8 @@ import platform
 import subprocess
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 SOURCES = tuple(Path(__file__).with_name(name) for name in ("maxplus_product.c", "matrix_text.c"))
 CACHE = Path(__file__).with_name("__pycache__")
@@ -60,9 +68,60 @@ def _library(compiler: str) -> Path:
     return path
 
 
+class Library:
+    """The three functions of one loaded build, with their argument types declared."""
+
+    def __init__(self, cdll: ctypes.CDLL):
+        self._product = cdll.maxplus_product
+        self._product.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_ssize_t] * 3
+        self._product.restype = ctypes.c_int
+        self._scan = cdll.scan_matrix
+        self._scan.argtypes = [ctypes.c_char_p, ctypes.c_ssize_t, ctypes.POINTER(ctypes.c_ssize_t),
+                               ctypes.c_void_p]
+        self._scan.restype = ctypes.c_int
+        self._write = cdll.write_matrix
+        self._write.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_void_p]
+        self._write.restype = ctypes.c_ssize_t
+
+    def product(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """The max-plus product of float64 arrays m×k and k×n.
+
+        A FloatingPointError when a finite sum overflows.
+        """
+        # the C loop reads both operands as dense row-major float64
+        p = np.ascontiguousarray(p, dtype=np.float64)
+        q = np.ascontiguousarray(q, dtype=np.float64)
+        (m, k), n = p.shape, q.shape[1]
+        if q.shape[0] != k:
+            raise ValueError(f"inner dimensions differ: {p.shape} by {q.shape}")
+        out = np.empty((m, n))
+        if self._product(p.ctypes.data, q.ctypes.data, out.ctypes.data, m, k, n):
+            raise FloatingPointError("overflow encountered in max-plus product")
+        return out
+
+    def scan(self, data: bytes):
+        """The entries of the ASCII text ``data`` as a float64 array, or None outside the scanner's subset."""
+        dims = (ctypes.c_ssize_t * 2)()
+        if self._scan(data, len(data), dims, None):  # the header alone
+            return None
+        out = np.empty((dims[0], dims[1]))
+        return None if self._scan(data, len(data), dims, out.ctypes.data) else out
+
+    def write(self, values: np.ndarray):
+        """The text of a float64 matrix, or None when an entry is not an integer below 2**53 or an infinity."""
+        values = np.ascontiguousarray(values)
+        rows, cols = values.shape
+        buf = np.empty(40 + 18 * rows * cols, dtype=np.uint8)  # the bound write_matrix states
+        size = self._write(values.ctypes.data, rows, cols, buf.ctypes.data)
+        return None if size < 0 else str(buf[:size], "ascii")
+
+
 def load(compiler: str = "gcc"):
-    """The library as a ``ctypes.CDLL``, or None when ``compiler`` cannot build or load it."""
+    """The :class:`Library` built with ``compiler``, or None when it cannot build or load it."""
     try:
-        return ctypes.CDLL(str(_library(compiler)))
+        return Library(ctypes.CDLL(str(_library(compiler))))
     except (OSError, subprocess.SubprocessError):
         return None
+
+
+LIBRARY = load()

@@ -42,6 +42,8 @@ def _int_list(text: str) -> list[int]:
 
 def _method_list(text: str) -> list[str]:
     methods = [part for part in text.split(",") if part != ""]
+    if not methods:
+        raise ValueError("no method")
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")

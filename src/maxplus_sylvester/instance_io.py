@@ -13,8 +13,8 @@ values as ``repr`` does and the infinities as ``-inf``/``+inf``; it
 always ends with a newline and is byte-stable for a given matrix, so
 formatted corpora diff cleanly.
 
-Most matrix text is read and written in C (``matrix_text.c``, built into
-the library :mod:`.ckernel` loads).  The scanner takes only a strict
+Most matrix text is read and written in C (``matrix_text.c``, through the
+handle ``ckernel.LIBRARY``).  The scanner takes only a strict
 subset: a header of two positive digit strings, tokens of up to 15 digits
 with an optional sign or an infinity, single spaces, ``\\n`` line ends and
 blank lines.  On anything else, a comment, a decimal or a count error
@@ -24,8 +24,8 @@ message.  The C formatter writes a matrix of integers below 2**53 and
 infinities; any other matrix goes whole to :func:`format_scalar`.
 Decimals stay in Python because ``strtod`` follows ``LC_NUMERIC`` and libc
 has no shortest round-trip form like ``repr``.  So both paths give the
-same matrices, errors and bytes.  Without a C compiler the Python code
-runs alone.
+same matrices, errors and bytes.  When the handle is None, as it is
+without a C compiler, the Python code runs alone.
 
 Random instances come from a PCG64 stream (numpy's Generator) seeded
 with the 64-bit config seed.  The draw order is fixed: for each term k,
@@ -34,7 +34,6 @@ its repair); afterwards the witness X0 (construction mode) or C (raw
 mode).  Identical configs therefore yield byte-identical files.
 """
 
-import ctypes
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -96,45 +95,6 @@ def parse_scalar(token: str) -> float:
     return _token_value(token)
 
 
-def _load_text(compiler: str = "gcc"):
-    """``(scan, write)`` from the library built with ``compiler``, or ``(None, None)``.
-
-    ``scan(data)`` returns the entries of the ASCII text ``data`` as a
-    rows×cols float64 array, or None when the text is outside the C
-    scanner's subset.  ``write(values)`` returns the text of a float64
-    matrix, or None when an entry is neither an integer below 2**53 in
-    magnitude nor an infinity.
-    """
-    library = ckernel.load(compiler)
-    if library is None:
-        return None, None
-    scan_fn, write_fn = library.scan_matrix, library.write_matrix
-    scan_fn.argtypes = [ctypes.c_char_p, ctypes.c_ssize_t, ctypes.POINTER(ctypes.c_ssize_t),
-                        ctypes.c_void_p]
-    scan_fn.restype = ctypes.c_int
-    write_fn.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_void_p]
-    write_fn.restype = ctypes.c_ssize_t
-
-    def scan(data: bytes):
-        dims = (ctypes.c_ssize_t * 2)()
-        if scan_fn(data, len(data), dims, None):  # the header alone
-            return None
-        out = np.empty((dims[0], dims[1]))
-        return None if scan_fn(data, len(data), dims, out.ctypes.data) else out
-
-    def write(values: np.ndarray):
-        values = np.ascontiguousarray(values)
-        rows, cols = values.shape
-        buf = np.empty(40 + 18 * rows * cols, dtype=np.uint8)  # the bound write_matrix states
-        size = write_fn(values.ctypes.data, rows, cols, buf.ctypes.data)
-        return None if size < 0 else str(buf[:size], "ascii")
-
-    return scan, write
-
-
-_scan, _write = _load_text()
-
-
 def parse_matrix(text: str) -> TropicalMatrix:
     """Parse the text format into a matrix; errors carry line numbers.
 
@@ -143,8 +103,9 @@ def parse_matrix(text: str) -> TropicalMatrix:
     text, and every malformed one, is read by the Python code below, which
     defines the grammar and the error messages.
     """
-    if _scan is not None and text.isascii():
-        values = _scan(text.encode())
+    library = ckernel.LIBRARY
+    if library is not None and text.isascii():
+        values = library.scan(text.encode())
         if values is not None:
             return TropicalMatrix(values)
     header = None
@@ -190,8 +151,9 @@ def format_matrix(M: TropicalMatrix) -> str:
     A matrix of integers below 2**53 in magnitude and infinities is written
     in C; any other goes to :func:`format_scalar` whole, with the same bytes.
     """
-    if _write is not None:
-        text = _write(M.data)
+    library = ckernel.LIBRARY
+    if library is not None:
+        text = library.write(M.data)
         if text is not None:
             return text
     lines = [f"{M.rows} {M.cols}"]

@@ -12,10 +12,11 @@ residuation law ``A ⊗ x ≤ b  ⟺  x ≤ −(Aᵀ ⊗ (−b))`` true for arbi
 inputs, not just finite ones.
 
 The one kernel with a loop of its own is :func:`max_plus_matmul`.  It
-runs a compiled C loop (``maxplus_product.c``, built by :mod:`.ckernel`)
-when a C compiler can build it, and otherwise the numpy kernel
-:func:`_product`, which also serves the tests as the bit reference;
-``KERNEL`` names the live one, ``"c"`` or ``"numpy"``.  The C loop starts
+runs the compiled C loop of ``maxplus_product.c`` through the handle
+``ckernel.LIBRARY``, and the numpy kernel :func:`_product` when that
+handle is None, as it is when no C compiler could build the library; the
+numpy kernel also serves the tests as the bit reference.  ``KERNEL`` names
+the kernel the import found, ``"c"`` or ``"numpy"``.  The C loop starts
 each cell at ``-inf`` and takes a sum ``s`` only when ``s > cell``.  The
 NaN of ``-inf + +inf`` loses every IEEE comparison, so the mixed-infinity
 rule holds with no patch pass; an overflowing sum raises the FPU's
@@ -38,7 +39,6 @@ Integer-valued inputs stay exact while their sums stay below 2**53:
 every kernel is built from additions and comparisons only.
 """
 
-import ctypes
 import math
 
 import numpy as np
@@ -149,7 +149,9 @@ def max_plus_matmul(P: TropicalMatrix, Q: TropicalMatrix) -> TropicalMatrix:
         raise ShapeError(f"cannot multiply {P.shape} by {Q.shape}: inner dimensions differ")
     m, k = P.shape
     n = Q.cols
-    out = _guarded(f"max-plus product of {P.shape} by {Q.shape}", lambda: _kernel(P.data, Q.data))
+    library = ckernel.LIBRARY
+    kernel = _product if library is None else library.product
+    out = _guarded(f"max-plus product of {P.shape} by {Q.shape}", lambda: kernel(P.data, Q.data))
     semiring_ops.add(m * n * k)
     return TropicalMatrix._wrap(out)
 
@@ -173,36 +175,7 @@ def _product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _load_kernel(compiler: str = "gcc"):
-    """``(name, kernel)``: the compiled loop built with ``compiler``, else the numpy kernel.
-
-    The compiled kernel takes float64 arrays of shapes m×k and k×n and
-    returns the m×n max-plus product; it raises FloatingPointError when a
-    finite sum overflows.
-    """
-    library = ckernel.load(compiler)
-    if library is None:
-        return "numpy", _product
-    fn = library.maxplus_product
-    fn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_ssize_t] * 3
-    fn.restype = ctypes.c_int
-
-    def product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        # the C loop reads both operands as dense row-major float64
-        p = np.ascontiguousarray(p, dtype=np.float64)
-        q = np.ascontiguousarray(q, dtype=np.float64)
-        (m, k), n = p.shape, q.shape[1]
-        if q.shape[0] != k:
-            raise ValueError(f"inner dimensions differ: {p.shape} by {q.shape}")
-        out = np.empty((m, n))
-        if fn(p.ctypes.data, q.ctypes.data, out.ctypes.data, m, k, n):
-            raise FloatingPointError("overflow encountered in max-plus product")
-        return out
-
-    return "c", product
-
-
-KERNEL, _kernel = _load_kernel()
+KERNEL = "numpy" if ckernel.LIBRARY is None else "c"
 
 
 def max_plus_matadd(P: TropicalMatrix, Q: TropicalMatrix) -> TropicalMatrix:

@@ -1,9 +1,9 @@
 /* Matrix text in C: a scanner for a strict subset of the file format and a
  * formatter for matrices whose entries are all integers or infinities.
- * ckernel.py builds this file into one library with maxplus_product.c, and
- * instance_io.py binds both functions.  Whatever they decline goes to the
- * Python parser or to format_scalar, which stay the one definition of the
- * grammar, of every error message and of the output.
+ * ckernel.py builds this file into one library with maxplus_product.c and
+ * binds both functions; instance_io.py calls them.  Whatever they decline
+ * goes to the Python parser or to format_scalar, which stay the one
+ * definition of the grammar, of every error message and of the output.
  *
  * The scanner takes a header "R C" of digits only, both positive, then R
  * rows of C tokens separated by single spaces.  A token is [+-]?[0-9]{1,15}

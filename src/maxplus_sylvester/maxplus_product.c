@@ -1,5 +1,5 @@
 /* The compiled max-plus product: out = p ⊗ q for row-major float64 arrays,
- * out[i, j] = max_l (p[i, l] + q[l, j]).  ckernel.py builds and loads it.
+ * out[i, j] = max_l (p[i, l] + q[l, j]).  ckernel.py builds and binds it.
  *
  * Each cell starts at -inf and takes a sum s only when s > cell.  A NaN
  * sum, which only -inf + +inf gives, loses every comparison, so the

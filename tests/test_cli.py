@@ -285,6 +285,14 @@ def test_bench_rejects_bad_grid(capsys):
     assert main(["bench", "--m", "2", "--n", "2", "--p", "1", "--methods", "warp"]) == 2
 
 
+@pytest.mark.parametrize("methods", ["", ","])
+def test_bench_rejects_an_empty_method_list(methods, capsys):
+    assert main(["bench", "--m", "2", "--n", "2", "--p", "1", "--methods", methods]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--methods" in captured.err
+
+
 def test_solve_tolerance_flag(tmp_path, capsys):
     # the data set how a verdict compares; there is no override
     a = write(tmp_path / "A.txt", "2 1\n0\n0\n")

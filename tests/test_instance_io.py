@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import bruteforce as bf
-from maxplus_sylvester import instance_io
+from maxplus_sylvester import ckernel, instance_io, matrix
 from maxplus_sylvester.instance_io import (
     GeneratorConfig,
     ParseError,
@@ -19,7 +19,7 @@ from maxplus_sylvester.instance_io import (
     parse_matrix,
     write_instance,
 )
-from maxplus_sylvester.matrix import NEG_INF, POS_INF, TropicalMatrix
+from maxplus_sylvester.matrix import NEG_INF, POS_INF, TropicalMatrix, max_plus_matmul
 from maxplus_sylvester.oracle import oracle_solve
 from maxplus_sylvester.solver import solve_sylvester
 
@@ -227,8 +227,7 @@ def _parse_outcome(text):
 
 def _python_alone(function, *args):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(instance_io, "_scan", None)
-        mp.setattr(instance_io, "_write", None)
+        mp.setattr(ckernel, "LIBRARY", None)
         return function(*args)
 
 
@@ -242,8 +241,8 @@ def _python_alone(function, *args):
 def test_parse_matrix_matches_the_python_grammar(drawn):
     text, subset = drawn
     assert _parse_outcome(text) == _python_alone(_parse_outcome, text)
-    if subset and instance_io._scan is not None:
-        assert instance_io._scan(text.encode()) is not None
+    if subset and ckernel.LIBRARY is not None:
+        assert ckernel.LIBRARY.scan(text.encode()) is not None
 
 
 _CELLS = st.one_of(
@@ -264,9 +263,8 @@ def test_format_matrix_matches_the_format_scalar_join(values):
 
 
 def test_text_without_a_compiler_runs_in_python(tmp_path, monkeypatch):
-    assert instance_io._load_text(str(tmp_path / "no-such-gcc")) == (None, None)
-    monkeypatch.setattr(instance_io, "_scan", None)
-    monkeypatch.setattr(instance_io, "_write", None)
+    assert ckernel.load(str(tmp_path / "no-such-gcc")) is None
+    monkeypatch.setattr(ckernel, "LIBRARY", None)
     test_parse_matrix_matches_the_python_grammar()
     test_format_matrix_matches_the_format_scalar_join()
 
@@ -285,3 +283,22 @@ def test_c_path_serves_integer_text_when_a_compiler_exists(monkeypatch):
     assert format_matrix(parse_matrix(text)) == text
     assert parse_matrix("\n2 1\n\n+7\n-INFINITY") == M([[7], [NEG_INF]])
     assert format_matrix(M([[2.0**53 - 1, -0.0]])) == "1 2\n9007199254740991 0\n"
+
+
+def test_one_switch_sends_products_and_text_to_python(monkeypatch):
+    # with no library, integer data that C would take runs in Python on every path
+    calls = []
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls.append(name)
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(ckernel, "LIBRARY", None)
+    monkeypatch.setattr(matrix, "_product", counted("product", matrix._product))
+    monkeypatch.setattr(instance_io, "_token_value", counted("parse", instance_io._token_value))
+    monkeypatch.setattr(instance_io, "format_scalar", counted("format", format_scalar))
+    X = parse_matrix("2 2\n0 -5\n-inf 7\n")
+    assert format_matrix(max_plus_matmul(X, X)) == "2 2\n0 2\n-inf 14\n"
+    assert sorted(set(calls)) == ["format", "parse", "product"]

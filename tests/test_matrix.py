@@ -33,9 +33,9 @@ M = TropicalMatrix
 def kernel(request, monkeypatch):
     """The product kernel a test runs on: "live", the compiled C loop wherever
     gcc exists (see test_compiled_kernel_is_live_when_a_compiler_exists),
-    or "numpy", the fallback and bit reference."""
+    or "numpy", the fallback and bit reference, with no library at all."""
     if request.param == "numpy":
-        monkeypatch.setattr(matrix, "_kernel", matrix._product)
+        monkeypatch.setattr(ckernel, "LIBRARY", None)
     return request.param
 
 
@@ -147,7 +147,7 @@ def test_kernels_refuse_overflowing_sums():
 
 
 def test_numpy_kernel_refuses_overflowing_sums(monkeypatch):
-    monkeypatch.setattr(matrix, "_kernel", matrix._product)
+    monkeypatch.setattr(ckernel, "LIBRARY", None)
     test_kernels_refuse_overflowing_sums()
 
 
@@ -331,11 +331,12 @@ def test_avx2_build_matches_bruteforce(tmp_path, monkeypatch):
     monkeypatch.setattr(ckernel, "FLAGS", tuple("-march=x86-64-v3" if f == "-march=native" else f
                                                  for f in ckernel.FLAGS))
     monkeypatch.setattr(ckernel, "CACHE", tmp_path)
-    name, product = matrix._load_kernel()
-    assert name == "c"
+    library = ckernel.load()
+    assert library is not None
     for m, k, n in MATMUL_EDGES:
         P, Q = _edge_operands(m, k, n)
-        _assert_same_bits(TropicalMatrix._wrap(product(P, Q)), bf.max_plus_matmul(P.tolist(), Q.tolist()))
+        want = bf.max_plus_matmul(P.tolist(), Q.tolist())
+        _assert_same_bits(TropicalMatrix._wrap(library.product(P, Q)), want)
 
 
 @on_both_kernels("m,k", [(300, 300), (3, 70000), (5, 15), (4, 33)])
@@ -411,7 +412,7 @@ def test_matmul_property_matches_bruteforce(operands, small_block):
 
 
 def test_numpy_kernel_property_matches_bruteforce(monkeypatch):
-    monkeypatch.setattr(matrix, "_kernel", matrix._product)
+    monkeypatch.setattr(ckernel, "LIBRARY", None)
     test_matmul_property_matches_bruteforce()
 
 
@@ -420,13 +421,13 @@ def test_compiled_kernel_is_live_when_a_compiler_exists():
     assert matrix.KERNEL == ("c" if shutil.which("gcc") else "numpy")
 
 
-def test_loader_without_a_compiler_returns_the_numpy_kernel(tmp_path):
-    name, kernel = matrix._load_kernel(str(tmp_path / "no-such-gcc"))
-    assert (name, kernel) == ("numpy", matrix._product)
+def test_loader_without_a_compiler_returns_the_numpy_kernel(tmp_path, monkeypatch):
+    assert ckernel.load(str(tmp_path / "no-such-gcc")) is None
+    monkeypatch.setattr(ckernel, "LIBRARY", None)
     rng = np.random.default_rng(16)
     P, Q = rand(rng, 20, 30, 0.2, 0.1), rand(rng, 30, 17, 0.2, 0.1)
     with np.errstate(invalid="ignore"):  # -inf + +inf sums
-        want = kernel(P.data, Q.data)
+        want = matrix._product(P.data, Q.data)
     _assert_same_bits(max_plus_matmul(P, Q), want)
 
 
@@ -437,11 +438,11 @@ def test_concurrent_builds_each_load_a_whole_library(tmp_path, monkeypatch):
         pytest.skip("no C compiler")
     monkeypatch.setattr(ckernel, "CACHE", tmp_path)
     with ThreadPoolExecutor(3) as pool:
-        kernels = list(pool.map(lambda _: matrix._load_kernel(), range(3)))
-    assert [name for name, _ in kernels] == ["c"] * 3
+        libraries = list(pool.map(lambda _: ckernel.load(), range(3)))
+    assert None not in libraries
     assert [path.suffix for path in tmp_path.iterdir()] == [".so"]
     rng = np.random.default_rng(17)
     P, Q = rand(rng, 10, 20, 0.2, 0.1), rand(rng, 20, 9, 0.2, 0.1)
     want = bf.max_plus_matmul(P.tolist(), Q.tolist())
-    for _, product in kernels:
-        _assert_same_bits(TropicalMatrix._wrap(product(P.data, Q.data)), want)
+    for library in libraries:
+        _assert_same_bits(TropicalMatrix._wrap(library.product(P.data, Q.data)), want)

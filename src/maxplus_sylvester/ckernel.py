@@ -1,23 +1,24 @@
 """Build, cache, load and bind the package's compiled library.
 
-The library holds two C sources: ``maxplus_product.c``, the max-plus
-product that :mod:`.matrix` calls, and ``matrix_text.c``, the matrix text
-scanner and formatter that :mod:`.instance_io` calls.  The first import
-on a machine runs the C compiler once on both and writes one shared
-library into the package's ``__pycache__``; later imports load that file.
-The file name holds a hash of every source, the compiler command and the
-host CPU's flags, so a cached build is never loaded from a different
-source or on a CPU that lacks what ``-march=native`` chose.  A build goes
-to a temporary file that is renamed into place, so processes that import
-at the same time each see a whole library or none.  The library is
-loaded with ``ctypes`` and links against no Python.
+The library holds three C sources: ``maxplus_product.c``, the max-plus
+product that :mod:`.matrix` calls; ``solver_passes.c``, the tolerance pass
+and the mismatch scan that :mod:`.solver` calls; and ``matrix_text.c``,
+the matrix text scanner and formatter that :mod:`.instance_io` calls.  The
+first import on a machine runs the C compiler once on all three and writes
+one shared library into the package's ``__pycache__``; later imports load
+that file.  The file name holds a hash of every source, the compiler
+command and the host CPU's flags, so a cached build is never loaded from a
+different source or on a CPU that lacks what ``-march=native`` chose.  A
+build goes to a temporary file that is renamed into place, so processes
+that import at the same time each see a whole library or none.  The
+library is loaded with ``ctypes`` and links against no Python.
 
 This module is the one handle on the library.  An import builds and loads
-it once and binds its three functions once: ``LIBRARY`` is a
+it once and binds its five functions once: ``LIBRARY`` is a
 :class:`Library`, or None when no compiler could build it or the build
-could not be loaded.  :mod:`.matrix` and :mod:`.instance_io` read
-``LIBRARY`` on every call, so setting it to None runs every product, read
-and write in Python.
+could not be loaded.  :mod:`.matrix`, :mod:`.solver` and
+:mod:`.instance_io` read ``LIBRARY`` on every call, so setting it to None
+runs every product, solver pass, read and write in Python.
 """
 
 import ctypes
@@ -30,7 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-SOURCES = tuple(Path(__file__).with_name(name) for name in ("maxplus_product.c", "matrix_text.c"))
+SOURCES = tuple(Path(__file__).with_name(name)
+                for name in ("maxplus_product.c", "solver_passes.c", "matrix_text.c"))
 CACHE = Path(__file__).with_name("__pycache__")
 # never -ffast-math: the kernel's NaN and overflow rules need IEEE arithmetic
 FLAGS = ("-O3", "-march=native", "-shared", "-fPIC", "-lm")
@@ -69,12 +71,19 @@ def _library(compiler: str) -> Path:
 
 
 class Library:
-    """The three functions of one loaded build, with their argument types declared."""
+    """The five functions of one loaded build, with their argument types declared."""
 
     def __init__(self, cdll: ctypes.CDLL):
         self._product = cdll.maxplus_product
-        self._product.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_ssize_t] * 3
+        self._product.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_ssize_t] * 3 + [ctypes.c_int]
         self._product.restype = ctypes.c_int
+        self._scale = cdll.finite_scale
+        self._scale.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t, ctypes.POINTER(ctypes.c_double)]
+        self._scale.restype = ctypes.c_int
+        self._mismatches = cdll.mismatches
+        self._mismatches.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_ssize_t] * 2 + [
+            ctypes.c_double, ctypes.c_void_p, ctypes.POINTER(ctypes.c_double)]
+        self._mismatches.restype = ctypes.c_ssize_t
         self._scan = cdll.scan_matrix
         self._scan.argtypes = [ctypes.c_char_p, ctypes.c_ssize_t, ctypes.POINTER(ctypes.c_ssize_t),
                                ctypes.c_void_p]
@@ -83,10 +92,13 @@ class Library:
         self._write.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_void_p]
         self._write.restype = ctypes.c_ssize_t
 
-    def product(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """The max-plus product of float64 arrays m×k and k×n.
+    def product(self, p: np.ndarray, q: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
+        """The max-plus product of float64 arrays m×k and k×n, or ``acc`` ⊕ it in ``acc``.
 
-        A FloatingPointError when a finite sum overflows.
+        ``acc``, when given, must be a writeable C-contiguous float64 m×n
+        array; the product is maxed into it in place and it is returned.  A
+        FloatingPointError when a finite sum overflows, with ``acc`` then
+        partly updated.
         """
         # the C loop reads both operands as dense row-major float64
         p = np.ascontiguousarray(p, dtype=np.float64)
@@ -94,10 +106,43 @@ class Library:
         (m, k), n = p.shape, q.shape[1]
         if q.shape[0] != k:
             raise ValueError(f"inner dimensions differ: {p.shape} by {q.shape}")
-        out = np.empty((m, n))
-        if self._product(p.ctypes.data, q.ctypes.data, out.ctypes.data, m, k, n):
+        if acc is None:
+            out = np.empty((m, n))
+        elif (acc.shape == (m, n) and acc.dtype == np.float64 and acc.flags.c_contiguous
+              and acc.flags.writeable):
+            out = acc
+        else:
+            raise ValueError(f"acc must be a writeable C-contiguous float64 {m}x{n} array")
+        if self._product(p.ctypes.data, q.ctypes.data, out.ctypes.data, m, k, n, acc is not None):
             raise FloatingPointError("overflow encountered in max-plus product")
         return out
+
+    def finite_scale(self, values: np.ndarray) -> tuple[float, bool]:
+        """The largest finite |entry| of a float64 array (0.0 when none), and whether
+        every finite entry is an integer."""
+        # the largest entry and integrality do not depend on the order, so a
+        # Fortran-ordered array is read in memory order as it lies
+        values = np.ravel(np.asarray(values, dtype=np.float64), order="K")
+        scale = ctypes.c_double()
+        integral = self._scale(values.ctypes.data, values.size, scale)
+        return scale.value, bool(integral)
+
+    def mismatches(self, left: np.ndarray, right: np.ndarray, eps: float) -> tuple[np.ndarray, float]:
+        """The row-major (row, col) pairs where ``!(left == right or |left − right| <= eps)``,
+        as a k×2 intp array, and the largest |left − right| there (0.0 when none)."""
+        left = np.ascontiguousarray(left, dtype=np.float64)
+        right = np.ascontiguousarray(right, dtype=np.float64)
+        if left.shape != right.shape:
+            raise ValueError(f"shapes differ: {left.shape} and {right.shape}")
+        rows, cols = left.shape
+        cells = np.empty((rows * cols, 2), dtype=np.intp)  # room for every cell
+        residual = ctypes.c_double()
+        count = self._mismatches(left.ctypes.data, right.ctypes.data, rows, cols, eps, cells.ctypes.data,
+                                 residual)
+        # shrinks the buffer where it lies: nothing else refers to it, and a
+        # copy into a fresh array faults in its pages again
+        cells.resize((count, 2), refcheck=False)
+        return cells, residual.value
 
     def scan(self, data: bytes):
         """The entries of the ASCII text ``data`` as a float64 array, or None outside the scanner's subset."""

@@ -20,7 +20,10 @@ the kernel the import found, ``"c"`` or ``"numpy"``.  The C loop starts
 each cell at ``-inf`` and takes a sum ``s`` only when ``s > cell``.  The
 NaN of ``-inf + +inf`` loses every IEEE comparison, so the mixed-infinity
 rule holds with no patch pass; an overflowing sum raises the FPU's
-overflow flag, which the loop tests once at the end.
+overflow flag, which the loop tests once at the end.  In accumulate mode
+(the ``acc`` argument) the C loop starts each cell at the caller's running
+value instead, so ``acc ⊕ (P ⊗ Q)`` takes no second pass and no second
+array; the numpy kernel forms the product and maxes it into ``acc``.
 
 The numpy kernel takes blocks of rows of P, forms every sum
 ``P[i, l] + Q[l, j]`` of a block in one reused buffer and reduces over l
@@ -38,8 +41,6 @@ infinity state; the kernels refuse it with a ValueError instead.
 Integer-valued inputs stay exact while their sums stay below 2**53:
 every kernel is built from additions and comparisons only.
 """
-
-import math
 
 import numpy as np
 
@@ -88,15 +89,6 @@ class TropicalMatrix:
         return obj
 
     @classmethod
-    def filled(cls, rows: int, cols: int, value: float) -> "TropicalMatrix":
-        """rows×cols matrix with every entry ``value``; only the one scalar is checked."""
-        value = float(value)
-        if math.isnan(value):
-            raise ValueError("matrix entries may not be NaN")
-        _check_shape((rows, cols))
-        return cls._wrap(np.full((rows, cols), value + 0.0))  # + 0.0 folds -0.0
-
-    @classmethod
     def max_plus_unit(cls, size: int) -> "TropicalMatrix":
         """Unit of ⊗: zero diagonal, -inf off-diagonal."""
         arr = np.full((size, size), NEG_INF)
@@ -143,17 +135,35 @@ def _guarded(what: str, compute) -> np.ndarray:
         raise ValueError(f"{what} overflows float64: a finite sum exceeds the largest double") from None
 
 
-def max_plus_matmul(P: TropicalMatrix, Q: TropicalMatrix) -> TropicalMatrix:
-    """out[i, j] = max_l (P[i, l] + Q[l, j])."""
+def max_plus_matmul(P: TropicalMatrix, Q: TropicalMatrix, acc: np.ndarray | None = None):
+    """out[i, j] = max_l (P[i, l] + Q[l, j]).
+
+    With ``acc``, a writeable C-contiguous float64 array of the product's
+    shape that the caller owns, the product is maxed into ``acc`` in place
+    and None is returned; the ⊕ counts one more op per cell, as
+    :func:`max_plus_matadd` would.  When a finite sum overflows, the
+    ValueError leaves ``acc`` partly updated, so a caller must not wrap it.
+    """
     if P.cols != Q.rows:
         raise ShapeError(f"cannot multiply {P.shape} by {Q.shape}: inner dimensions differ")
     m, k = P.shape
     n = Q.cols
+    what = f"max-plus product of {P.shape} by {Q.shape}"
     library = ckernel.LIBRARY
-    kernel = _product if library is None else library.product
-    out = _guarded(f"max-plus product of {P.shape} by {Q.shape}", lambda: kernel(P.data, Q.data))
-    semiring_ops.add(m * n * k)
-    return TropicalMatrix._wrap(out)
+    if acc is None:
+        kernel = _product if library is None else library.product
+        out = _guarded(what, lambda: kernel(P.data, Q.data))
+        semiring_ops.add(m * n * k)
+        return TropicalMatrix._wrap(out)
+    if acc.shape != (m, n):
+        raise ShapeError(f"cannot accumulate a {m}x{n} product into an array of shape {acc.shape}")
+    if not (acc.dtype == np.float64 and acc.flags.c_contiguous and acc.flags.writeable):
+        raise ValueError("the running array must be writeable, C-contiguous and float64")
+    if library is None:
+        np.maximum(acc, _guarded(what, lambda: _product(P.data, Q.data)), out=acc)
+    else:
+        _guarded(what, lambda: library.product(P.data, Q.data, acc))
+    semiring_ops.add(m * n * (k + 1))
 
 
 def _product(p: np.ndarray, q: np.ndarray) -> np.ndarray:

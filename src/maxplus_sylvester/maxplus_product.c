@@ -1,12 +1,14 @@
 /* The compiled max-plus product: out = p ⊗ q for row-major float64 arrays,
- * out[i, j] = max_l (p[i, l] + q[l, j]).  ckernel.py builds and binds it.
+ * out[i, j] = max_l (p[i, l] + q[l, j]), or in accumulate mode
+ * out = out ⊕ (p ⊗ q).  ckernel.py builds and binds it.
  *
- * Each cell starts at -inf and takes a sum s only when s > cell.  A NaN
- * sum, which only -inf + +inf gives, loses every comparison, so the
- * max-plus zero absorbs (-inf ⊗ +inf = -inf) with no patch pass, and no
- * cell is ever NaN.  The max of the same sums is the same in any order
- * (no -0.0 reaches a product), so the blocking below changes no bit.  Every
- * sum is formed, and a finite one that overflows raises FE_OVERFLOW.
+ * Each cell starts at -inf, or at its own value in accumulate mode, and
+ * takes a sum s only when s > cell.  A NaN sum, which only -inf + +inf
+ * gives, loses every comparison, so the max-plus zero absorbs
+ * (-inf ⊗ +inf = -inf) with no patch pass, and no cell is ever NaN.  The
+ * max of the same sums is the same in any order (no -0.0 reaches a
+ * product), so the blocking below changes no bit.  Every sum is formed,
+ * and a finite one that overflows raises FE_OVERFLOW.
  * -ffast-math would break both rules; build without it.
  *
  * One 6×32 register tile serves every block of out, over passes of KB inner
@@ -34,7 +36,8 @@ static inline double mp_max(double s, double o) { return s > o ? s : o; }
 
 /* n == 1: one chain of maxima per row would wait on each comparison, so
  * LANES chains run side by side and meet at the end. */
-static void matvec(const double *p, const double *q, double *out, ptrdiff_t m, ptrdiff_t k)
+static void matvec(const double *p, const double *q, double *out, ptrdiff_t m, ptrdiff_t k,
+                   int accumulate)
 {
     for (ptrdiff_t i = 0; i < m; i++) {
         const double *row = p + i * k;
@@ -43,7 +46,7 @@ static void matvec(const double *p, const double *q, double *out, ptrdiff_t m, p
         ptrdiff_t l = 0;
         for (; l + LANES <= k; l += LANES)
             for (int t = 0; t < LANES; t++) acc[t] = mp_max(row[l + t] + q[l + t], acc[t]);
-        double o = -INFINITY;
+        double o = accumulate ? out[i] : -INFINITY;
         for (; l < k; l++) o = mp_max(row[l] + q[l], o);
         for (int t = 0; t < LANES; t++) o = mp_max(acc[t], o);
         out[i] = o;
@@ -80,18 +83,20 @@ static void pad(double *dst, ptrdiff_t ds, ptrdiff_t rows, ptrdiff_t cols, const
             dst[r * ds + c] = r < sr && c < sc ? src[r * ss + c] : -INFINITY;
 }
 
-/* p is m×k, q is k×n, out is m×n, all C-contiguous.
- * Returns 1 when a finite sum overflowed, else 0. */
+/* p is m×k, q is k×n, out is m×n, all C-contiguous.  With accumulate set,
+ * out's own values are the start instead of -inf.  Returns 1 when a finite
+ * sum overflowed, else 0; out is then partly updated. */
 int maxplus_product(const double *p, const double *q, double *out, ptrdiff_t m, ptrdiff_t k,
-                    ptrdiff_t n)
+                    ptrdiff_t n, int accumulate)
 {
     feclearexcept(FE_OVERFLOW);
     if (n == 1) {
-        matvec(p, q, out, m, k);
+        matvec(p, q, out, m, k, accumulate);
         return fetestexcept(FE_OVERFLOW) != 0;
     }
     double pp[WR * KB], qq[KB * WJ], oo[WR * WJ]; /* padded edges of p, q and out */
-    for (ptrdiff_t c = 0; c < m * n; c++) out[c] = -INFINITY;
+    if (!accumulate)
+        for (ptrdiff_t c = 0; c < m * n; c++) out[c] = -INFINITY;
     ptrdiff_t mw = m - m % WR, nw = n - n % WJ;
     for (ptrdiff_t l0 = 0; l0 < k; l0 += KB) {
         ptrdiff_t kl = k - l0 < KB ? k - l0 : KB;

@@ -15,17 +15,26 @@ No preconditions are imposed on the inputs.  Where no finite bound
 meets a cell the candidate keeps ``+inf`` (the cell is unconstrained
 upward), and substitution handles it through the kernels'
 mixed-infinity rule (see :mod:`.matrix`).
+
+Besides its products a solve makes two passes over the data: the scale
+and integrality of the inputs, which set the tolerance, and the scan of
+the substituted candidate against C.  Both run in the compiled library
+(``solver_passes.c``) through ``ckernel.LIBRARY``, and in numpy when that
+handle is None; the numpy passes :func:`_finite_scale` and
+:func:`_mismatches` are the definition and the tests' bit reference, as
+``matrix._product`` is for products.  :func:`sylvester_apply` maxes each
+term into one running array with the products' accumulate mode.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import ckernel
 from .matrix import (
     NEG_INF,
     ShapeError,
     TropicalMatrix,
-    max_plus_matadd,
     max_plus_matmul,
     negate,
     transpose,
@@ -127,14 +136,22 @@ def effective_tolerance(matrices) -> float:
     a bound on float64 rounding at the largest finite |entry|: a sum of
     entries near 1e300 rounds by far more than an absolute 1e-9.
     """
+    library = ckernel.LIBRARY
+    finite_scale = _finite_scale if library is None else library.finite_scale
     scale, integral = 0.0, True
     for M in matrices:
-        finite = M.data[np.isfinite(M.data)]
-        scale = max(scale, float(np.abs(finite).max(initial=0.0)))
-        integral = integral and bool((finite == np.floor(finite)).all())
+        m_scale, m_integral = finite_scale(M.data)
+        scale = max(scale, m_scale)
+        integral = integral and m_integral
     if integral and scale <= EXACT_INTEGER_LIMIT:
         return 0.0
     return DEFAULT_TOLERANCE + ROUNDING_EPS_FACTOR * float(np.finfo(np.float64).eps) * scale
+
+
+def _finite_scale(data: np.ndarray) -> tuple[float, bool]:
+    """The numpy pass: the largest finite |entry| (0.0 when none) and whether every finite entry is an integer."""
+    finite = data[np.isfinite(data)]
+    return float(np.abs(finite).max(initial=0.0)), bool((finite == np.floor(finite)).all())
 
 
 def matrix_mismatches(achieved: TropicalMatrix, target: TropicalMatrix, eps: float):
@@ -146,15 +163,21 @@ def matrix_mismatches(achieved: TropicalMatrix, target: TropicalMatrix, eps: flo
     """
     if achieved.shape != target.shape:
         raise ShapeError(f"cannot compare {achieved.shape} with {target.shape}")
-    L, R = achieved.data, target.data
+    library = ckernel.LIBRARY
+    scan = _mismatches if library is None else library.mismatches
+    cells, residual = scan(achieved.data, target.data, eps)
+    cells.flags.writeable = False
+    return cells, residual
+
+
+def _mismatches(L: np.ndarray, R: np.ndarray, eps: float) -> tuple[np.ndarray, float]:
+    """The numpy scan: the k×2 mismatch positions and the largest |L − R| among them."""
     # equal infinities give a NaN diff but match as L == R; differing
     # infinity states and a miss wider than float64 give a diff of +inf
     with np.errstate(invalid="ignore", over="ignore"):
         diff = np.abs(L - R)
     bad = ~((L == R) | (diff <= eps))
-    cells = np.argwhere(bad)
-    cells.flags.writeable = False
-    return cells, float(diff[bad].max(initial=0.0))
+    return np.argwhere(bad), float(diff[bad].max(initial=0.0))
 
 
 def _report(principal, achieved, target, eps) -> SolveReport:
@@ -191,11 +214,16 @@ def sylvester_principal_solution(inst: SylvesterInstance) -> TropicalMatrix:
 
 
 def sylvester_apply(A_terms, B_terms, X: TropicalMatrix) -> TropicalMatrix:
-    """Evaluate ⊕_k A_k ⊗ X ⊗ B_k at a given X."""
-    acc = TropicalMatrix.filled(X.rows, X.cols, NEG_INF)
+    """Evaluate ⊕_k A_k ⊗ X ⊗ B_k at a given X.
+
+    Each term's outer product is maxed into one running array that starts
+    at the max-plus zero and that only this call holds; it becomes a matrix
+    once every term is in, so an overflow leaves no partial sum behind.
+    """
+    acc = np.full(X.shape, NEG_INF)
     for A_k, B_k in zip(A_terms, B_terms):
-        acc = max_plus_matadd(acc, max_plus_matmul(max_plus_matmul(A_k, X), B_k))
-    return acc
+        max_plus_matmul(max_plus_matmul(A_k, X), B_k, acc)
+    return TropicalMatrix._wrap(acc)
 
 
 def solve_sylvester(inst: SylvesterInstance) -> SolveReport:

@@ -24,7 +24,8 @@ from maxplus_sylvester.matrix import (
     unvec,
     vec,
 )
-from maxplus_sylvester.solver import linear_principal_solution
+from maxplus_sylvester.opcount import semiring_ops
+from maxplus_sylvester.solver import linear_principal_solution, sylvester_apply
 
 M = TropicalMatrix
 
@@ -49,6 +50,10 @@ def on_both_kernels(argnames, cases):
     return pytest.mark.parametrize(f"{argnames},kernel", params, indirect=["kernel"])
 
 
+def full(rows, cols, value):
+    return M(np.full((rows, cols), value))
+
+
 def rand(rng, rows, cols, neg=0.0, pos=0.0):
     return M(bf.random_entries(rng, rows, cols, neg_density=neg, pos_density=pos))
 
@@ -69,17 +74,6 @@ def test_constructor_validates():
     assert math.copysign(1.0, M([[-0.0]]).data[0, 0]) == 1.0
 
 
-def test_filled_checks_only_its_scalar():
-    Z = M.filled(2, 3, NEG_INF)
-    assert Z == M(np.full((2, 3), NEG_INF))
-    assert not Z.data.flags.writeable
-    assert math.copysign(1.0, M.filled(1, 2, -0.0).data[0, 1]) == 1.0
-    with pytest.raises(ValueError, match="NaN"):
-        M.filled(2, 2, float("nan"))
-    with pytest.raises(ShapeError):
-        M.filled(0, 2, 0.0)
-
-
 def test_max_plus_matmul_example():
     out = max_plus_matmul(M([[0, 1], [2, 0]]), M([[2], [2]]))
     assert out == M([[3], [4]])
@@ -90,8 +84,8 @@ def test_max_plus_matmul_unit_and_absorbing():
     rng = np.random.default_rng(1)
     A = rand(rng, 3, 4, neg=0.2)
     assert max_plus_matmul(M.max_plus_unit(3), A) == A
-    Z = M.filled(2, 3, NEG_INF)
-    assert max_plus_matmul(Z, A) == M.filled(2, 4, NEG_INF)
+    Z = full(2, 3, NEG_INF)
+    assert max_plus_matmul(Z, A) == full(2, 4, NEG_INF)
 
 
 def test_min_plus_matmul_example():
@@ -106,7 +100,7 @@ def test_min_plus_matmul_unit_and_absorbing():
     E = negate(M.max_plus_unit(3))  # the unit of ⊗'
     assert E == M([[0, POS_INF, POS_INF], [POS_INF, 0, POS_INF], [POS_INF, POS_INF, 0]])
     assert min_plus_matmul(E, A) == A
-    assert min_plus_matmul(M.filled(2, 3, POS_INF), A) == M.filled(2, 2, POS_INF)
+    assert min_plus_matmul(full(2, 3, POS_INF), A) == full(2, 2, POS_INF)
 
 
 def test_kernels_refuse_overflowing_sums():
@@ -139,11 +133,11 @@ def test_kernels_refuse_overflowing_sums():
     # of 32 (P's column of 1e308 meets the padded columns of Q)
     Q = np.zeros((20, 32))
     Q[5, :] = 1e308
-    assert max_plus_matmul(M(np.zeros((9, 20))), M(Q)) == M.filled(9, 32, 1e308)
+    assert max_plus_matmul(M(np.zeros((9, 20))), M(Q)) == full(9, 32, 1e308)
     P = np.zeros((6, 20))
     P[:, 5] = 1e308
     for cols in (33, 9):
-        assert max_plus_matmul(M(P), M(np.zeros((20, cols)))) == M.filled(6, cols, 1e308)
+        assert max_plus_matmul(M(P), M(np.zeros((20, cols)))) == full(6, cols, 1e308)
 
 
 def test_numpy_kernel_refuses_overflowing_sums(monkeypatch):
@@ -153,22 +147,22 @@ def test_numpy_kernel_refuses_overflowing_sums(monkeypatch):
 
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-        max_plus_matmul(M.filled(2, 3, 0.0), M.filled(2, 2, 0.0))
+        max_plus_matmul(full(2, 3, 0.0), full(2, 2, 0.0))
 
 
 def test_matadd_examples():
     assert max_plus_matadd(M([[1, 2]]), M([[3, 0]])) == M([[3, 2]])
     rng = np.random.default_rng(3)
     P = rand(rng, 2, 3, neg=0.2, pos=0.1)
-    assert max_plus_matadd(P, M.filled(2, 3, NEG_INF)) == P
+    assert max_plus_matadd(P, full(2, 3, NEG_INF)) == P
     with pytest.raises(ShapeError):
-        max_plus_matadd(P, M.filled(3, 2, 0.0))
+        max_plus_matadd(P, full(3, 2, 0.0))
 
 
 def test_conjugate_examples():
     # the conjugate −Aᵀ is a transpose followed by an exact negation
     assert negate(transpose(M([[0, 1], [2, 0]]))) == M([[0, -2], [-1, 0]])
-    assert negate(transpose(M.filled(2, 3, NEG_INF))) == M.filled(3, 2, POS_INF)
+    assert negate(transpose(full(2, 3, NEG_INF))) == full(3, 2, POS_INF)
     # 0.0 - x never yields -0.0, so negated zeros format as "0"
     assert math.copysign(1.0, negate(M([[0]])).data[0, 0]) == 1.0
     rng = np.random.default_rng(4)
@@ -204,7 +198,7 @@ def test_kron_scalar_cases():
     rng = np.random.default_rng(6)
     N = rand(rng, 3, 2, neg=0.2)
     assert kron_max(M([[0]]), N) == N
-    assert kron_max(M([[NEG_INF]]), N) == M.filled(3, 2, NEG_INF)
+    assert kron_max(M([[NEG_INF]]), N) == full(3, 2, NEG_INF)
 
 
 @pytest.mark.parametrize("neg,pos", [(0.0, 0.0), (0.2, 0.1)])
@@ -354,6 +348,66 @@ def test_matvec_block_edges_match_bruteforce(m, k, kernel):
     P[:, 1] = NEG_INF
     P[0, :] = NEG_INF
     _assert_same_bits(max_plus_matmul(M(P), M(q)), bf.max_plus_matmul(P.tolist(), q.tolist()))
+
+
+# the MATMUL_EDGES blocks, and the n == 1 lanes: 300 sums a row are 18
+# groups of 16 and a tail of 12, and 5 sums fill no group
+@on_both_kernels("m,k,n", MATMUL_EDGES + [(300, 300, 1), (4, 5, 1)])
+def test_accumulate_maxes_the_product_into_the_running_array(m, k, n, kernel):
+    rng = np.random.default_rng(18)
+    P, Q, acc = rng.normal(0, 1e3, (m, k)), rng.normal(0, 1e3, (k, n)), rng.normal(0, 4e3, (m, n))
+    for X in (P, Q, acc):
+        X[rng.random(X.shape) < 0.3] = NEG_INF
+    # row 0 of the product is -inf, so acc alone sets it; +inf in acc and
+    # in a column of Q, where P's -inf row makes -inf + +inf sums
+    P[0, :] = NEG_INF
+    Q[:, -1] = POS_INF
+    acc[rng.random(acc.shape) < 0.05] = POS_INF
+    want = np.maximum(acc, max_plus_matmul(M(P), M(Q)).data)
+    before = semiring_ops.total
+    assert max_plus_matmul(M(P), M(Q), acc) is None
+    assert semiring_ops.total - before == m * n * (k + 1)
+    assert np.array_equal(acc.view(np.int64), want.view(np.int64))
+
+
+@on_both_kernels("n", [(1,), (9,), (32,)])
+def test_accumulate_overflow_is_refused_and_leaves_no_matrix(n, kernel, monkeypatch):
+    # the overflowing sum sits in a padded row block, or in the n == 1 lanes
+    P = np.zeros((9, 20))
+    P[7, 5] = 1e308
+    Q = np.zeros((20, n))
+    Q[5, :] = 1e308
+    with pytest.raises(ValueError) as plain:
+        max_plus_matmul(M(P), M(Q))
+    with pytest.raises(ValueError) as accumulated:
+        max_plus_matmul(M(P), M(Q), np.zeros((9, n)))
+    assert str(accumulated.value) == str(plain.value)
+    # the second term of an apply overflows after the first is in the running
+    # array: the only matrices made are the inner products A_k ⊗ X
+    wrapped = []
+    wrap = TropicalMatrix._wrap.__func__
+
+    def recording_wrap(cls, arr):
+        wrapped.append(arr)
+        return wrap(cls, arr)
+
+    monkeypatch.setattr(TropicalMatrix, "_wrap", classmethod(recording_wrap))
+    A, X = full(9, 9, 0.0), full(9, n, 1e308)
+    with pytest.raises(ValueError, match="overflows float64"):
+        sylvester_apply((A, A), (full(n, n, 0.0), full(n, n, 1e308)), X)
+    assert len(wrapped) == 2 and all((arr == 1e308).all() for arr in wrapped)
+
+
+@on_both_kernels("n", [(1,), (9,)])
+def test_accumulate_refuses_an_array_it_cannot_write_in_place(n, kernel):
+    P, Q = full(4, 3, 0.0), full(3, n, 1.0)
+    frozen = full(4, n, 0.0).data  # a matrix's own array is read-only
+    with pytest.raises(ShapeError, match=r"into an array of shape \(4, %d\)" % (n + 1)):
+        max_plus_matmul(P, Q, np.zeros((4, n + 1)))
+    for acc in (frozen, np.zeros((4, n), dtype=np.float32), np.zeros((4, 2 * n))[:, ::2]):
+        with pytest.raises(ValueError, match="writeable, C-contiguous and float64"):
+            max_plus_matmul(P, Q, acc)
+    assert (frozen == 0.0).all()
 
 
 @on_both_kernels("m,k,n", [(256, 256, 256), (256, 256, 24)])

@@ -13,6 +13,7 @@ from maxplus_sylvester.matrix import (
     NEG_INF,
     POS_INF,
     TropicalMatrix,
+    kron_max,
     max_plus_matadd,
     max_plus_matmul,
     negate,
@@ -139,6 +140,25 @@ def test_size_cap():
         tracemalloc.stop()
     assert peak < 2**20
     assert semiring_ops.total == before
+
+
+def test_kron_reformulate_builds_k_in_one_buffer():
+    # mn = 1024, so K is 8 MiB: the first term's array becomes K and each
+    # later term is maxed into it, so K, one term and kron_max's 1 MiB NaN
+    # mask are the most alive at once; a -inf start and a fresh max per term
+    # would hold three K-sized arrays
+    inst, _ = generate_instance(GeneratorConfig(m=32, n=32, p=3, seed=39, mode="raw_random"))
+    cells = inst.m * inst.n
+    tracemalloc.start()
+    try:
+        K, _ = kron_reformulate(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * cells**2 + cells**2 + 2**18
+    terms = [kron_max(transpose(B_k), A_k) for A_k, B_k in zip(inst.A, inst.B)]
+    assert K == max_plus_matadd(max_plus_matadd(terms[0], terms[1]), terms[2])
+    assert not K.data.flags.writeable
 
 
 def test_vec_consistency():

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import bruteforce as bf
+from maxplus_sylvester import ckernel, solver
 from maxplus_sylvester.instance_io import GeneratorConfig, generate_instance
 from maxplus_sylvester.matrix import (
     NEG_INF,
@@ -14,6 +15,7 @@ from maxplus_sylvester.matrix import (
     max_plus_matadd,
 )
 from maxplus_sylvester.opcount import semiring_ops
+from maxplus_sylvester.oracle import oracle_solve
 from maxplus_sylvester.solver import (
     DEFAULT_TOLERANCE,
     EXACT_INTEGER_LIMIT,
@@ -303,6 +305,84 @@ def test_effective_tolerance_scans_finite_entries():
     # inputs with only infinities add nothing
     assert effective_tolerance((M([[NEG_INF, POS_INF]]),)) == 0.0
     assert effective_tolerance((M([[NEG_INF]]), M([[0.5]]))) == DEFAULT_TOLERANCE + rounding * 0.5
+
+
+# integers, one-decimal values, magnitudes whose differences overflow, the
+# infinities, and the edges of the compiled integer test near 2**52
+_PASS_ENTRIES = st.one_of(
+    st.integers(-20, 20).map(float),
+    st.integers(-200, 200).map(lambda v: v / 10),
+    st.sampled_from([1e300, -1e300, 1.7e308, -1.7e308, NEG_INF, POS_INF]),
+    st.sampled_from([2.0**52 - 0.5, 2.0**52, 2.0**52 + 1, 2.0**53 - 1, -(2.0**52 - 0.5), 5e-324, 0.5]),
+)
+
+
+@st.composite
+def _scan_pairs(draw):
+    # up to 40 columns crosses the vector width of the compiled tolerance
+    # pass and leaves a scalar tail
+    shape = (draw(st.integers(1, 9)), draw(st.integers(1, 40)))
+    L = draw(arrays(np.float64, shape, elements=_PASS_ENTRIES))
+    R = draw(arrays(np.float64, shape, elements=_PASS_ENTRIES))
+    same = draw(arrays(np.bool_, shape))
+    R[same] = L[same]  # equal cells, among them equal infinities
+    return M(L), M(R)
+
+
+@given(_scan_pairs(), st.sampled_from([0.0, 1e-9, 0.05, 1.5, 1e292]))
+# R holds only integers, among them odd ones from 2**52 up, which a rounding
+# integer test without its 2**52 bound would call fractional
+@example((M([[2.0**52 - 0.5, 2.0**52, 2.0**52 + 1, 2.0**53 - 1, 5e-324, 0.5, 1.7e308, NEG_INF, POS_INF]]),
+          M([[3.0, 2.0**52 + 2, 2.0**52 + 1, -(2.0**53 - 1), 0.0, 2.0, -1.7e308, NEG_INF, NEG_INF]])), 0.0)
+def test_compiled_passes_match_numpy_bit_for_bit(pair, eps):
+    if ckernel.LIBRARY is None:
+        pytest.skip("no compiled library")
+    L, R = pair
+    for data in (L.data, R.data):
+        (got, got_integral), (want, want_integral) = ckernel.LIBRARY.finite_scale(data), solver._finite_scale(data)
+        assert got.hex() == want.hex() and got_integral == want_integral
+    live = effective_tolerance(pair), matrix_mismatches(L, R, eps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ckernel, "LIBRARY", None)
+        numpy = effective_tolerance(pair), matrix_mismatches(L, R, eps)
+    assert live[0].hex() == numpy[0].hex()
+    (got_cells, got_residual), (want_cells, want_residual) = live[1], numpy[1]
+    assert got_cells.dtype == want_cells.dtype == np.intp
+    assert got_cells.shape == want_cells.shape and got_cells.tobytes() == want_cells.tobytes()
+    assert not got_cells.flags.writeable
+    assert got_residual.hex() == want_residual.hex()
+
+
+@pytest.mark.parametrize("kernel", ["live", "numpy"])
+def test_fortran_ordered_inputs_give_the_same_reports(kernel, monkeypatch):
+    # TropicalMatrix keeps a Fortran-ordered array as it is; the compiled
+    # passes must read it by position, not by memory order
+    if kernel == "numpy":
+        monkeypatch.setattr(ckernel, "LIBRARY", None)
+    rng = np.random.default_rng(40)
+
+    def fortran(X):
+        F = M(np.asfortranarray(X.data))
+        assert F.data.flags.f_contiguous and not F.data.flags.c_contiguous
+        return F
+
+    for m, n, p, scale in ((7, 9, 2, 1.0), (12, 5, 3, 0.1)):  # integer, then one-decimal data
+        def draw(rows, cols):
+            return M(np.round(bf.random_entries(rng, rows, cols, neg_density=0.1)) * scale)
+
+        inst = SylvesterInstance(A=tuple(draw(m, m) for _ in range(p)), B=tuple(draw(n, n) for _ in range(p)),
+                                 C=draw(m, n))
+        flipped = SylvesterInstance(A=tuple(map(fortran, inst.A)), B=tuple(map(fortran, inst.B)), C=fortran(inst.C))
+        matrices, flipped_matrices = (*inst.A, *inst.B, inst.C), (*flipped.A, *flipped.B, flipped.C)
+        assert effective_tolerance(flipped_matrices).hex() == effective_tolerance(matrices).hex()
+        assert not solve_sylvester(inst).solvable  # the scan has cells to order
+        b = M(inst.C.data[:, :1])
+        cases = ((solve_sylvester, (inst,), (flipped,)), (oracle_solve, (inst,), (flipped,)),
+                 (solve_linear, (inst.A[0], b), (flipped.A[0], b)))
+        for solve, args, flipped_args in cases:
+            got, want = solve(*flipped_args), solve(*args)
+            assert got == want and got.cells.tobytes() == want.cells.tobytes()
+            assert got.residual_max_abs.hex() == want.residual_max_abs.hex()
 
 
 def test_default_tolerance_is_relative_to_magnitude():

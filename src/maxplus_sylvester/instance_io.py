@@ -11,7 +11,8 @@ only) that float64 cannot hold exactly, such as ``9007199254740993``.
 Output writes integers below 2**53 without a decimal point, other finite
 values as ``repr`` does and the infinities as ``-inf``/``+inf``; it
 always ends with a newline and is byte-stable for a given matrix, so
-formatted corpora diff cleanly.
+formatted corpora diff cleanly.  A token is read only inside a matrix
+text, by :func:`parse_matrix`; :func:`format_scalar` writes one.
 
 Most matrix text is read and written in C (``matrix_text.c``, through the
 handle ``ckernel.LIBRARY``).  The scanner takes only a strict
@@ -87,12 +88,6 @@ def _token_value(token: str) -> float:
     if token.lstrip("+-").isdigit() and int(token) != value:
         raise ValueError(f"integer literal is not exact in float64: {token!r}")
     return value
-
-
-def parse_scalar(token: str) -> float:
-    """Inverse of :func:`format_scalar`; a ValueError naming any token the format rejects."""
-    _check_charset(token)
-    return _token_value(token)
 
 
 def parse_matrix(text: str) -> TropicalMatrix:

@@ -15,15 +15,17 @@ The one kernel with a loop of its own is :func:`max_plus_matmul`.  It
 runs the compiled C loop of ``maxplus_product.c`` through the handle
 ``ckernel.LIBRARY``, and the numpy kernel :func:`_product` when that
 handle is None, as it is when no C compiler could build the library; the
-numpy kernel also serves the tests as the bit reference.  ``KERNEL`` names
-the kernel the import found, ``"c"`` or ``"numpy"``.  The C loop starts
+numpy kernel also serves the tests as the bit reference.  The C loop starts
 each cell at ``-inf`` and takes a sum ``s`` only when ``s > cell``.  The
 NaN of ``-inf + +inf`` loses every IEEE comparison, so the mixed-infinity
 rule holds with no patch pass; an overflowing sum raises the FPU's
 overflow flag, which the loop tests once at the end.  In accumulate mode
 (the ``acc`` argument) the C loop starts each cell at the caller's running
 value instead, so ``acc ⊕ (P ⊗ Q)`` takes no second pass and no second
-array; the numpy kernel forms the product and maxes it into ``acc``.
+array; the numpy kernel forms the product and maxes it into ``acc``.  The
+library has no entrywise ⊕ of its own: the solvers fold each term into a
+running array this way, and the oracle maxes its Kronecker terms into K
+with ``np.maximum``.
 
 The numpy kernel takes blocks of rows of P, forms every sum
 ``P[i, l] + Q[l, j]`` of a block in one reused buffer and reduces over l
@@ -121,11 +123,6 @@ class TropicalMatrix:
         return f"TropicalMatrix({self.tolist()!r})"
 
 
-def _require_same_shape(P: TropicalMatrix, Q: TropicalMatrix, op: str) -> None:
-    if P.shape != Q.shape:
-        raise ShapeError(f"{op} needs equal shapes, got {P.shape} and {Q.shape}")
-
-
 def _guarded(what: str, compute) -> np.ndarray:
     """The array ``compute()`` returns; a finite sum that overflows raises a ValueError naming ``what``."""
     try:
@@ -140,9 +137,9 @@ def max_plus_matmul(P: TropicalMatrix, Q: TropicalMatrix, acc: np.ndarray | None
 
     With ``acc``, a writeable C-contiguous float64 array of the product's
     shape that the caller owns, the product is maxed into ``acc`` in place
-    and None is returned; the ⊕ counts one more op per cell, as
-    :func:`max_plus_matadd` would.  When a finite sum overflows, the
-    ValueError leaves ``acc`` partly updated, so a caller must not wrap it.
+    and None is returned; the ⊕ counts one more op per cell.  When a finite
+    sum overflows, the ValueError leaves ``acc`` partly updated, so a caller
+    must not wrap it.
     """
     if P.cols != Q.rows:
         raise ShapeError(f"cannot multiply {P.shape} by {Q.shape}: inner dimensions differ")
@@ -183,16 +180,6 @@ def _product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         dst[i:i + rows] = np.fmax.reduce(s, axis=1)  # reducing with out= into a strided out.T is 2x slower
     out[np.isnan(out)] = NEG_INF
     return out
-
-
-KERNEL = "numpy" if ckernel.LIBRARY is None else "c"
-
-
-def max_plus_matadd(P: TropicalMatrix, Q: TropicalMatrix) -> TropicalMatrix:
-    """Entrywise max."""
-    _require_same_shape(P, Q, "entrywise max")
-    semiring_ops.add(P.rows * P.cols)
-    return TropicalMatrix._wrap(np.maximum(P.data, Q.data))
 
 
 def negate(A: TropicalMatrix) -> TropicalMatrix:

@@ -1,5 +1,6 @@
 """The README's library quick start runs as written, every name its API paragraph gives resolves,
-and its command-line section names exactly the parser's flags."""
+so does every `maxplus_sylvester.…` name anywhere in it, and its command-line section names
+exactly the parser's flags."""
 
 import argparse
 import ast
@@ -75,7 +76,16 @@ def test_api_paragraph_names_resolve():
             else:
                 assert hasattr(owner, name), f"README names {name!r}, which {owner!r} lacks"
             checked.add(name)
-    assert {"max_plus_matmul", "unvec", "NEG_INF", "parse_scalar", "maxplus_sylvester.opcount.semiring_ops"} <= checked
+    assert {"max_plus_matmul", "unvec", "NEG_INF", "format_scalar", "maxplus_sylvester.opcount.semiring_ops"} <= checked
+
+
+def test_every_dotted_package_name_resolves():
+    # outside the API paragraph too: a section that names a module attribute
+    # the package has dropped fails here
+    names = set(re.findall(r"`(maxplus_sylvester(?:\.\w+)+)`", README.read_text()))
+    for name in names:
+        resolve(name)
+    assert {"maxplus_sylvester.oracle.SIZE_CAP", "maxplus_sylvester.ckernel"} <= names
 
 
 def test_command_line_section_names_exactly_the_parsers_flags():

@@ -2,8 +2,10 @@
 
 The library has no min-plus kernels: the dual operations here are the
 max-plus kernels wrapped in exact negations, which is how the solvers
-form residuals.  Laws that relate the two worlds take their min-plus
-side from the independent scalar loops in ``bruteforce``.
+form residuals.  Nor has it an entrywise ⊕ of its own: ⊕ here is the
+product's accumulate mode, the one the solvers fold their terms with.
+Laws that relate the two worlds take their min-plus side from the
+independent scalar loops in ``bruteforce``.
 """
 
 import math
@@ -14,12 +16,12 @@ import numpy as np
 import pytest
 
 import bruteforce as bf
-from maxplus_sylvester.instance_io import format_scalar, parse_scalar
+from maxplus_sylvester import ckernel
+from maxplus_sylvester.instance_io import ParseError, format_scalar, parse_matrix
 from maxplus_sylvester.matrix import (
     NEG_INF,
     POS_INF,
     TropicalMatrix,
-    max_plus_matadd,
     max_plus_matmul,
     negate,
 )
@@ -41,9 +43,18 @@ def dual(kernel):
     return dual_kernel
 
 
-max_plus_add = scalar_op(max_plus_matadd)
+def max_plus_add(a, b):
+    """a ⊕ b as the solvers form it: a ⊗ 0 maxed into a running b."""
+    acc = np.array([[b]], dtype=np.float64)
+    max_plus_matmul(TropicalMatrix([[a]]), TropicalMatrix([[0.0]]), acc)
+    return acc[0, 0]
+
+
+def min_plus_add(a, b):
+    return 0.0 - max_plus_add(0.0 - a, 0.0 - b)
+
+
 max_plus_mul = scalar_op(max_plus_matmul)
-min_plus_add = scalar_op(dual(max_plus_matadd))
 min_plus_mul = scalar_op(dual(max_plus_matmul))
 conj = scalar_op(negate)
 
@@ -57,6 +68,11 @@ def test_max_plus_add_examples():
     assert max_plus_add(3.0, 5.0) == 5.0
     assert max_plus_add(NEG_INF, 7.0) == 7.0
     assert max_plus_add(NEG_INF, NEG_INF) == NEG_INF
+    # the accumulate mode is max, sign bit included, whichever side holds the larger
+    values = (NEG_INF, POS_INF, -2.0, 0.0, 2.5, 3.0, -1e300)
+    for a in values:
+        for b in values:
+            assert struct.pack("<d", max_plus_add(a, b)) == struct.pack("<d", max(a, b))
 
 
 def test_max_plus_mul_examples():
@@ -130,26 +146,32 @@ def test_scalar_entries_reject_nan():
         TropicalMatrix([[float("nan")]])
 
 
+def parse_token(token: str) -> float:
+    """The value of ``token`` read as the one entry of a 1×1 matrix file."""
+    return parse_matrix(f"1 1\n{token}\n").data[0, 0]
+
+
 def test_scalar_tokens_round_trip():
     for value in (0.0, -3.0, 7.0, 2.5, -1e-3, NEG_INF, POS_INF, 1e300):
-        assert parse_scalar(format_scalar(value)) == value
+        assert parse_token(format_scalar(value)) == value
     assert format_scalar(5.0) == "5"
     assert format_scalar(NEG_INF) == "-inf"
     assert format_scalar(POS_INF) == "+inf"
     # every infinity spelling, unsigned, signed and in any case
     for spelling in ("inf", "INF", "Inf", "iNf", "infinity", "INFINITY", "Infinity", "InFiNiTy"):
-        assert parse_scalar(spelling) == POS_INF
-        assert parse_scalar("+" + spelling) == POS_INF
-        assert parse_scalar("-" + spelling) == NEG_INF
+        assert parse_token(spelling) == POS_INF
+        assert parse_token("+" + spelling) == POS_INF
+        assert parse_token("-" + spelling) == NEG_INF
     # NaN, finite literals beyond float64 and non-decimal tokens are errors naming the token,
     # digit separators and non-ASCII digits (which float reads) included
-    for token in ("1e400", "-1E309", "-1e400", "nan", "-nan", "NaN", "infinit", "0x10", "abc", "",
+    for token in ("1e400", "-1E309", "-1e400", "nan", "-nan", "NaN", "infinit", "0x10", "abc",
                   "1_000", "0_0", "١٢", "１２"):
-        with pytest.raises(ValueError, match=re.escape(repr(token))):
-            parse_scalar(token)
-    # finite literals parse to the bits float gives them, -0.0 and subnormals included
+        with pytest.raises(ParseError, match=re.escape(repr(token))):
+            parse_token(token)
+    # finite literals parse to the bits float gives them, subnormals included;
+    # a matrix holds no -0.0, so "-0" reads as +0.0
     for token in ("0", "-0", "+7", "-3.5", ".5", "5.", "1E5", "2.5e-3", "4.9e-324", "1.7976931348623157e308"):
-        assert struct.pack("<d", parse_scalar(token)) == struct.pack("<d", float(token))
+        assert struct.pack("<d", parse_token(token)) == struct.pack("<d", float(token) + 0.0)
 
 
 def test_integer_sums_stay_exact():
@@ -159,3 +181,13 @@ def test_integer_sums_stay_exact():
         b = float(rng.integers(-10**9, 10**9))
         out = max_plus_mul(a, b)
         assert out == math.floor(out)
+
+
+def test_numpy_kernel_and_python_parser_keep_the_laws(monkeypatch):
+    # with no compiled library ⊕ and ⊗ run in numpy and every token in the Python grammar
+    monkeypatch.setattr(ckernel, "LIBRARY", None)
+    test_max_plus_add_examples()
+    test_min_plus_add_examples()
+    test_add_ops_commutative_associative_idempotent()
+    test_mul_ops_commutative_associative_distributive()
+    test_scalar_tokens_round_trip()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -12,7 +12,6 @@ from maxplus_sylvester.matrix import (
     POS_INF,
     ShapeError,
     TropicalMatrix,
-    max_plus_matadd,
 )
 from maxplus_sylvester.opcount import semiring_ops
 from maxplus_sylvester.oracle import oracle_solve
@@ -158,7 +157,7 @@ def test_monotone_in_target():
         )
         inst, _ = generate_instance(cfg)
         bump = rand(rng, inst.m, inst.n)
-        C2 = max_plus_matadd(inst.C, bump)
+        C2 = M(np.maximum(inst.C.data, bump.data))
         inst2 = SylvesterInstance(A=inst.A, B=inst.B, C=C2)
         assert bf.leq(sylvester_principal_solution(inst).tolist(), sylvester_principal_solution(inst2).tolist())
 
@@ -205,9 +204,69 @@ def test_residuation_law_property(inst, data):
 def test_principal_is_monotone_in_target_property(inst, data):
     # C ≤ C′ implies X̂(C) ≤ X̂(C′); C′ = C ⊕ D raises cells to finite
     # values or +inf, and lifts -inf cells
-    raised = max_plus_matadd(inst.C, _integer_matrix(data.draw, inst.m, inst.n))
+    raised = M(np.maximum(inst.C.data, _integer_matrix(data.draw, inst.m, inst.n).data))
     wider = SylvesterInstance(A=inst.A, B=inst.B, C=raised)
     assert bf.leq(sylvester_principal_solution(inst).tolist(), sylvester_principal_solution(wider).tolist())
+
+
+# one-decimal values, floats in ±1e3 and floats in ±1e300, one kind per
+# instance, with ±inf mixed in: sums round, so residuation holds only up to
+# the effective tolerance, but rounding and max are monotone and negation is
+# exact, so monotonicity still holds bit for bit
+_FRACTIONAL_KINDS = (
+    st.integers(-200, 200).map(lambda v: v / 10),
+    st.floats(-1e3, 1e3),
+    st.floats(-1e300, 1e300),
+)
+# added to a finite draw, an infinity replaces the cell and 0.0 keeps it;
+# about one cell in eight ends infinite, so most principals keep a finite cell
+_INFINITY_MASK = st.sampled_from([0.0] * 10 + [NEG_INF, POS_INF])
+
+
+@st.composite
+def _fractional_instances(draw):
+    kind = draw(st.sampled_from(_FRACTIONAL_KINDS))
+    m, n, p = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+
+    def matrix(rows, cols):
+        values = draw(arrays(np.float64, (rows, cols), elements=kind))
+        return M(values + draw(arrays(np.float64, (rows, cols), elements=_INFINITY_MASK)))
+
+    return SylvesterInstance(A=tuple(matrix(m, m) for _ in range(p)), B=tuple(matrix(n, n) for _ in range(p)),
+                             C=matrix(m, n))
+
+
+def _principal_unless_refused(inst):
+    try:
+        return sylvester_principal_solution(inst)
+    except ValueError as exc:
+        assume("overflows float64" not in str(exc))  # a refusal, not a verdict
+        raise
+
+
+@given(_fractional_instances())
+def test_residuation_holds_within_the_tolerance_property(inst):
+    X_hat = _principal_unless_refused(inst)
+    L, C = sylvester_apply(inst.A, inst.B, X_hat).data, inst.C.data
+    eps = effective_tolerance((*inst.A, *inst.B, inst.C))
+    finite = np.isfinite(L)
+    assert (L[finite] <= C[finite] + eps).all()
+    assert (L[C == NEG_INF] == NEG_INF).all()
+
+
+@given(_fractional_instances(), st.data())
+def test_principal_is_monotone_bit_for_bit_property(inst, data):
+    # C + bump with bump ≥ 0 keeps ±inf cells and raises every finite one
+    kind = data.draw(st.sampled_from(_FRACTIONAL_KINDS))
+    bump = np.abs(data.draw(arrays(np.float64, (inst.m, inst.n), elements=kind)))
+    raised = SylvesterInstance(A=inst.A, B=inst.B, C=M(inst.C.data + bump))
+    assert (_principal_unless_refused(inst).data <= _principal_unless_refused(raised).data).all()
+
+
+def test_fractional_laws_hold_on_the_numpy_kernel(monkeypatch):
+    monkeypatch.setattr(ckernel, "LIBRARY", None)
+    test_residuation_holds_within_the_tolerance_property()
+    test_principal_is_monotone_bit_for_bit_property()
 
 
 def test_unconstrained_cells_stay_pos_inf():

@@ -1,4 +1,4 @@
-"""Dense matrices over the completed max-plus scalars, and the max-plus kernels.
+"""Dense matrices over the completed max-plus scalars, the max-plus product and the data movers.
 
 Entries are float64 with ±inf for the infinite states.  ``NEG_INF`` is
 the max-plus zero: neutral for ⊕ and absorbing for ⊗.  ``POS_INF`` is
@@ -11,7 +11,10 @@ that produces it, ``-inf + +inf``, yields the max-plus zero, so
 residuation law ``A ⊗ x ≤ b  ⟺  x ≤ −(Aᵀ ⊗ (−b))`` true for arbitrary
 inputs, not just finite ones.
 
-The one kernel with a loop of its own is :func:`max_plus_matmul`.  It
+The one kernel with a loop of its own is :func:`max_plus_matmul`; the
+rest of the module is the matrix type and the data movers :func:`negate`
+and :func:`transpose`.  The Kronecker product and the column stacking
+that only the brute-force check needs live in :mod:`.oracle`.  The kernel
 runs the compiled C loop of ``maxplus_product.c`` through the handle
 ``ckernel.LIBRARY``, and the numpy kernel :func:`_product` when that
 handle is None, as it is when no C compiler could build the library; the
@@ -89,13 +92,6 @@ class TropicalMatrix:
         arr.flags.writeable = False
         obj.data = arr
         return obj
-
-    @classmethod
-    def max_plus_unit(cls, size: int) -> "TropicalMatrix":
-        """Unit of ⊗: zero diagonal, -inf off-diagonal."""
-        arr = np.full((size, size), NEG_INF)
-        np.fill_diagonal(arr, 0.0)
-        return cls(arr)
 
     @property
     def rows(self) -> int:
@@ -195,27 +191,3 @@ def negate(A: TropicalMatrix) -> TropicalMatrix:
 
 def transpose(A: TropicalMatrix) -> TropicalMatrix:
     return TropicalMatrix._wrap(np.ascontiguousarray(A.data.T))
-
-
-def vec(X: TropicalMatrix) -> TropicalMatrix:
-    """Stack the columns of X into one (rows·cols)×1 column vector."""
-    return TropicalMatrix._wrap(X.data.T.reshape(-1, 1).copy())
-
-
-def unvec(v: TropicalMatrix, rows: int, cols: int) -> TropicalMatrix:
-    """Inverse of :func:`vec`: vec(unvec(v, rows, cols)) == v."""
-    if v.cols != 1 or v.rows != rows * cols:
-        raise ShapeError(f"cannot unvec {v.shape} into {rows}x{cols}")
-    return TropicalMatrix._wrap(np.ascontiguousarray(v.data.reshape(cols, rows).T))
-
-
-def kron_max(M: TropicalMatrix, N: TropicalMatrix) -> TropicalMatrix:
-    """Max-plus Kronecker product: block (i, j) is M[i, j] ⊗ N."""
-    a, b = M.shape
-    c, d = N.shape
-    s = _guarded(f"max-plus Kronecker product of {M.shape} and {N.shape}",
-                 lambda: M.data[:, None, :, None] + N.data[None, :, None, :])
-    s[np.isnan(s)] = NEG_INF  # -inf + +inf
-    semiring_ops.add(a * c * b * d)
-    return TropicalMatrix._wrap(s.reshape(a * c, b * d))
-

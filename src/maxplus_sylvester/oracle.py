@@ -6,19 +6,22 @@ Any p-term instance collapses into one max-plus linear system
 O(p·m²n²) time and (mn)² memory, so this path exists to validate the
 fast solver and to anchor the benchmark's complexity separation, not for
 production solving; instances with mn above ``SIZE_CAP`` (a 128 MB K)
-are refused before K is allocated.
+are refused before K is allocated.  The fast solvers need none of the
+helpers of this step, so they live here: :func:`kron_max`, :func:`vec`,
+:func:`unvec`, and :func:`two_sided_instance`, which writes the
+two-sided form with unit factors.
 """
 
 import numpy as np
 
 from . import solver  # the scan is called as solver.matrix_mismatches, the name the benchmark tracer patches
 from .matrix import (
+    NEG_INF,
+    ShapeError,
     TropicalMatrix,
-    kron_max,
+    _guarded,
     max_plus_matmul,
     transpose,
-    unvec,
-    vec,
 )
 from .opcount import semiring_ops
 from .solver import (
@@ -34,6 +37,41 @@ SIZE_CAP = 4096
 
 class OracleSizeError(ValueError):
     """The instance's mn exceeds ``SIZE_CAP``."""
+
+
+def max_plus_unit(size: int) -> TropicalMatrix:
+    """Unit of ⊗: zero diagonal, -inf off-diagonal."""
+    arr = np.full((size, size), NEG_INF)
+    np.fill_diagonal(arr, 0.0)
+    return TropicalMatrix(arr)
+
+
+def two_sided_instance(A: TropicalMatrix, B: TropicalMatrix, C: TropicalMatrix) -> SylvesterInstance:
+    """A ⊗ X ⊕ X ⊗ B = C rewritten as a two-term instance with unit factors."""
+    return SylvesterInstance(A=(A, max_plus_unit(C.rows)), B=(max_plus_unit(C.cols), B), C=C)
+
+
+def vec(X: TropicalMatrix) -> TropicalMatrix:
+    """Stack the columns of X into one (rows·cols)×1 column vector."""
+    return TropicalMatrix._wrap(X.data.T.reshape(-1, 1).copy())
+
+
+def unvec(v: TropicalMatrix, rows: int, cols: int) -> TropicalMatrix:
+    """Inverse of :func:`vec`: vec(unvec(v, rows, cols)) == v."""
+    if v.cols != 1 or v.rows != rows * cols:
+        raise ShapeError(f"cannot unvec {v.shape} into {rows}x{cols}")
+    return TropicalMatrix._wrap(np.ascontiguousarray(v.data.reshape(cols, rows).T))
+
+
+def kron_max(M: TropicalMatrix, N: TropicalMatrix) -> TropicalMatrix:
+    """Max-plus Kronecker product: block (i, j) is M[i, j] ⊗ N."""
+    a, b = M.shape
+    c, d = N.shape
+    s = _guarded(f"max-plus Kronecker product of {M.shape} and {N.shape}",
+                 lambda: M.data[:, None, :, None] + N.data[None, :, None, :])
+    s[np.isnan(s)] = NEG_INF  # -inf + +inf
+    semiring_ops.add(a * c * b * d)
+    return TropicalMatrix._wrap(s.reshape(a * c, b * d))
 
 
 def kron_reformulate(inst: SylvesterInstance):

@@ -8,7 +8,9 @@ decided by direct substitution.  The same recipe covers p-term
 Sylvester sums ``⊕_k A_k ⊗ X ⊗ B_k = C``: the greatest candidate is
 ``X̂ = −(⊕_k A_kᵀ ⊗ (−C) ⊗ B_kᵀ)``, the substitution routine
 :func:`sylvester_apply` run on the transposed factors at ``−C``, in
-O(p·(m²n + mn²)) scalar operations.  No Kronecker matrix is ever formed
+O(p·(m²n + mn²)) scalar operations.  ``A ⊗ X ⊕ X ⊗ B = C`` is the case
+p = 2 with unit factors, which :func:`solve_two_sided_special` drops, as
+``E ⊗ Y = Y`` bit for bit.  No Kronecker or unit matrix is ever formed
 here; that brute-force route lives in :mod:`.oracle` as a cross-check.
 
 No preconditions are imposed on the inputs.  Where no finite bound
@@ -234,14 +236,22 @@ def solve_sylvester(inst: SylvesterInstance) -> SolveReport:
     return _report(X, achieved, inst.C, eps)
 
 
-def two_sided_instance(A: TropicalMatrix, B: TropicalMatrix, C: TropicalMatrix) -> SylvesterInstance:
-    """A ⊗ X ⊕ X ⊗ B = C rewritten as a two-term instance with unit factors."""
-    E_m = TropicalMatrix.max_plus_unit(C.rows)
-    E_n = TropicalMatrix.max_plus_unit(C.cols)
-    return SylvesterInstance(A=(A, E_m), B=(E_n, B), C=C)
-
-
 def solve_two_sided_special(A: TropicalMatrix, B: TropicalMatrix, C: TropicalMatrix) -> SolveReport:
-    """Solve A ⊗ X ⊕ X ⊗ B = C through the two-term reduction."""
-    return solve_sylvester(two_sided_instance(A, B, C))
+    """Decide A ⊗ X ⊕ X ⊗ B = C by substitution of X̂ = −(Aᵀ ⊗ (−C) ⊕ (−C) ⊗ Bᵀ)."""
+    m, n = C.shape
+    if A.shape != (m, m):
+        raise ShapeError(f"A must be {m}x{m} to match C {C.shape}, got {A.shape}")
+    if B.shape != (n, n):
+        raise ShapeError(f"B must be {n}x{n} to match C {C.shape}, got {B.shape}")
+    X = negate(_two_sided_apply(transpose(A), transpose(B), negate(C)))
+    achieved = _two_sided_apply(A, B, X)
+    eps = effective_tolerance((A, B, C))
+    return _report(X, achieved, C, eps)
 
+
+def _two_sided_apply(A: TropicalMatrix, B: TropicalMatrix, X: TropicalMatrix) -> TropicalMatrix:
+    """A ⊗ X ⊕ X ⊗ B, both products maxed into one running array as in :func:`sylvester_apply`."""
+    acc = np.full(X.shape, NEG_INF)
+    max_plus_matmul(A, X, acc)
+    max_plus_matmul(X, B, acc)
+    return TropicalMatrix._wrap(acc)

@@ -16,15 +16,16 @@ own messages, whose layout changes between Python versions).
 
 ``tests/same_bits.sha256`` holds the digest every kernel must give.  A
 change meant to alter an output must record the new digest and why.  Run
-``PYTHONPATH=src python tests/same_bits.py`` to print the digest and the
-record count of each kind.
+``PYTHONPATH=src python tests/same_bits.py`` to print the digest and, for
+each kind of record, its count and a sub-digest of its records alone, so
+a changed digest shows which kinds moved.
 """
 
 import contextlib
 import hashlib
 import io
 import tempfile
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ import numpy as np
 from maxplus_sylvester import cli, opcount
 from maxplus_sylvester.instance_io import save_matrix
 from maxplus_sylvester.matrix import NEG_INF, POS_INF, TropicalMatrix
-from maxplus_sylvester.oracle import oracle_solve
+from maxplus_sylvester.oracle import max_plus_unit, oracle_solve
 from maxplus_sylvester.solver import (
     SylvesterInstance,
     solve_linear,
@@ -55,7 +56,7 @@ KINDS = {
 }
 
 
-def _entries(rng, kind, shape, infinities=True):
+def entries(rng, kind, shape, infinities=True):
     values = KINDS[kind](rng, shape)
     if infinities:
         u = rng.random(shape)
@@ -71,15 +72,15 @@ def _instance(seed):
     m = int(rng.integers(1, 41))
     n = int(rng.integers(1, 256 // m + 1))
     p = int(rng.integers(1, 4))
-    A = [_entries(rng, kind, (m, m)) for _ in range(p)]
-    B = [_entries(rng, kind, (n, n)) for _ in range(p)]
+    A = [entries(rng, kind, (m, m)) for _ in range(p)]
+    B = [entries(rng, kind, (n, n)) for _ in range(p)]
     if seed % 2:
         try:
-            C = sylvester_apply(A, B, _entries(rng, kind, (m, n), infinities=False))
+            C = sylvester_apply(A, B, entries(rng, kind, (m, n), infinities=False))
         except ValueError as exc:
             return kind, f"{type(exc).__name__}: {exc}"
     else:
-        C = _entries(rng, kind, (m, n))
+        C = entries(rng, kind, (m, n))
     return kind, SylvesterInstance(A=A, B=B, C=C)
 
 
@@ -177,7 +178,7 @@ TEXTS = {
 
 
 def _text_records(tmp):
-    save_matrix(tmp / "U.txt", TropicalMatrix.max_plus_unit(2))
+    save_matrix(tmp / "U.txt", max_plus_unit(2))
     for name, text in TEXTS.items():
         (tmp / "text.txt").write_bytes(text)
         argv = ["solve", "--a", tmp / "U.txt", "--b", tmp / "U.txt", "--c", tmp / "text.txt", "--mismatches"]
@@ -217,16 +218,18 @@ def records():
 
 
 def digest():
-    """(sha256 hex digest of the corpus, records per kind)."""
-    h, counts = hashlib.sha256(), Counter()
+    """(sha256 hex digest of the corpus, records per kind, sha256 hex digest of each kind's records)."""
+    h, counts, parts = hashlib.sha256(), Counter(), defaultdict(hashlib.sha256)
     for kind, record in records():
         counts[kind] += 1
-        h.update(kind.encode() + b"\0" + len(record).to_bytes(8, "little") + record)
-    return h.hexdigest(), counts
+        framed = kind.encode() + b"\0" + len(record).to_bytes(8, "little") + record
+        h.update(framed)
+        parts[kind].update(framed)
+    return h.hexdigest(), counts, {kind: part.hexdigest() for kind, part in parts.items()}
 
 
 if __name__ == "__main__":
-    value, counts = digest()
+    value, counts, parts = digest()
     print(value)
     for kind, count in sorted(counts.items()):
-        print(f"{count:6d} {kind}")
+        print(f"{count:6d} {parts[kind]} {kind}")

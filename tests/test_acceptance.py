@@ -21,13 +21,11 @@ from maxplus_sylvester.instance_io import (
 )
 from maxplus_sylvester.matrix import (
     TropicalMatrix,
-    kron_max,
     max_plus_matmul,
     negate,
     transpose,
-    vec,
 )
-from maxplus_sylvester.oracle import oracle_solve
+from maxplus_sylvester.oracle import kron_max, oracle_solve, vec
 from maxplus_sylvester.solver import (
     solve_sylvester,
     solve_two_sided_special,

@@ -186,6 +186,23 @@ def test_solve_two_sided_form(tmp_path, capsys):
     assert "oracle-agrees: true" in out
 
 
+@pytest.mark.parametrize("a_text,b_text,message", [
+    ("2 3\n0 0 0\n0 0 0\n", "3 3\n0 0 0\n0 0 0\n0 0 0\n", "A must be 2x2 to match C (2, 3), got (2, 3)"),
+    ("1 1\n0\n", "3 3\n0 0 0\n0 0 0\n0 0 0\n", "A must be 2x2 to match C (2, 3), got (1, 1)"),
+    ("2 2\n0 0\n0 0\n", "3 2\n0 0\n0 0\n0 0\n", "B must be 3x3 to match C (2, 3), got (3, 2)"),
+    ("2 2\n0 0\n0 0\n", "2 2\n0 0\n0 0\n", "B must be 3x3 to match C (2, 3), got (2, 2)"),
+], ids=["A not square", "A rows differ from C's", "B not square", "B size differs from C's columns"])
+def test_solve_two_sided_form_shape_errors(tmp_path, capsys, a_text, b_text, message):
+    a = write(tmp_path / "A.txt", a_text)
+    b = write(tmp_path / "B.txt", b_text)
+    c = write(tmp_path / "C.txt", "2 3\n0 0 0\n0 0 0\n")
+    for flags in ([], ["--oracle"]):
+        code = main(["solve", "--form", "two-sided", "--a", a, "--b", b, "--c", c, *flags])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 def test_usage_error_exit_code():
     assert main(["solve"]) == 2  # missing required --c
     assert main(["frobnicate"]) == 2

@@ -8,29 +8,34 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import bruteforce as bf
+import same_bits
+from maxplus_sylvester import ckernel
 from maxplus_sylvester.instance_io import GeneratorConfig, generate_instance
 from maxplus_sylvester.matrix import (
     NEG_INF,
     POS_INF,
     TropicalMatrix,
-    kron_max,
     max_plus_matmul,
     negate,
     transpose,
-    unvec,
-    vec,
 )
 from maxplus_sylvester.opcount import semiring_ops
 from maxplus_sylvester.oracle import (
     SIZE_CAP,
     OracleSizeError,
+    kron_max,
     kron_reformulate,
+    max_plus_unit,
     oracle_agrees,
     oracle_solve,
+    two_sided_instance,
+    unvec,
+    vec,
 )
 from maxplus_sylvester.solver import (
     SylvesterInstance,
     solve_sylvester,
+    solve_two_sided_special,
     sylvester_apply,
     sylvester_principal_solution,
 )
@@ -63,7 +68,7 @@ def test_kron_reformulate_scalar():
 def test_kron_reformulate_unit_right_factor_is_block_diagonal():
     rng = np.random.default_rng(30)
     A = rand(rng, 2, 2)
-    inst = SylvesterInstance(A=(A,), B=(M.max_plus_unit(3),), C=rand(rng, 2, 3))
+    inst = SylvesterInstance(A=(A,), B=(max_plus_unit(3),), C=rand(rng, 2, 3))
     K, _ = kron_reformulate(inst)
     for r in range(3):
         for s in range(3):
@@ -104,8 +109,47 @@ def test_oracle_principal_solution_examples():
 
     rng = np.random.default_rng(32)
     C = rand(rng, 3, 2)
-    units = SylvesterInstance(A=(M.max_plus_unit(3),), B=(M.max_plus_unit(2),), C=C)
+    units = SylvesterInstance(A=(max_plus_unit(3),), B=(max_plus_unit(2),), C=C)
     assert oracle_solve(units).principal == C
+
+
+def _outcome(solve, *args):
+    """Principal bytes, cells and residual bits of a solve, or its error text."""
+    try:
+        report = solve(*args)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return report.principal.data.tobytes(), report.cells.tolist(), report.residual_max_abs.hex()
+
+
+def test_two_sided_matches_manual_instance(monkeypatch):
+    # the unit-factor instance the oracle reads is the two-sided solver's bit
+    # reference: the direct form must give the same principal bytes, cells,
+    # residual bits and overflow text, on the corpus's five data kinds with
+    # ±inf mixed in and on both kernels
+    kinds = list(same_bits.KINDS)
+    seen = set()
+    for library in (ckernel.LIBRARY, None):
+        monkeypatch.setattr(ckernel, "LIBRARY", library)
+        rng = np.random.default_rng(25)
+        for trial in range(100):
+            kind = kinds[trial % len(kinds)]
+            m, n = int(rng.integers(1, 41)), int(rng.integers(1, 41))
+            A, B = same_bits.entries(rng, kind, (m, m)), same_bits.entries(rng, kind, (n, n))
+            C = same_bits.entries(rng, kind, (m, n), infinities=trial % 2 == 0)
+            inst = two_sided_instance(A, B, C)
+            assert inst.p == 2 and inst.A[0] is A and inst.B[1] is B and inst.C is C
+            assert inst.A[1] == max_plus_unit(m) and inst.B[0] == max_plus_unit(n)
+            if trial % 2:
+                try:  # the left side at a witness: solvable unless it overflows
+                    C = sylvester_apply(inst.A, inst.B, C)
+                except ValueError:
+                    pass
+                inst = two_sided_instance(A, B, C)
+            special = _outcome(solve_two_sided_special, A, B, C)
+            assert special == _outcome(solve_sylvester, inst), (kind, m, n)
+            seen.add("error" if isinstance(special, str) else "solvable" if not special[1] else "unsolvable")
+    assert seen == {"error", "solvable", "unsolvable"}
 
 
 def test_oracle_solve_examples():

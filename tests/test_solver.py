@@ -12,9 +12,10 @@ from maxplus_sylvester.matrix import (
     POS_INF,
     ShapeError,
     TropicalMatrix,
+    negate,
 )
 from maxplus_sylvester.opcount import semiring_ops
-from maxplus_sylvester.oracle import oracle_solve
+from maxplus_sylvester.oracle import max_plus_unit, oracle_solve
 from maxplus_sylvester.solver import (
     DEFAULT_TOLERANCE,
     EXACT_INTEGER_LIMIT,
@@ -28,7 +29,6 @@ from maxplus_sylvester.solver import (
     solve_two_sided_special,
     sylvester_apply,
     sylvester_principal_solution,
-    two_sided_instance,
 )
 
 M = TropicalMatrix
@@ -62,7 +62,7 @@ def test_solve_linear_examples():
     assert bad != r and bad == solve_linear(M([[0, 0], [0, 0]]), M([[0], [1]]))
 
     b = M([[4], [-1], [7]])
-    r = solve_linear(M.max_plus_unit(3), b)
+    r = solve_linear(max_plus_unit(3), b)
     assert r.solvable and r.principal == b
 
 
@@ -82,8 +82,8 @@ def test_axb_principal_solution_examples():
     assert axb_principal_solution(M([[2]]), M([[3]]), M([[9]])) == M([[4]])
     rng = np.random.default_rng(20)
     C = rand(rng, 3, 2)
-    assert axb_principal_solution(M.max_plus_unit(3), M.max_plus_unit(2), C) == C
-    out = axb_principal_solution(M([[0, 1], [2, 0]]), M.max_plus_unit(2), M([[3, 3], [4, 4]]))
+    assert axb_principal_solution(max_plus_unit(3), max_plus_unit(2), C) == C
+    out = axb_principal_solution(M([[0, 1], [2, 0]]), max_plus_unit(2), M([[3, 3], [4, 4]]))
     assert out == M([[2, 2], [2, 2]])
     # with B the unit matrix this is just the column-wise linear solve
     for j in range(2):
@@ -102,7 +102,7 @@ def test_sylvester_principal_solution_examples():
     assert sylvester_principal_solution(single).tolist() == expect
 
     units = SylvesterInstance(
-        A=(M.max_plus_unit(3),) * 3, B=(M.max_plus_unit(2),) * 3, C=C
+        A=(max_plus_unit(3),) * 3, B=(max_plus_unit(2),) * 3, C=C
     )
     assert sylvester_principal_solution(units) == C
 
@@ -295,17 +295,41 @@ def test_two_sided_special_examples():
     assert r.solvable and r.principal == M([[3]])
 
 
-def test_two_sided_matches_manual_instance():
-    rng = np.random.default_rng(25)
-    for _ in range(50):
-        m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-        A, B, C = rand(rng, m, m, neg=0.2), rand(rng, n, n, neg=0.2), rand(rng, m, n)
-        inst = two_sided_instance(A, B, C)
-        assert inst.p == 2
-        assert inst.A[1] == M.max_plus_unit(m) and inst.B[0] == M.max_plus_unit(n)
-        direct = solve_sylvester(inst)
-        special = solve_two_sided_special(A, B, C)
-        assert special == direct
+@pytest.mark.parametrize("A_shape,B_shape,message", [
+    ((2, 3), (3, 3), "A must be 2x2 to match C (2, 3), got (2, 3)"),
+    ((3, 3), (3, 3), "A must be 2x2 to match C (2, 3), got (3, 3)"),
+    ((2, 2), (3, 2), "B must be 3x3 to match C (2, 3), got (3, 2)"),
+    ((2, 2), (2, 2), "B must be 3x3 to match C (2, 3), got (2, 2)"),
+], ids=["A not square", "A rows differ from C's", "B not square", "B size differs from C's columns"])
+def test_two_sided_shape_errors(A_shape, B_shape, message):
+    with pytest.raises(ShapeError) as caught:
+        solve_two_sided_special(M(np.zeros(A_shape)), M(np.zeros(B_shape)), M(np.zeros((2, 3))))
+    assert str(caught.value) == message
+
+
+def test_two_sided_solve_takes_four_products_and_no_unit(monkeypatch):
+    # X̂ = −(Aᵀ ⊗ (−C) ⊕ (−C) ⊗ Bᵀ) and A ⊗ X̂ ⊕ X̂ ⊗ B: each side is two
+    # products maxed into one running array, so 2·(m²n + mn² + 2mn) ops
+    calls, product = [], solver.max_plus_matmul
+
+    def counting(P, Q, acc=None):
+        calls.append((P, Q, acc is not None))
+        return product(P, Q, acc)
+
+    def is_unit(X):
+        return X.rows == X.cols and X in (max_plus_unit(X.rows), negate(max_plus_unit(X.rows)))
+
+    monkeypatch.setattr(solver, "max_plus_matmul", counting)
+    rng = np.random.default_rng(26)
+    for _ in range(20):
+        m, n = int(rng.integers(2, 8)), int(rng.integers(2, 8))
+        A, B, C = rand(rng, m, m, neg=0.2), rand(rng, n, n, neg=0.2), rand(rng, m, n, neg=0.1)
+        calls.clear()
+        before = semiring_ops.total
+        solve_two_sided_special(A, B, C)
+        assert semiring_ops.total - before == 2 * (m * m * n + m * n * n + 2 * m * n)
+        assert len(calls) == 4 and all(accumulates for _, _, accumulates in calls)
+        assert not any(is_unit(P) or is_unit(Q) for P, Q, _ in calls)
 
 
 def test_instance_validation():

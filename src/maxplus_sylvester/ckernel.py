@@ -15,10 +15,16 @@ library is loaded with ``ctypes`` and links against no Python.
 
 This module is the one handle on the library.  An import builds and loads
 it once and binds its five functions once: ``LIBRARY`` is a
-:class:`Library`, or None when no compiler could build it or the build
-could not be loaded.  :mod:`.matrix`, :mod:`.solver` and
-:mod:`.instance_io` read ``LIBRARY`` on every call, so setting it to None
-runs every product, solver pass, read and write in Python.
+:class:`Library`, or :data:`NUMPY` when no compiler could build it or the
+build could not be loaded.  :class:`Numpy` has the same five methods: its
+product and its two solver passes are the numpy definitions, which serve
+the tests as the bit reference, and its scanner and formatter decline
+every input, so :mod:`.instance_io` reads and writes the text in Python.
+:mod:`.matrix`, :mod:`.solver` and :mod:`.instance_io` make one call on
+``LIBRARY`` on every use and never ask which it is, so setting it to
+``NUMPY`` runs every product, solver pass, read and write in Python.
+Both kernels raise FloatingPointError when a finite sum of a product
+overflows, with no ``np.errstate`` of their caller's.
 """
 
 import ctypes
@@ -161,6 +167,73 @@ class Library:
         return None if size < 0 else str(buf[:size], "ascii")
 
 
+class Numpy:
+    """The numpy twins of :class:`Library`'s five methods, with the same signatures.
+
+    The product takes blocks of rows of P, forms every sum
+    ``P[i, l] + Q[l, j]`` of a block in one reused buffer of at most
+    ``block`` entries and reduces over l with ``fmax``, which ignores a NaN
+    operand, so NaN acts as the identity; a cell is still NaN at the end
+    only when every sum of its row and column was ``-inf + +inf``, and one
+    final pass sets those cells to ``-inf``.  Its one shape rule is
+    orientation: when m > n > 1 it builds ``(Qᵀ ⊗ Pᵀ)ᵀ``, since each
+    reduction step runs along an output row and short rows make it slow.
+    In accumulate mode it forms the product and maxes it into ``acc``.  It
+    gives the C loop's bits, whatever its blocking and orientation, as each
+    cell is the max of the same two-term sums and no ``-0.0`` ever reaches
+    a kernel.
+    """
+
+    # entries in one block of sums, 512 KiB of float64
+    block = 1 << 16
+
+    def product(self, p: np.ndarray, q: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
+        """As :meth:`Library.product`; ``acc`` is not checked here, as no foreign code writes it."""
+        out = dst = np.empty((p.shape[0], q.shape[1]))
+        if p.shape[0] > q.shape[1] > 1:
+            p, q, dst = q.T, np.ascontiguousarray(p.T), out.T  # (Qᵀ ⊗ Pᵀ)ᵀ
+        m, k = p.shape
+        n = q.shape[1]
+        rows = max(1, self.block // (k * n))
+        # one buffer for all blocks: a fresh 512 KiB array per block costs
+        # more in page faults than a small product costs in arithmetic
+        buf = np.empty((min(rows, m), k, n))
+        with np.errstate(invalid="ignore", over="raise"):  # -inf + +inf is NaN; overflow raises
+            for i in range(0, m, rows):
+                s = buf[:min(rows, m - i)]
+                np.add(p[i:i + rows, :, None], q, out=s)  # s[r, l, j] = p[i+r, l] + q[l, j]
+                dst[i:i + rows] = np.fmax.reduce(s, axis=1)  # reducing with out= into a strided out.T is 2x slower
+        out[np.isnan(out)] = -np.inf
+        if acc is None:
+            return out
+        return np.maximum(acc, out, out=acc)
+
+    def finite_scale(self, values: np.ndarray) -> tuple[float, bool]:
+        """As :meth:`Library.finite_scale`."""
+        finite = values[np.isfinite(values)]
+        return float(np.abs(finite).max(initial=0.0)), bool((finite == np.floor(finite)).all())
+
+    def mismatches(self, left: np.ndarray, right: np.ndarray, eps: float) -> tuple[np.ndarray, float]:
+        """As :meth:`Library.mismatches`."""
+        # equal infinities give a NaN diff but match as left == right; differing
+        # infinity states and a miss wider than float64 give a diff of +inf
+        with np.errstate(invalid="ignore", over="ignore"):
+            diff = np.abs(left - right)
+        bad = ~((left == right) | (diff <= eps))
+        return np.argwhere(bad), float(diff[bad].max(initial=0.0))
+
+    def scan(self, data: bytes):
+        """None: every text is read by :func:`.instance_io.parse_matrix`'s Python grammar."""
+        return None
+
+    def write(self, values: np.ndarray):
+        """None: every matrix is written by :func:`.instance_io.format_scalar`."""
+        return None
+
+
+NUMPY = Numpy()
+
+
 def load(compiler: str = "gcc"):
     """The :class:`Library` built with ``compiler``, or None when it cannot build or load it."""
     try:
@@ -169,4 +242,4 @@ def load(compiler: str = "gcc"):
         return None
 
 
-LIBRARY = load()
+LIBRARY = load() or NUMPY

@@ -2,9 +2,10 @@
 
 Exit codes are a stable contract: 0 = solvable, 1 = unsolvable,
 2 = an error: usage, parse or shape errors, a float64 overflow the
-kernels refuse, or an ``--oracle`` check that disagrees with the fast
-path.  All output is newline-terminated; benchmark CSV goes to stdout
-and skip notes to stderr so the CSV stays machine-parseable.
+kernels refuse, an allocation that fails, or an ``--oracle`` check that
+disagrees with the fast path.  All output is newline-terminated;
+benchmark CSV goes to stdout and skip notes to stderr so the CSV stays
+machine-parseable.
 """
 
 import argparse
@@ -230,8 +231,8 @@ def main(argv=None) -> int:
         if args.command == "generate":
             return _cmd_generate(args)
         return _cmd_bench(args)
-    except (ValueError, OSError) as exc:  # covers parse, shape, config and file errors
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:  # parse, shape, config, file and allocation errors
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_ERROR
 
 

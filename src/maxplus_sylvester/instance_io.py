@@ -25,8 +25,9 @@ message.  The C formatter writes a matrix of integers below 2**53 and
 infinities; any other matrix goes whole to :func:`format_scalar`.
 Decimals stay in Python because ``strtod`` follows ``LC_NUMERIC`` and libc
 has no shortest round-trip form like ``repr``.  So both paths give the
-same matrices, errors and bytes.  When the handle is None, as it is
-without a C compiler, the Python code runs alone.
+same matrices, errors and bytes.  When the handle is ``ckernel.NUMPY``,
+as it is without a C compiler, its scanner and formatter decline every
+input, so the Python code runs alone.
 
 Random instances come from a PCG64 stream (numpy's Generator) seeded
 with the 64-bit config seed.  The draw order is fixed: for each term k,
@@ -98,9 +99,8 @@ def parse_matrix(text: str) -> TropicalMatrix:
     text, and every malformed one, is read by the Python code below, which
     defines the grammar and the error messages.
     """
-    library = ckernel.LIBRARY
-    if library is not None and text.isascii():
-        values = library.scan(text.encode())
+    if text.isascii():
+        values = ckernel.LIBRARY.scan(text.encode())
         if values is not None:
             return TropicalMatrix(values)
     header = None
@@ -146,11 +146,9 @@ def format_matrix(M: TropicalMatrix) -> str:
     A matrix of integers below 2**53 in magnitude and infinities is written
     in C; any other goes to :func:`format_scalar` whole, with the same bytes.
     """
-    library = ckernel.LIBRARY
-    if library is not None:
-        text = library.write(M.data)
-        if text is not None:
-            return text
+    text = ckernel.LIBRARY.write(M.data)
+    if text is not None:
+        return text
     lines = [f"{M.rows} {M.cols}"]
     for row in M.tolist():
         lines.append(" ".join(format_scalar(v) for v in row))

@@ -15,9 +15,9 @@ The one kernel with a loop of its own is :func:`max_plus_matmul`; the
 rest of the module is the matrix type and the data movers :func:`negate`
 and :func:`transpose`.  The Kronecker product and the column stacking
 that only the brute-force check needs live in :mod:`.oracle`.  The kernel
-runs the compiled C loop of ``maxplus_product.c`` through the handle
-``ckernel.LIBRARY``, and the numpy kernel :func:`_product` when that
-handle is None, as it is when no C compiler could build the library; the
+is ``ckernel.LIBRARY.product``: the compiled C loop of
+``maxplus_product.c``, or the numpy kernel ``ckernel.NUMPY.product`` when
+no C compiler could build the library (see :class:`.ckernel.Numpy`); the
 numpy kernel also serves the tests as the bit reference.  The C loop starts
 each cell at ``-inf`` and takes a sum ``s`` only when ``s > cell``.  The
 NaN of ``-inf + +inf`` loses every IEEE comparison, so the mixed-infinity
@@ -25,21 +25,9 @@ rule holds with no patch pass; an overflowing sum raises the FPU's
 overflow flag, which the loop tests once at the end.  In accumulate mode
 (the ``acc`` argument) the C loop starts each cell at the caller's running
 value instead, so ``acc ⊕ (P ⊗ Q)`` takes no second pass and no second
-array; the numpy kernel forms the product and maxes it into ``acc``.  The
-library has no entrywise ⊕ of its own: the solvers fold each term into a
-running array this way, and the oracle maxes its Kronecker terms into K
-with ``np.maximum``.
-
-The numpy kernel takes blocks of rows of P, forms every sum
-``P[i, l] + Q[l, j]`` of a block in one reused buffer and reduces over l
-with ``fmax``, which ignores a NaN operand, so NaN acts as the identity;
-a cell is still NaN at the end only when every sum of its row and column
-was ``-inf + +inf``, and one final pass sets those cells to ``-inf``.
-Its one shape rule is orientation: when m > n > 1 it builds
-``(Qᵀ ⊗ Pᵀ)ᵀ``, since each reduction step runs along an output row and
-short rows make it slow.  Both kernels give the same bits, whatever
-their blocking and orientation, as each cell is the max of the same
-two-term sums and no ``-0.0`` ever reaches a kernel.
+array.  The library has no entrywise ⊕ of its own: the solvers fold each
+term into a running array this way, and the oracle maxes its Kronecker
+terms into K with ``np.maximum``.
 
 A sum of finite entries that overflows float64 would read as an
 infinity state; the kernels refuse it with a ValueError instead.
@@ -58,10 +46,6 @@ POS_INF = float("inf")
 
 class ShapeError(ValueError):
     """Operand shapes do not fit the requested operation."""
-
-
-# entries in one block of sums, 512 KiB of float64
-_BLOCK = 1 << 16
 
 
 def _check_shape(shape) -> None:
@@ -119,15 +103,6 @@ class TropicalMatrix:
         return f"TropicalMatrix({self.tolist()!r})"
 
 
-def _guarded(what: str, compute) -> np.ndarray:
-    """The array ``compute()`` returns; a finite sum that overflows raises a ValueError naming ``what``."""
-    try:
-        with np.errstate(invalid="ignore", over="raise"):
-            return compute()
-    except FloatingPointError:
-        raise ValueError(f"{what} overflows float64: a finite sum exceeds the largest double") from None
-
-
 def max_plus_matmul(P: TropicalMatrix, Q: TropicalMatrix, acc: np.ndarray | None = None):
     """out[i, j] = max_l (P[i, l] + Q[l, j]).
 
@@ -141,41 +116,20 @@ def max_plus_matmul(P: TropicalMatrix, Q: TropicalMatrix, acc: np.ndarray | None
         raise ShapeError(f"cannot multiply {P.shape} by {Q.shape}: inner dimensions differ")
     m, k = P.shape
     n = Q.cols
-    what = f"max-plus product of {P.shape} by {Q.shape}"
-    library = ckernel.LIBRARY
+    if acc is not None:
+        if acc.shape != (m, n):
+            raise ShapeError(f"cannot accumulate a {m}x{n} product into an array of shape {acc.shape}")
+        if not (acc.dtype == np.float64 and acc.flags.c_contiguous and acc.flags.writeable):
+            raise ValueError("the running array must be writeable, C-contiguous and float64")
+    try:
+        out = ckernel.LIBRARY.product(P.data, Q.data, acc)
+    except FloatingPointError:
+        raise ValueError(f"max-plus product of {P.shape} by {Q.shape} overflows float64: "
+                         "a finite sum exceeds the largest double") from None
     if acc is None:
-        kernel = _product if library is None else library.product
-        out = _guarded(what, lambda: kernel(P.data, Q.data))
         semiring_ops.add(m * n * k)
         return TropicalMatrix._wrap(out)
-    if acc.shape != (m, n):
-        raise ShapeError(f"cannot accumulate a {m}x{n} product into an array of shape {acc.shape}")
-    if not (acc.dtype == np.float64 and acc.flags.c_contiguous and acc.flags.writeable):
-        raise ValueError("the running array must be writeable, C-contiguous and float64")
-    if library is None:
-        np.maximum(acc, _guarded(what, lambda: _product(P.data, Q.data)), out=acc)
-    else:
-        _guarded(what, lambda: library.product(P.data, Q.data, acc))
     semiring_ops.add(m * n * (k + 1))
-
-
-def _product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The numpy kernel; under ``np.errstate(over="raise")`` an overflowing sum raises."""
-    out = dst = np.empty((p.shape[0], q.shape[1]))
-    if p.shape[0] > q.shape[1] > 1:
-        p, q, dst = q.T, np.ascontiguousarray(p.T), out.T  # (Qᵀ ⊗ Pᵀ)ᵀ
-    m, k = p.shape
-    n = q.shape[1]
-    rows = max(1, _BLOCK // (k * n))
-    # one buffer for all blocks: a fresh 512 KiB array per block costs
-    # more in page faults than a small product costs in arithmetic
-    buf = np.empty((min(rows, m), k, n))
-    for i in range(0, m, rows):
-        s = buf[:min(rows, m - i)]
-        np.add(p[i:i + rows, :, None], q, out=s)  # s[r, l, j] = p[i+r, l] + q[l, j]
-        dst[i:i + rows] = np.fmax.reduce(s, axis=1)  # reducing with out= into a strided out.T is 2x slower
-    out[np.isnan(out)] = NEG_INF
-    return out
 
 
 def negate(A: TropicalMatrix) -> TropicalMatrix:

@@ -19,7 +19,6 @@ from .matrix import (
     NEG_INF,
     ShapeError,
     TropicalMatrix,
-    _guarded,
     max_plus_matmul,
     transpose,
 )
@@ -67,8 +66,12 @@ def kron_max(M: TropicalMatrix, N: TropicalMatrix) -> TropicalMatrix:
     """Max-plus Kronecker product: block (i, j) is M[i, j] ⊗ N."""
     a, b = M.shape
     c, d = N.shape
-    s = _guarded(f"max-plus Kronecker product of {M.shape} and {N.shape}",
-                 lambda: M.data[:, None, :, None] + N.data[None, :, None, :])
+    try:
+        with np.errstate(invalid="ignore", over="raise"):  # -inf + +inf is NaN; overflow raises
+            s = M.data[:, None, :, None] + N.data[None, :, None, :]
+    except FloatingPointError:
+        raise ValueError(f"max-plus Kronecker product of {M.shape} and {N.shape} overflows float64: "
+                         "a finite sum exceeds the largest double") from None
     s[np.isnan(s)] = NEG_INF  # -inf + +inf
     semiring_ops.add(a * c * b * d)
     return TropicalMatrix._wrap(s.reshape(a * c, b * d))

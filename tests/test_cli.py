@@ -279,6 +279,22 @@ def test_generate_unwritable_destination(tmp_path, capsys):
     assert capsys.readouterr().err.strip()
 
 
+@pytest.mark.parametrize("command,name", [("solve", "load_matrix"), ("generate", "generate_instance"),
+                                          ("bench", "run_grid")])
+def test_an_allocation_failure_exits_2_not_1(command, name, scalar_two_term, tmp_path, capsys, monkeypatch):
+    # exit 1 would read as "unsolvable"; the raise stands in for an instance
+    # too large for the address space, so the test allocates nothing large
+    def allocation_fails(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, name, allocation_fails)
+    argv = {"solve": solve_args(scalar_two_term),
+            "generate": ["generate", "--m", "2", "--n", "2", "--p", "1", "--out", str(tmp_path / "inst")],
+            "bench": ["bench", "--m", "2", "--n", "2", "--p", "1"]}[command]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: MemoryError\n")
+
+
 def test_bench_csv_and_skip_notes(capsys):
     code = main(["bench", "--m", "2,65", "--n", "64", "--p", "1", "--reps", "3"])
     captured = capsys.readouterr()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import bruteforce as bf
-from maxplus_sylvester import ckernel, matrix
+from maxplus_sylvester import ckernel
 from maxplus_sylvester.matrix import (
     NEG_INF,
     POS_INF,
@@ -33,7 +33,7 @@ def kernel(request, monkeypatch):
     gcc exists (see test_compiled_kernel_is_live_when_a_compiler_exists),
     or "numpy", the fallback and bit reference, with no library at all."""
     if request.param == "numpy":
-        monkeypatch.setattr(ckernel, "LIBRARY", None)
+        monkeypatch.setattr(ckernel, "LIBRARY", ckernel.NUMPY)
     return request.param
 
 
@@ -138,8 +138,21 @@ def test_kernels_refuse_overflowing_sums():
 
 
 def test_numpy_kernel_refuses_overflowing_sums(monkeypatch):
-    monkeypatch.setattr(ckernel, "LIBRARY", None)
+    monkeypatch.setattr(ckernel, "LIBRARY", ckernel.NUMPY)
     test_kernels_refuse_overflowing_sums()
+
+
+def test_both_kernels_raise_on_overflow_with_no_caller_errstate():
+    # the kernels' own contract, which max_plus_matmul relies on: a
+    # FloatingPointError in plain and in accumulate mode, and -inf for an
+    # all -inf + +inf cell with no warning (an error under pytest's filter)
+    P, Q = np.array([[1e308, NEG_INF]]), np.array([[1e308], [POS_INF]])
+    for kernel in (ckernel.LIBRARY, ckernel.NUMPY):
+        with pytest.raises(FloatingPointError):
+            kernel.product(P, Q)
+        with pytest.raises(FloatingPointError):
+            kernel.product(P, Q, np.zeros((1, 1)))
+        assert kernel.product(P[:, 1:], Q[1:]).tolist() == [[NEG_INF]]
 
 
 def test_matmul_shape_error_names_both_shapes():
@@ -411,7 +424,7 @@ def test_matmul_peak_memory_is_bounded(m, k, n, kernel):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * (m * n + max(m * k, k * n) + matrix._BLOCK) + 2**17
+    assert peak <= 8 * (m * n + max(m * k, k * n) + ckernel.NUMPY.block) + 2**17
 
 
 _ENTRIES = st.one_of(
@@ -443,9 +456,9 @@ def test_matmul_property_matches_bruteforce(operands, small_block):
     # a tiny block makes the same shapes cross the numpy kernel's block
     # edges, end in partial blocks and clamp to one row per block; it runs
     # first, so no output can find a correct result left in recycled memory
-    for block in (small_block, matrix._BLOCK):
+    for block in (small_block, ckernel.NUMPY.block):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(matrix, "_BLOCK", block)
+            mp.setattr(ckernel.NUMPY, "block", block)
             if want is None:
                 with pytest.raises(ValueError, match="overflows float64"):
                     max_plus_matmul(P, Q)
@@ -454,22 +467,21 @@ def test_matmul_property_matches_bruteforce(operands, small_block):
 
 
 def test_numpy_kernel_property_matches_bruteforce(monkeypatch):
-    monkeypatch.setattr(ckernel, "LIBRARY", None)
+    monkeypatch.setattr(ckernel, "LIBRARY", ckernel.NUMPY)
     test_matmul_property_matches_bruteforce()
 
 
 def test_compiled_kernel_is_live_when_a_compiler_exists():
     # a broken build would otherwise pass every test on the slower numpy kernel
-    assert (ckernel.LIBRARY is None) == (shutil.which("gcc") is None)
+    assert (ckernel.LIBRARY is ckernel.NUMPY) == (shutil.which("gcc") is None)
 
 
 def test_loader_without_a_compiler_returns_the_numpy_kernel(tmp_path, monkeypatch):
     assert ckernel.load(str(tmp_path / "no-such-gcc")) is None
-    monkeypatch.setattr(ckernel, "LIBRARY", None)
+    monkeypatch.setattr(ckernel, "LIBRARY", ckernel.NUMPY)
     rng = np.random.default_rng(16)
     P, Q = rand(rng, 20, 30, 0.2, 0.1), rand(rng, 30, 17, 0.2, 0.1)
-    with np.errstate(invalid="ignore"):  # -inf + +inf sums
-        want = matrix._product(P.data, Q.data)
+    want = ckernel.NUMPY.product(P.data, Q.data)
     _assert_same_bits(max_plus_matmul(P, Q), want)
 
 

@@ -1,7 +1,8 @@
 """Build, cache, load and bind the package's compiled library.
 
 The library holds three C sources: ``maxplus_product.c``, the max-plus
-product that :mod:`.matrix` calls; ``solver_passes.c``, the tolerance pass
+product that :mod:`.matrix` calls and the max-plus Kronecker product that
+:mod:`.oracle` builds its system with; ``solver_passes.c``, the tolerance pass
 and the mismatch scan that :mod:`.solver` calls; and ``matrix_text.c``,
 the matrix text scanner and formatter that :mod:`.instance_io` calls.  The
 first import on a machine runs the C compiler once on all three and writes
@@ -14,17 +15,18 @@ that import at the same time each see a whole library or none.  The
 library is loaded with ``ctypes`` and links against no Python.
 
 This module is the one handle on the library.  An import builds and loads
-it once and binds its five functions once: ``LIBRARY`` is a
+it once and binds its six functions once: ``LIBRARY`` is a
 :class:`Library`, or :data:`NUMPY` when no compiler could build it or the
-build could not be loaded.  :class:`Numpy` has the same five methods: its
-product and its two solver passes are the numpy definitions, which serve
-the tests as the bit reference, and its scanner and formatter decline
-every input, so :mod:`.instance_io` reads and writes the text in Python.
-:mod:`.matrix`, :mod:`.solver` and :mod:`.instance_io` make one call on
-``LIBRARY`` on every use and never ask which it is, so setting it to
-``NUMPY`` runs every product, solver pass, read and write in Python.
-Both kernels raise FloatingPointError when a finite sum of a product
-overflows, with no ``np.errstate`` of their caller's.
+build could not be loaded.  :class:`Numpy` has the same six methods: its
+two products and its two solver passes are the numpy definitions, which
+serve the tests as the bit reference, and its scanner and formatter
+decline every input, so :mod:`.instance_io` reads and writes the text in
+Python.  :mod:`.matrix`, :mod:`.oracle`, :mod:`.solver` and
+:mod:`.instance_io` make one call on ``LIBRARY`` on every use and never
+ask which it is, so setting it to ``NUMPY`` runs every product, solver
+pass, read and write in Python.  Both kernels raise FloatingPointError
+when a finite sum of either product overflows, with no ``np.errstate`` of
+their caller's.
 """
 
 import ctypes
@@ -76,13 +78,25 @@ def _library(compiler: str) -> Path:
     return path
 
 
+def _output(shape: tuple[int, int], acc: np.ndarray | None) -> np.ndarray:
+    """A fresh float64 array of ``shape``, or ``acc`` when it is one the C loops may write in place."""
+    if acc is None:
+        return np.empty(shape)
+    if acc.shape == shape and acc.dtype == np.float64 and acc.flags.c_contiguous and acc.flags.writeable:
+        return acc
+    raise ValueError(f"acc must be a writeable C-contiguous float64 {shape[0]}x{shape[1]} array")
+
+
 class Library:
-    """The five functions of one loaded build, with their argument types declared."""
+    """The six functions of one loaded build, with their argument types declared."""
 
     def __init__(self, cdll: ctypes.CDLL):
         self._product = cdll.maxplus_product
         self._product.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_ssize_t] * 3 + [ctypes.c_int]
         self._product.restype = ctypes.c_int
+        self._kron = cdll.maxplus_kron
+        self._kron.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_ssize_t] * 4 + [ctypes.c_int]
+        self._kron.restype = ctypes.c_int
         self._scale = cdll.finite_scale
         self._scale.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t, ctypes.POINTER(ctypes.c_double)]
         self._scale.restype = ctypes.c_int
@@ -112,15 +126,24 @@ class Library:
         (m, k), n = p.shape, q.shape[1]
         if q.shape[0] != k:
             raise ValueError(f"inner dimensions differ: {p.shape} by {q.shape}")
-        if acc is None:
-            out = np.empty((m, n))
-        elif (acc.shape == (m, n) and acc.dtype == np.float64 and acc.flags.c_contiguous
-              and acc.flags.writeable):
-            out = acc
-        else:
-            raise ValueError(f"acc must be a writeable C-contiguous float64 {m}x{n} array")
+        out = _output((m, n), acc)
         if self._product(p.ctypes.data, q.ctypes.data, out.ctypes.data, m, k, n, acc is not None):
             raise FloatingPointError("overflow encountered in max-plus product")
+        return out
+
+    def kron(self, m: np.ndarray, n: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
+        """The max-plus Kronecker product of float64 arrays a×b and c×d, or ``acc`` ⊕ it in ``acc``.
+
+        Cell ``(i·c + r, j·d + s)`` of the (a·c)×(b·d) result is
+        ``m[i, j] + n[r, s]``, or ``-inf`` for ``-inf + +inf``.  ``acc`` is
+        as for :meth:`product`, and so is the FloatingPointError.
+        """
+        m = np.ascontiguousarray(m, dtype=np.float64)
+        n = np.ascontiguousarray(n, dtype=np.float64)
+        (a, b), (c, d) = m.shape, n.shape
+        out = _output((a * c, b * d), acc)
+        if self._kron(m.ctypes.data, n.ctypes.data, out.ctypes.data, a, b, c, d, acc is not None):
+            raise FloatingPointError("overflow encountered in max-plus Kronecker product")
         return out
 
     def finite_scale(self, values: np.ndarray) -> tuple[float, bool]:
@@ -168,20 +191,22 @@ class Library:
 
 
 class Numpy:
-    """The numpy twins of :class:`Library`'s five methods, with the same signatures.
+    """The numpy twins of :class:`Library`'s six methods, with the same signatures.
 
     The product takes blocks of rows of P, forms every sum
-    ``P[i, l] + Q[l, j]`` of a block in one reused buffer of at most
-    ``block`` entries and reduces over l with ``fmax``, which ignores a NaN
-    operand, so NaN acts as the identity; a cell is still NaN at the end
-    only when every sum of its row and column was ``-inf + +inf``, and one
-    final pass sets those cells to ``-inf``.  Its one shape rule is
-    orientation: when m > n > 1 it builds ``(Qᵀ ⊗ Pᵀ)ᵀ``, since each
-    reduction step runs along an output row and short rows make it slow.
-    In accumulate mode it forms the product and maxes it into ``acc``.  It
-    gives the C loop's bits, whatever its blocking and orientation, as each
-    cell is the max of the same two-term sums and no ``-0.0`` ever reaches
-    a kernel.
+    ``P[i, l] + Q[l, j]`` of a block in one reused buffer and reduces over
+    l with ``fmax``.  A block holds as many rows as fit in ``block``
+    entries, and at least one: when one row's k·n sums are more than
+    ``block``, they are formed at once, so a 1×N by N×N product holds N²
+    sums.  ``fmax`` ignores a NaN operand, so NaN acts as the identity; a
+    cell is still NaN at the end only when every sum of its row and column
+    was ``-inf + +inf``, and one final pass sets those cells to ``-inf``.
+    The product's one shape rule is orientation: when m > n > 1 it builds
+    ``(Qᵀ ⊗ Pᵀ)ᵀ``, since each reduction step runs along an output row and
+    short rows make it slow.  In accumulate mode it forms the product and
+    maxes it into ``acc``.  It gives the C loop's bits, whatever its
+    blocking and orientation, as each cell is the max of the same two-term
+    sums and no ``-0.0`` ever reaches a kernel.
     """
 
     # entries in one block of sums, 512 KiB of float64
@@ -207,6 +232,17 @@ class Numpy:
         if acc is None:
             return out
         return np.maximum(acc, out, out=acc)
+
+    def kron(self, m: np.ndarray, n: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
+        """As :meth:`Library.kron`: every sum at once, then one pass that sets NaN cells to ``-inf``."""
+        (a, b), (c, d) = m.shape, n.shape
+        with np.errstate(invalid="ignore", over="raise"):  # -inf + +inf is NaN; overflow raises
+            s = m[:, None, :, None] + n[None, :, None, :]
+        s[np.isnan(s)] = -np.inf
+        s = s.reshape(a * c, b * d)
+        if acc is None:
+            return s
+        return np.maximum(acc, s, out=acc)
 
     def finite_scale(self, values: np.ndarray) -> tuple[float, bool]:
         """As :meth:`Library.finite_scale`."""

@@ -26,8 +26,8 @@ overflow flag, which the loop tests once at the end.  In accumulate mode
 (the ``acc`` argument) the C loop starts each cell at the caller's running
 value instead, so ``acc ⊕ (P ⊗ Q)`` takes no second pass and no second
 array.  The library has no entrywise ⊕ of its own: the solvers fold each
-term into a running array this way, and the oracle maxes its Kronecker
-terms into K with ``np.maximum``.
+term into a running array this way, and the oracle maxes each Kronecker
+term into K in the same accumulate mode of ``ckernel.LIBRARY.kron``.
 
 A sum of finite entries that overflows float64 would read as an
 infinity state; the kernels refuse it with a ValueError instead.

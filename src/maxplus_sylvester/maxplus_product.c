@@ -1,6 +1,8 @@
 /* The compiled max-plus product: out = p ⊗ q for row-major float64 arrays,
  * out[i, j] = max_l (p[i, l] + q[l, j]), or in accumulate mode
- * out = out ⊕ (p ⊗ q).  ckernel.py builds and binds it.
+ * out = out ⊕ (p ⊗ q); and the max-plus Kronecker product the oracle
+ * builds its system from, under the same rules.  ckernel.py builds and
+ * binds both.
  *
  * Each cell starts at -inf, or at its own value in accumulate mode, and
  * takes a sum s only when s > cell.  A NaN sum, which only -inf + +inf
@@ -19,9 +21,10 @@
  * about 78 KiB: the pass's slice of the last rows of p and of the last
  * columns of q, and the block of out, whose real cells alone are copied
  * back.  A padded sum is -inf or NaN, which never raises FE_OVERFLOW, and
- * each real cell still takes exactly its own sums.  Fewer than 6 rows cost
- * up to 6 times the work; the solvers form such products only when C has
- * fewer than 6 rows, as n == 1 takes the lanes below.
+ * each real cell still takes exactly its own sums.  Products of 2 to 5
+ * rows cost up to 6 times the work; the solvers form such products only
+ * when C has fewer than 6 rows.  A single row or a single column never
+ * reaches the tile: m == 1 and n == 1 take the loops below.
  */
 #include <fenv.h>
 #include <math.h>
@@ -50,6 +53,21 @@ static void matvec(const double *p, const double *q, double *out, ptrdiff_t m, p
         for (; l < k; l++) o = mp_max(row[l] + q[l], o);
         for (int t = 0; t < LANES; t++) o = mp_max(acc[t], o);
         out[i] = o;
+    }
+}
+
+/* m == 1: out's one row takes p[l] + q[l, :] for each l in turn, so q is
+ * read by rows, and its n chains of maxima, one per column, run side by
+ * side.  out is a fresh array or the caller's running one, never q, and
+ * restrict lets gcc vectorise without a runtime overlap check. */
+static void vecmat(const double *p, const double *restrict q, double *restrict out, ptrdiff_t k,
+                   ptrdiff_t n, int accumulate)
+{
+    if (!accumulate)
+        for (ptrdiff_t j = 0; j < n; j++) out[j] = -INFINITY;
+    for (ptrdiff_t l = 0; l < k; l++) {
+        const double a = p[l], *row = q + l * n;
+        for (ptrdiff_t j = 0; j < n; j++) out[j] = mp_max(a + row[j], out[j]);
     }
 }
 
@@ -94,6 +112,10 @@ int maxplus_product(const double *p, const double *q, double *out, ptrdiff_t m, 
         matvec(p, q, out, m, k, accumulate);
         return fetestexcept(FE_OVERFLOW) != 0;
     }
+    if (m == 1) {
+        vecmat(p, q, out, k, n, accumulate);
+        return fetestexcept(FE_OVERFLOW) != 0;
+    }
     double pp[WR * KB], qq[KB * WJ], oo[WR * WJ]; /* padded edges of p, q and out */
     if (!accumulate)
         for (ptrdiff_t c = 0; c < m * n; c++) out[c] = -INFINITY;
@@ -117,5 +139,26 @@ int maxplus_product(const double *p, const double *q, double *out, ptrdiff_t m, 
                 }
             }
     }
+    return fetestexcept(FE_OVERFLOW) != 0;
+}
+
+/* kron = mm ⊗ nn, the max-plus Kronecker product of the a×b mm and the
+ * c×d nn: kron[i·c + r, j·d + s] = mm[i, j] + nn[r, s], an (a·c)×(b·d)
+ * row-major array.  With accumulate set, each sum is maxed into kron's own
+ * value instead of -inf.  A cell takes its sum as the product's cells do:
+ * only when the sum is greater, so a NaN sum leaves -inf.  Returns 1 when
+ * a finite sum overflowed, else 0; kron is then partly updated. */
+int maxplus_kron(const double *mm, const double *nn, double *kron, ptrdiff_t a, ptrdiff_t b,
+                 ptrdiff_t c, ptrdiff_t d, int accumulate)
+{
+    feclearexcept(FE_OVERFLOW);
+    for (ptrdiff_t i = 0; i < a; i++)
+        for (ptrdiff_t r = 0; r < c; r++)
+            for (ptrdiff_t j = 0; j < b; j++) {
+                const double x = mm[i * b + j], *row = nn + r * d;
+                double *cell = kron + ((i * c + r) * b + j) * d;
+                for (ptrdiff_t s = 0; s < d; s++)
+                    cell[s] = mp_max(x + row[s], accumulate ? cell[s] : -INFINITY);
+            }
     return fetestexcept(FE_OVERFLOW) != 0;
 }

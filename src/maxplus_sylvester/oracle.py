@@ -6,20 +6,27 @@ Any p-term instance collapses into one max-plus linear system
 O(p·m²n²) time and (mn)² memory, so this path exists to validate the
 fast solver and to anchor the benchmark's complexity separation, not for
 production solving; instances with mn above ``SIZE_CAP`` (a 128 MB K)
-are refused before K is allocated.  The fast solvers need none of the
-helpers of this step, so they live here: :func:`kron_max`, :func:`vec`,
-:func:`unvec`, and :func:`two_sided_instance`, which writes the
-two-sided form with unit factors.
+are refused before K is allocated.  K is the one array of that size: the
+first term is built in it and every later term is maxed into it by
+``ckernel.LIBRARY.kron``, and the principal reads it by rows, so no
+transpose of K is ever made.  With the compiled library a solve's peak
+memory is one K; with ``ckernel.NUMPY`` a term in the making and the
+principal's row of sums each take one more.  The fast solvers need none
+of the helpers of this step, so they live here: :func:`kron_max`,
+:func:`vec`, :func:`unvec`, and :func:`two_sided_instance`, which writes
+the two-sided form with unit factors.
 """
 
 import numpy as np
 
+from . import ckernel
 from . import solver  # the scan is called as solver.matrix_mismatches, the name the benchmark tracer patches
 from .matrix import (
     NEG_INF,
     ShapeError,
     TropicalMatrix,
     max_plus_matmul,
+    negate,
     transpose,
 )
 from .opcount import semiring_ops
@@ -28,7 +35,6 @@ from .solver import (
     SylvesterInstance,
     _report,
     effective_tolerance,
-    linear_principal_solution,
 )
 
 SIZE_CAP = 4096
@@ -62,41 +68,57 @@ def unvec(v: TropicalMatrix, rows: int, cols: int) -> TropicalMatrix:
     return TropicalMatrix._wrap(np.ascontiguousarray(v.data.reshape(cols, rows).T))
 
 
-def kron_max(M: TropicalMatrix, N: TropicalMatrix) -> TropicalMatrix:
-    """Max-plus Kronecker product: block (i, j) is M[i, j] ⊗ N."""
+def kron_max(M: TropicalMatrix, N: TropicalMatrix, acc: np.ndarray | None = None):
+    """Max-plus Kronecker product: block (i, j) is M[i, j] ⊗ N.
+
+    With ``acc``, a writeable C-contiguous float64 array of the product's
+    shape that the caller owns, the product is maxed into ``acc`` in place
+    and None is returned.  Either way it counts one op per cell of the
+    product.  When a finite sum overflows, the ValueError leaves ``acc``
+    partly updated.
+    """
     a, b = M.shape
     c, d = N.shape
     try:
-        with np.errstate(invalid="ignore", over="raise"):  # -inf + +inf is NaN; overflow raises
-            s = M.data[:, None, :, None] + N.data[None, :, None, :]
+        out = ckernel.LIBRARY.kron(M.data, N.data, acc)
     except FloatingPointError:
         raise ValueError(f"max-plus Kronecker product of {M.shape} and {N.shape} overflows float64: "
                          "a finite sum exceeds the largest double") from None
-    s[np.isnan(s)] = NEG_INF  # -inf + +inf
     semiring_ops.add(a * c * b * d)
-    return TropicalMatrix._wrap(s.reshape(a * c, b * d))
+    if acc is None:
+        return TropicalMatrix._wrap(out)
 
 
 def kron_reformulate(inst: SylvesterInstance):
     """Return (K, c) with K = ⊕_k kron_max(transpose(B_k), A_k), c = vec(C).
 
     K is one buffer: the first term's own array, into which each later term
-    is maxed.  Each term's ⊕ counts one op per cell, as if K started at the
-    max-plus zero.
+    is maxed by :func:`kron_max` itself.  Each term's ⊕ counts one op per
+    cell, as if K started at the max-plus zero.
     """
     cells = inst.m * inst.n
     if cells > SIZE_CAP:
         raise OracleSizeError(f"oracle refuses mn={cells} (> cap {SIZE_CAP})")
     K = None
     for A_k, B_k in zip(inst.A, inst.B):
-        # no name holds a term past its max, so one term at a time is alive
         if K is None:
             K = kron_max(transpose(B_k), A_k).data
             K.flags.writeable = True  # kron_max made it for this call alone
         else:
-            np.maximum(K, kron_max(transpose(B_k), A_k).data, out=K)
+            kron_max(transpose(B_k), A_k, K)
         semiring_ops.add(cells * cells)
     return TropicalMatrix._wrap(K), vec(inst.C)
+
+
+def linear_principal_solution(K: TropicalMatrix, c: TropicalMatrix) -> TropicalMatrix:
+    """Greatest x with K ⊗ x ≤ c, as −((−c)ᵀ ⊗ K)ᵀ.
+
+    :func:`.solver.linear_principal_solution` forms −(Kᵀ ⊗ (−c)), whose
+    sums are these with their two operands swapped, so the bits are the
+    same; this form reads K by rows and copies no transpose of it.
+    """
+    row = max_plus_matmul(TropicalMatrix._wrap(negate(c).data.reshape(1, -1)), K)
+    return negate(TropicalMatrix._wrap(row.data.reshape(-1, 1)))
 
 
 def oracle_solve(inst: SylvesterInstance) -> SolveReport:

@@ -500,3 +500,169 @@ def test_concurrent_builds_each_load_a_whole_library(tmp_path, monkeypatch):
     want = bf.max_plus_matmul(P.tolist(), Q.tolist())
     for library in libraries:
         _assert_same_bits(TropicalMatrix._wrap(library.product(P.data, Q.data)), want)
+
+
+
+def _same_bits_or_both_raise(call) -> bool:
+    """Runs ``call(kernel)`` on the compiled library and on the numpy kernel
+    and asserts the same bits, or a FloatingPointError from both; True when
+    both raised."""
+    results = []
+    for kernel in (ckernel.LIBRARY, ckernel.NUMPY):
+        try:
+            results.append(call(kernel).view(np.int64).copy())
+        except FloatingPointError:
+            results.append(None)
+    got, want = results
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.shape == want.shape and np.array_equal(got, want)
+    return want is None
+
+
+def _kron_operands(rng, a, b, c, d):
+    P, Q = rng.normal(0, 1e3, (a, b)), rng.normal(0, 1e3, (c, d))
+    P[rng.random(P.shape) < 0.2] = POS_INF
+    Q[rng.random(Q.shape) < 0.2] = NEG_INF
+    # row 0 of P is -inf and the last column of Q +inf, so the blocks of
+    # row 0 hold -inf + +inf sums, which both kernels must make -inf
+    P[0, :] = NEG_INF
+    Q[:, -1] = POS_INF
+    return P, Q
+
+
+def _running_array(rng, shape):
+    acc = rng.normal(0, 4e3, shape)
+    acc[rng.random(shape) < 0.1] = NEG_INF
+    acc[rng.random(shape) < 0.05] = POS_INF
+    return acc
+
+
+# one cell; rows of N past whole vectors of 8 doubles (9, 17, 24); rows
+# of K of 3·33 and 2·257 cells
+KRON_SHAPES = [(1, 1, 1, 1), (2, 3, 4, 9), (5, 3, 7, 17), (3, 3, 24, 24), (4, 3, 5, 33), (3, 2, 2, 257)]
+
+
+@pytest.mark.parametrize("a,b,c,d", KRON_SHAPES)
+def test_compiled_and_numpy_kron_agree_bit_for_bit(a, b, c, d):
+    rng = np.random.default_rng(19)
+    P, Q = _kron_operands(rng, a, b, c, d)
+    acc = _running_array(rng, (a * c, b * d))
+    assert not _same_bits_or_both_raise(lambda kernel: kernel.kron(P, Q))
+    assert not _same_bits_or_both_raise(lambda kernel: kernel.kron(P, Q, acc.copy()))
+    want = ckernel.NUMPY.kron(P, Q)
+    assert want.tolist() == bf.kron_max(P.tolist(), Q.tolist())
+    assert (want[:c] == NEG_INF).all()
+
+
+def test_both_kernels_refuse_an_overflowing_kron():
+    # ±1.7e308 sums overflow in either sign, beside ±inf entries, which are
+    # states and no overflow; without the overflowing row both agree
+    for sign in (1.0, -1.0):
+        P = np.array([[sign * 1.7e308, POS_INF], [0.0, NEG_INF]])
+        Q = np.array([[0.0, sign * 1.7e308], [NEG_INF, POS_INF]])
+        for kernel in (ckernel.LIBRARY, ckernel.NUMPY):
+            with pytest.raises(FloatingPointError):
+                kernel.kron(P, Q)
+            with pytest.raises(FloatingPointError):
+                kernel.kron(P, Q, np.zeros((4, 4)))
+        assert not _same_bits_or_both_raise(lambda kernel: kernel.kron(P[1:], Q))
+        with pytest.raises(ValueError, match=r"^max-plus Kronecker product of \(2, 2\) and \(2, 2\) overflows "
+                                             r"float64: a finite sum exceeds the largest double$"):
+            kron_max(M(P), M(Q))
+
+
+@on_both_kernels("a,b,c,d", [(2, 3, 4, 9), (3, 2, 2, 257)])
+def test_kron_max_accumulates_into_the_running_array(a, b, c, d, kernel):
+    rng = np.random.default_rng(20)
+    P, Q = _kron_operands(rng, a, b, c, d)
+    acc = _running_array(rng, (a * c, b * d))
+    want = np.maximum(acc, kron_max(M(P), M(Q)).data)
+    before = semiring_ops.total
+    assert kron_max(M(P), M(Q), acc) is None
+    assert semiring_ops.total - before == a * b * c * d
+    assert np.array_equal(acc.view(np.int64), want.view(np.int64))
+
+
+def test_compiled_kron_refuses_an_array_it_cannot_write_in_place():
+    if ckernel.LIBRARY is ckernel.NUMPY:
+        pytest.skip("no C compiler")
+    P, Q = np.zeros((2, 3)), np.zeros((4, 5))
+    frozen = np.zeros((8, 15))
+    frozen.flags.writeable = False
+    for acc in (np.zeros((8, 16)), np.zeros((8, 15), dtype=np.float32), np.zeros((8, 30))[:, ::2], frozen):
+        with pytest.raises(ValueError, match="writeable C-contiguous float64 8x15 array"):
+            ckernel.LIBRARY.kron(P, Q, acc)
+
+
+# k and n cross the tile's 32 columns, the 256 inner indices of a pass and
+# the column edges past them; n == 1 stays in the matvec lanes
+ROW_SHAPES = [(k, n) for k in (1, 31, 32, 33, 256, 257) for n in (2, 9, 31, 32, 33, 255, 256, 257, 300)]
+
+
+@pytest.mark.parametrize("k,n", ROW_SHAPES)
+def test_compiled_and_numpy_row_products_agree_bit_for_bit(k, n):
+    rng = np.random.default_rng(21)
+    p, q = rng.normal(0, 1e3, (1, k)), rng.normal(0, 1e3, (k, n))
+    q[rng.random(q.shape) < 0.2] = NEG_INF
+    q[rng.random(q.shape) < 0.05] = POS_INF
+    p[0, rng.random(k) < 0.2] = NEG_INF
+    # row 0 of q meets p's -inf, so every column holds a -inf + +inf sum;
+    # column 0 holds only those and -inf, and column 1 a +inf sum
+    p[0, 0] = NEG_INF
+    q[0, :] = POS_INF
+    if k > 1:
+        p[0, 1], q[1, 1] = 0.0, POS_INF
+    q[:, 0] = np.where(p[0] == NEG_INF, POS_INF, NEG_INF)
+    acc = _running_array(rng, (1, n))
+    assert not _same_bits_or_both_raise(lambda kernel: kernel.product(p, q))
+    assert not _same_bits_or_both_raise(lambda kernel: kernel.product(p, q, acc.copy()))
+    got = ckernel.LIBRARY.product(p, q)
+    assert got[0, 0] == NEG_INF and (k == 1 or got[0, 1] == POS_INF)
+    _assert_same_bits(M(got), bf.max_plus_matmul(p.tolist(), q.tolist()))
+
+
+@pytest.mark.parametrize("k,n", [(1, 2), (33, 40), (257, 300)])
+def test_both_kernels_refuse_an_overflowing_row_product(k, n):
+    # one overflowing sum in the last column, where +inf wins the max in
+    # the other cells; the same row without it is no overflow
+    p, q = np.zeros((1, k)), np.zeros((k, n))
+    p[0, -1] = -1.7e308
+    q[-1, -1] = -1.7e308
+    q[0, :-1] = POS_INF
+    for kernel in (ckernel.LIBRARY, ckernel.NUMPY):
+        with pytest.raises(FloatingPointError):
+            kernel.product(p, q)
+        with pytest.raises(FloatingPointError):
+            kernel.product(p, q, np.zeros((1, n)))
+    assert not _same_bits_or_both_raise(lambda kernel: kernel.product(p, q[:, :-1]))
+    with pytest.raises(ValueError, match=rf"^max-plus product of \(1, {k}\) by \({k}, {n}\) overflows float64"):
+        max_plus_matmul(M(p), M(q))
+
+
+@st.composite
+def _kron_pairs(draw):
+    a, b, c, d = (draw(st.integers(1, hi)) for hi in (4, 4, 4, 20))
+    return (draw(arrays(np.float64, (a, b), elements=_ENTRIES)), draw(arrays(np.float64, (c, d), elements=_ENTRIES)),
+            draw(arrays(np.float64, (a * c, b * d), elements=_ENTRIES)))
+
+
+@given(_kron_pairs())
+def test_kron_kernels_agree_on_any_entries(pair):
+    P, Q, acc = pair
+    if not _same_bits_or_both_raise(lambda kernel: kernel.kron(P, Q)):
+        assert not _same_bits_or_both_raise(lambda kernel: kernel.kron(P, Q, acc.copy()))
+
+
+@st.composite
+def _row_operands(draw):
+    k, n = draw(st.integers(1, 40)), draw(st.integers(2, 70))
+    return (draw(arrays(np.float64, (1, k), elements=_ENTRIES)), draw(arrays(np.float64, (k, n), elements=_ENTRIES)),
+            draw(arrays(np.float64, (1, n), elements=_ENTRIES)))
+
+
+@given(_row_operands())
+def test_row_product_kernels_agree_on_any_entries(operands):
+    p, q, acc = operands
+    if not _same_bits_or_both_raise(lambda kernel: kernel.product(p, q)):
+        assert not _same_bits_or_both_raise(lambda kernel: kernel.product(p, q, acc.copy()))

@@ -185,23 +185,66 @@ def test_size_cap():
     assert semiring_ops.total == before
 
 
-def test_kron_reformulate_builds_k_in_one_buffer():
-    # mn = 1024, so K is 8 MiB: the first term's array becomes K and each
-    # later term is maxed into it, so K, one term and kron_max's 1 MiB NaN
-    # mask are the most alive at once; a -inf start and a fresh max per term
-    # would hold three K-sized arrays
-    inst, _ = generate_instance(GeneratorConfig(m=32, n=32, p=3, seed=39, mode="raw_random"))
-    cells = inst.m * inst.n
+def _peak_memory(call, *args):
     tracemalloc.start()
     try:
-        K, _ = kron_reformulate(inst)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 8 * cells**2 + cells**2 + 2**18
-    terms = [kron_max(transpose(B_k), A_k) for A_k, B_k in zip(inst.A, inst.B)]
-    assert K == M(np.maximum.reduce([term.data for term in terms]))
-    assert not K.data.flags.writeable
+
+
+def _k_bound(cells):
+    """Peak bytes of an oracle step at mn = ``cells`` on the current kernel:
+    K plus 256 KiB for the small arrays, and with the numpy kernel one more
+    K-sized array and a NaN mask of one byte per cell of K."""
+    K = 8 * cells**2
+    if ckernel.LIBRARY is ckernel.NUMPY:
+        return 2 * K + cells**2 + 2**18
+    return K + 2**18
+
+
+def test_kron_reformulate_builds_k_in_one_buffer(monkeypatch):
+    # mn = 1024, so K is 8 MiB: the first term is built in K's own array and
+    # each later term is maxed into it; the numpy kernel forms each term in
+    # a temporary with its NaN mask first
+    inst, _ = generate_instance(GeneratorConfig(m=32, n=32, p=3, seed=39, mode="raw_random"))
+    for library in (ckernel.LIBRARY, ckernel.NUMPY):
+        monkeypatch.setattr(ckernel, "LIBRARY", library)
+        (K, _), peak = _peak_memory(kron_reformulate, inst)
+        assert peak <= _k_bound(inst.m * inst.n)
+        terms = [kron_max(transpose(B_k), A_k) for A_k, B_k in zip(inst.A, inst.B)]
+        assert K == M(np.maximum.reduce([term.data for term in terms]))
+        assert not K.data.flags.writeable
+
+
+def test_oracle_solve_holds_one_k(monkeypatch):
+    # the principal reads K by rows, so no transpose of K is made: the
+    # compiled path peaks at one K (2.13 K while it copied Kᵀ); the numpy
+    # product forms a 1×N by N×N row's N² sums at once, one K-sized array
+    inst, _ = generate_instance(GeneratorConfig(m=32, n=32, p=3, seed=39, mode="raw_random"))
+    cells = inst.m * inst.n
+    for library in (ckernel.LIBRARY, ckernel.NUMPY):
+        monkeypatch.setattr(ckernel, "LIBRARY", library)
+        report, peak = _peak_memory(oracle_solve, inst)
+        if library is not ckernel.NUMPY:
+            assert peak <= 1.1 * 8 * cells**2
+        assert peak <= _k_bound(cells)
+        assert report == solve_sylvester(inst)
+
+
+def test_principal_step_overflow_names_the_row_product(monkeypatch):
+    # K = B_kᵀ ⊗ A_k holds 1e308 and 0, all finite, but its 1e308 entries
+    # meet the 1e308 of −c in the principal's (−c)ᵀ ⊗ K, which overflows
+    A = M([[1e308, 0.0], [0.0, 0.0]])
+    inst = SylvesterInstance(A=(A,), B=(M(np.zeros((3, 3))),), C=M(np.full((2, 3), -1e308)))
+    for library in (ckernel.LIBRARY, ckernel.NUMPY):
+        monkeypatch.setattr(ckernel, "LIBRARY", library)
+        K, _ = kron_reformulate(inst)
+        assert np.isfinite(K.data).all() and K.data.max() == 1e308
+        with pytest.raises(ValueError, match=r"^max-plus product of \(1, 6\) by \(6, 6\) overflows float64: "
+                                             r"a finite sum exceeds the largest double$"):
+            oracle_solve(inst)
 
 
 def test_vec_consistency():

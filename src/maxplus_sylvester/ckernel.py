@@ -174,7 +174,13 @@ class Library:
         return cells, residual.value
 
     def scan(self, data: bytes):
-        """The entries of the ASCII text ``data`` as a float64 array, or None outside the scanner's subset."""
+        """The entries of the matrix text ``data``, any bytes, as a fresh float64 array, or None
+        outside the scanner's subset.
+
+        Every entry is an integer of up to 15 digits or ±inf, never NaN and
+        never ``-0.0``, so the array may become a matrix as it is.  A byte
+        outside the subset, a non-ASCII one included, declines the text.
+        """
         dims = (ctypes.c_ssize_t * 2)()
         if self._scan(data, len(data), dims, None):  # the header alone
             return None
@@ -259,7 +265,7 @@ class Numpy:
         return np.argwhere(bad), float(diff[bad].max(initial=0.0))
 
     def scan(self, data: bytes):
-        """None: every text is read by :func:`.instance_io.parse_matrix`'s Python grammar."""
+        """None for any bytes: every text is read by :func:`.instance_io.parse_matrix`'s Python grammar."""
         return None
 
     def write(self, values: np.ndarray):

@@ -15,19 +15,26 @@ formatted corpora diff cleanly.  A token is read only inside a matrix
 text, by :func:`parse_matrix`; :func:`format_scalar` writes one.
 
 Most matrix text is read and written in C (``matrix_text.c``, through the
-handle ``ckernel.LIBRARY``).  The scanner takes only a strict
-subset: a header of two positive digit strings, tokens of up to 15 digits
-with an optional sign or an infinity, single spaces, ``\\n`` line ends and
-blank lines.  On anything else, a comment, a decimal or a count error
-among them, it declines and the Python parser below reads the whole text.
-That parser is the one definition of the grammar and of every error
-message.  The C formatter writes a matrix of integers below 2**53 and
-infinities; any other matrix goes whole to :func:`format_scalar`.
-Decimals stay in Python because ``strtod`` follows ``LC_NUMERIC`` and libc
-has no shortest round-trip form like ``repr``.  So both paths give the
-same matrices, errors and bytes.  When the handle is ``ckernel.NUMPY``,
-as it is without a C compiler, its scanner and formatter decline every
-input, so the Python code runs alone.
+handle ``ckernel.LIBRARY``).  :func:`load_matrix` reads a file's bytes in
+one binary read and hands them to the scanner as they are, with no
+decode.  The scanner takes only a strict subset: a header of two
+positive digit strings, tokens of up to 15 digits with an optional sign
+or an infinity, single spaces, ``\\n`` line ends and blank lines.  Its
+array becomes the matrix as it is, with no copy and no NaN or ``-0.0``
+pass, as it writes only integers of up to 15 digits and ±inf, and reads
+``-0`` as +0.0.  On any other byte, a non-ASCII one, a comment, ``\\r``
+or a decimal among them, or on a count error, it declines.  Then the
+bytes are decoded as ``Path.read_text`` decodes a file (the locale's
+encoding, universal newlines) and the Python parser below reads the
+whole text.  That parser is the one definition of the grammar and of
+every error message.  The C formatter writes a matrix of integers below
+2**53 and infinities; any other matrix goes whole to
+:func:`format_scalar`.  Decimals stay in Python because ``strtod``
+follows ``LC_NUMERIC`` and libc has no shortest round-trip form like
+``repr``.  So both paths give the same matrices, errors and bytes.  When
+the handle is ``ckernel.NUMPY``, as it is without a C compiler, its
+scanner and formatter decline every input, so the Python code runs
+alone.
 
 Random instances come from a PCG64 stream (numpy's Generator) seeded
 with the 64-bit config seed.  The draw order is fixed: for each term k,
@@ -36,6 +43,7 @@ its repair); afterwards the witness X0 (construction mode) or C (raw
 mode).  Identical configs therefore yield byte-identical files.
 """
 
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -91,18 +99,28 @@ def _token_value(token: str) -> float:
     return value
 
 
-def parse_matrix(text: str) -> TropicalMatrix:
-    """Parse the text format into a matrix; errors carry line numbers.
+def _decode(data: bytes) -> str:
+    """``data`` as ``Path.read_text`` reads a file: the locale's encoding and universal newlines."""
+    return io.TextIOWrapper(io.BytesIO(data)).read()
+
+
+def parse_matrix(text: str | bytes) -> TropicalMatrix:
+    """Parse the text format, given as str or as a file's bytes, into a matrix; errors carry line numbers.
 
     A text inside the C scanner's subset (integers of up to 15 digits and
-    infinities, single spaces, ``\\n`` line ends) is read in C; any other
-    text, and every malformed one, is read by the Python code below, which
-    defines the grammar and the error messages.
+    infinities, single spaces, ``\\n`` line ends) is read in C, bytes
+    with no decode; any other text, and every malformed one, is read by
+    the Python code below, which defines the grammar and the error
+    messages.  Bytes that the scanner declines are decoded first, as
+    ``Path.read_text`` decodes a file.
     """
-    if text.isascii():
-        values = ckernel.LIBRARY.scan(text.encode())
-        if values is not None:
-            return TropicalMatrix(values)
+    # the UTF-8 of a non-ASCII character, a lone surrogate's too, is bytes the scanner declines
+    data = text.encode(errors="surrogatepass") if isinstance(text, str) else text
+    values = ckernel.LIBRARY.scan(data)
+    if values is not None:
+        return TropicalMatrix._wrap(values)  # a fresh array of integers and ±inf, no NaN, no -0.0
+    if not isinstance(text, str):
+        text = _decode(text)
     header = None
     rows: list[list[float]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -156,7 +174,9 @@ def format_matrix(M: TropicalMatrix) -> str:
 
 
 def load_matrix(path) -> TropicalMatrix:
-    return parse_matrix(Path(path).read_text())
+    """The matrix in the file at ``path``: its bytes, in one binary read, go to :func:`parse_matrix`."""
+    with open(path, "rb", buffering=0) as f:
+        return parse_matrix(f.readall())
 
 
 def save_matrix(path, M: TropicalMatrix) -> None:

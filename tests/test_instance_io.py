@@ -1,5 +1,7 @@
 import re
 import shutil
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,12 +218,12 @@ def _matrix_texts(draw):
     return lead + (text if draw(st.booleans()) else text.rstrip("\n")), subset
 
 
-def _parse_outcome(text):
-    """The matrix's shape and bits, or the ParseError's text."""
+def _outcome(function, *args):
+    """The matrix's shape and bits, or the type and text of the parse, decode or file error."""
     try:
-        M = parse_matrix(text)
-    except ParseError as exc:
-        return str(exc)
+        M = function(*args)
+    except (ValueError, OSError) as exc:
+        return type(exc), str(exc)
     return M.shape, M.data.tobytes()
 
 
@@ -240,9 +242,68 @@ def _python_alone(function, *args):
 @example(("2 1\n0\n\r\n5", False))
 def test_parse_matrix_matches_the_python_grammar(drawn):
     text, subset = drawn
-    assert _parse_outcome(text) == _python_alone(_parse_outcome, text)
+    outcome = _outcome(parse_matrix, text)
+    assert outcome == _python_alone(_outcome, parse_matrix, text)
+    assert _outcome(parse_matrix, text.encode()) == outcome == _python_alone(_outcome, parse_matrix, text.encode())
     if subset and ckernel.LIBRARY is not ckernel.NUMPY:
         assert ckernel.LIBRARY.scan(text.encode()) is not None
+
+
+def _read_text_then_parse(path):
+    # what load_matrix did before it read bytes
+    return parse_matrix(Path(path).read_text())
+
+
+@pytest.mark.parametrize("content", [
+    b"1 1\n\xff\n",  # not UTF-8
+    "# \u00e9\n1 1\n0\n".encode(),  # a UTF-8 comment
+    b"2 2\r\n0 1\r\n-inf 3\r\n",
+    b"2 1\r0\r\r5\r",
+    b"2 2\r\n0 1\r-inf 3\n",
+    b"2 2\n0 1\n-inf 3\n",  # inside the scanner's subset
+    b"1 2\n0 1.5\n",
+    b"2 1\n0\n",
+    b"",
+    None,  # a directory
+    "missing",
+])
+def test_load_matrix_reads_a_file_as_read_text_then_parse_did(tmp_path, content):
+    path = tmp_path / "m.txt"
+    if content is None:
+        path.mkdir()
+    elif content != "missing":
+        path.write_bytes(content)
+    outcome = _outcome(load_matrix, path)
+    assert outcome == _outcome(_read_text_then_parse, path)
+    assert outcome == _python_alone(_outcome, load_matrix, path)
+    assert outcome == _outcome(load_matrix, str(path))
+
+
+@pytest.mark.parametrize("text", ["1 2\n-0 +0\n", "1 3\n-0 -inf +inf\n", "1 2\n-0.0 -0\n"])
+def test_parsed_arrays_hold_no_sign_bit_and_are_read_only(text):
+    # the scanner's array becomes the matrix with no -0.0 fold and no copy,
+    # so it must hold what the constructor would have made of it
+    for source in (text, text.encode()):
+        for data in (parse_matrix(source).data, _python_alone(parse_matrix, source).data):
+            assert not np.signbit(data[np.isfinite(data)]).any()
+            assert data.dtype == np.float64 and data.flags.c_contiguous
+            assert not data.flags.writeable
+
+
+def test_loading_an_integer_file_holds_its_bytes_and_one_array(tmp_path):
+    if shutil.which("gcc") is None:
+        pytest.skip("no C compiler")
+    rows = cols = 128
+    path = tmp_path / "A.txt"
+    instance_io.save_matrix(path, generate_instance(GeneratorConfig(m=rows, n=cols, p=1, seed=5))[0].A[0])
+    load_matrix(path)  # anything the first call sets up is not part of a load
+    tracemalloc.start()
+    try:
+        load_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= path.stat().st_size + 8 * rows * cols + 4096
 
 
 _CELLS = st.one_of(
@@ -269,7 +330,7 @@ def test_text_without_a_compiler_runs_in_python(tmp_path, monkeypatch):
     test_format_matrix_matches_the_format_scalar_join()
 
 
-def test_c_path_serves_integer_text_when_a_compiler_exists(monkeypatch):
+def test_c_path_serves_integer_text_when_a_compiler_exists(tmp_path, monkeypatch):
     # a broken build would otherwise pass every test on the Python fallback
     if shutil.which("gcc") is None:
         pytest.skip("no C compiler")
@@ -278,9 +339,12 @@ def test_c_path_serves_integer_text_when_a_compiler_exists(monkeypatch):
         raise AssertionError("the Python path ran")
 
     monkeypatch.setattr(instance_io, "_token_value", python_path)
+    monkeypatch.setattr(instance_io, "_decode", python_path)
     monkeypatch.setattr(instance_io, "format_scalar", python_path)
     text = "2 3\n0 -5 +inf\n-inf 999999999999999 -999999999999999\n"
     assert format_matrix(parse_matrix(text)) == text
+    (tmp_path / "M.txt").write_text(text)
+    assert format_matrix(load_matrix(tmp_path / "M.txt")) == text
     assert parse_matrix("\n2 1\n\n+7\n-INFINITY") == M([[7], [NEG_INF]])
     assert format_matrix(M([[2.0**53 - 1, -0.0]])) == "1 2\n9007199254740991 0\n"
 

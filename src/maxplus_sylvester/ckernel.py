@@ -4,15 +4,18 @@ The library holds three C sources: ``maxplus_product.c``, the max-plus
 product that :mod:`.matrix` calls and the max-plus Kronecker product that
 :mod:`.oracle` builds its system with; ``solver_passes.c``, the tolerance pass
 and the mismatch scan that :mod:`.solver` calls; and ``matrix_text.c``,
-the matrix text scanner and formatter that :mod:`.instance_io` calls.  The
-first import on a machine runs the C compiler once on all three and writes
-one shared library into the package's ``__pycache__``; later imports load
-that file.  The file name holds a hash of every source, the compiler
-command and the host CPU's flags, so a cached build is never loaded from a
-different source or on a CPU that lacks what ``-march=native`` chose.  A
-build goes to a temporary file that is renamed into place, so processes
-that import at the same time each see a whole library or none.  The
-library is loaded with ``ctypes`` and links against no Python.
+the matrix text scanner and formatter that :mod:`.instance_io` calls.
+``maxplus_product.c`` includes ``maxplus_tile.h``, its register tile
+written once for double and once for int32 elements.  The first import on a
+machine runs the C compiler once on all three and writes one shared
+library into the package's ``__pycache__``; later imports load that file.
+The file name holds a hash of every source and of every header beside
+them, the compiler command and the host CPU's flags, so a cached build is
+never loaded from a different source or on a CPU that lacks what
+``-march=native`` chose.  A build goes to a temporary file that is renamed
+into place, so processes that import at the same time each see a whole
+library or none.  The library is loaded with ``ctypes`` and links against
+no Python.
 
 This module is the one handle on the library.  An import builds and loads
 it once and binds its six functions once: ``LIBRARY`` is a
@@ -59,7 +62,9 @@ def _cpu_flags() -> str:
 
 def _library(compiler: str) -> Path:
     """The built library for ``compiler``, compiling it first when no cached build matches."""
-    key = hashlib.sha256(b"\0".join([*(source.read_bytes() for source in SOURCES),
+    # the headers beside the sources are compiled with them
+    files = [*SOURCES, *sorted(SOURCES[0].parent.glob("*.h"))]
+    key = hashlib.sha256(b"\0".join([*(file.read_bytes() for file in files),
                                      " ".join([compiler, *FLAGS]).encode(),
                                      _cpu_flags().encode()])).hexdigest()[:16]
     path = CACHE / f"maxplus-{key}.so"
@@ -119,6 +124,13 @@ class Library:
         array; the product is maxed into it in place and it is returned.  A
         FloatingPointError when a finite sum overflows, with ``acc`` then
         partly updated.
+
+        The C loop picks its register tile by itself, and the bits are the
+        same either way.  When every entry of the operands, and of ``acc``,
+        is ±inf or an integer below 2**27 in magnitude, and the product is
+        large enough to repay the copies, it runs in int32 with 16 lanes per
+        AVX-512 register instead of 8 doubles; any other product runs in
+        double (see ``maxplus_product.c``).
         """
         # the C loop reads both operands as dense row-major float64
         p = np.ascontiguousarray(p, dtype=np.float64)

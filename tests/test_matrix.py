@@ -1,5 +1,7 @@
+import functools
 import math
 import shutil
+import subprocess
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -297,9 +299,12 @@ MATMUL_EDGES = [(16, 300, 16), (40, 300, 7), (300, 50, 11), (256, 3, 256), (3, 3
                 (11, 513, 65), (6, 300, 56)]
 
 
-def _edge_operands(m, k, n):
+def _edge_operands(m, k, n, integers=False):
     rng = np.random.default_rng(13)
-    P, Q = rng.normal(0, 1e3, (m, k)), rng.normal(0, 1e3, (k, n))
+    if integers:
+        P, Q = rng.integers(-1000, 1001, (m, k)).astype(float), rng.integers(-1000, 1001, (k, n)).astype(float)
+    else:
+        P, Q = rng.normal(0, 1e3, (m, k)), rng.normal(0, 1e3, (k, n))
     for X in (P, Q):
         X[rng.random(X.shape) < 0.3] = NEG_INF
     # +inf only in column 0 of Q, so the other cells keep finite maxima that
@@ -307,6 +312,22 @@ def _edge_operands(m, k, n):
     P[0, :] = NEG_INF
     Q[:, 0] = POS_INF
     return P, Q
+
+
+# Integer products the C loop runs on the int32 tile, which is 6×64 and
+# pads with -2**30: 64×300 is whole column tiles over two passes, with 4
+# rows past the last whole row block; 31×513 is one row and one column
+# past them, over three passes; 50×95 is two rows and 31 columns past
+# them; 97×40 fills no whole column tile; 20×257·130 is two rows and two
+# columns past them, over two passes; 24×256·128 is whole tiles only.
+# The numpy kernel splits and transposes them as it does MATMUL_EDGES
+INT_EDGES = [(64, 300, 64), (31, 513, 65), (50, 64, 95), (97, 96, 40), (20, 257, 130), (24, 256, 128)]
+
+
+@functools.cache
+def _int_edge_product(m, k, n):
+    P, Q = _edge_operands(m, k, n, integers=True)
+    return bf.max_plus_matmul(P.tolist(), Q.tolist())
 
 
 @on_both_kernels("m,k,n", MATMUL_EDGES)
@@ -332,6 +353,53 @@ def test_avx2_build_matches_bruteforce(tmp_path, monkeypatch):
         P, Q = _edge_operands(m, k, n)
         want = bf.max_plus_matmul(P.tolist(), Q.tolist())
         _assert_same_bits(TropicalMatrix._wrap(library.product(P, Q)), want)
+    for m, k, n in INT_EDGES:
+        P, Q = _edge_operands(m, k, n, integers=True)
+        _assert_same_bits(TropicalMatrix._wrap(library.product(P, Q)), _int_edge_product(m, k, n))
+
+
+@on_both_kernels("m,k,n", INT_EDGES)
+def test_integer_block_edges_match_bruteforce(m, k, n, kernel):
+    P, Q = _edge_operands(m, k, n, integers=True)
+    _assert_same_bits(max_plus_matmul(M(P), M(Q)), _int_edge_product(m, k, n))
+
+
+@on_both_kernels("m,k,n", INT_EDGES)
+def test_integer_accumulate_matches_bruteforce(m, k, n, kernel):
+    P, Q = _edge_operands(m, k, n, integers=True)
+    rng = np.random.default_rng(22)
+    acc = rng.integers(-4000, 4001, (m, n)).astype(float)
+    # row 0 of the product is -inf, and column 0 is +inf below it, so acc's
+    # infinities meet a -inf and a +inf cell as well as finite ones
+    acc[rng.random(acc.shape) < 0.1] = NEG_INF
+    acc[rng.random(acc.shape) < 0.05] = POS_INF
+    acc[0, :2] = POS_INF, NEG_INF
+    want = np.maximum(acc, np.array(_int_edge_product(m, k, n)))
+    before = semiring_ops.total
+    assert max_plus_matmul(M(P), M(Q), acc) is None
+    assert semiring_ops.total - before == m * n * (k + 1)
+    assert np.array_equal(acc.view(np.int64), want.view(np.int64))
+
+
+# ±(2**27 - 1) are the largest entries the int32 tile takes, and the sums
+# of two of them, ±(2**28 - 2), stay short of the codes that decode to an
+# infinity; ±2**27, a fraction and ±1e300 send the product to the double
+# tile.  Either way the bits are the bit reference's
+@pytest.mark.parametrize("value", [2**27 - 1, -(2**27 - 1), 2**27, -2**27, 0.5, 1e300, -1e300])
+def test_integer_tile_bound_keeps_the_bits(value):
+    rng = np.random.default_rng(23)
+    P, Q = rng.integers(-9, 10, (32, 32)).astype(float), rng.integers(-9, 10, (32, 48)).astype(float)
+    # cell (0, 0) takes only value + value, cell (1, 1) +inf and cell (2, 2) -inf
+    P[0, :], Q[:, 0] = value, value
+    P[1, :], Q[:, 1] = value, POS_INF
+    P[2, :], Q[:, 2] = NEG_INF, value
+    acc = rng.integers(-9, 10, (32, 48)).astype(float)
+    acc[3, 3], acc[4, 4], acc[5, 5] = value, NEG_INF, POS_INF
+    assert not _same_bits_or_both_raise(lambda kernel: kernel.product(P, Q))
+    assert not _same_bits_or_both_raise(lambda kernel: kernel.product(P, Q, acc.copy()))
+    got = ckernel.LIBRARY.product(P, Q)
+    assert got[0, 0] == 2 * value and got[1, 1] == POS_INF and got[2, 2] == NEG_INF
+    _assert_same_bits(M(got), bf.max_plus_matmul(P.tolist(), Q.tolist()))
 
 
 @on_both_kernels("m,k", [(300, 300), (3, 70000), (5, 15), (4, 33)])
@@ -446,6 +514,37 @@ def _operands(draw):
     return M(P), M(Q)
 
 
+@st.composite
+def _integer_operands(draw):
+    # shapes the int32 tile takes when m·k is large enough beside k·n: n from
+    # 33 crosses its 64 columns, k up to 300 its 256 inner indices per pass.
+    # Entries are integers up to the tile's bound and ±inf, drawn by a seeded
+    # generator, with whole rows and columns of one infinity laid over them
+    m, k, n = draw(st.integers(6, 40)), draw(st.integers(8, 300)), draw(st.integers(33, 140))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bound = draw(st.sampled_from([20, 2**27 - 1]))
+    operands = []
+    for rows, cols in ((m, k), (k, n), (m, n)):
+        X = rng.integers(-bound, bound + 1, (rows, cols)).astype(float)
+        X[rng.random((rows, cols)) < draw(st.sampled_from([0.0, 0.1, 0.6]))] = NEG_INF
+        X[rng.random((rows, cols)) < draw(st.sampled_from([0.0, 0.05, 0.3]))] = POS_INF
+        for axis, index, value in draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 299),
+                                                          st.sampled_from([NEG_INF, POS_INF])), max_size=3)):
+            if axis:
+                X[:, index % cols] = value
+            else:
+                X[index % rows, :] = value
+        operands.append(X)
+    return operands
+
+
+@given(_integer_operands())
+def test_integer_product_kernels_agree_on_any_entries(operands):
+    P, Q, acc = operands
+    assert not _same_bits_or_both_raise(lambda kernel: kernel.product(P, Q))
+    assert not _same_bits_or_both_raise(lambda kernel: kernel.product(P, Q, acc.copy()))
+
+
 @given(_operands(), st.integers(1, 256))
 def test_matmul_property_matches_bruteforce(operands, small_block):
     P, Q = operands
@@ -502,6 +601,28 @@ def test_concurrent_builds_each_load_a_whole_library(tmp_path, monkeypatch):
         _assert_same_bits(TropicalMatrix._wrap(library.product(P.data, Q.data)), want)
 
 
+
+def test_sources_compile_without_warnings(tmp_path):
+    if shutil.which("gcc") is None:
+        pytest.skip("no C compiler")
+    subprocess.run(["gcc", *map(str, ckernel.SOURCES), *ckernel.FLAGS, "-Wall", "-Wextra", "-Werror",
+                    "-o", str(tmp_path / "library.so")], check=True, capture_output=True, timeout=120)
+
+
+def test_cache_key_covers_the_included_header(tmp_path, monkeypatch):
+    # a header edit must not load the build made from the old header; the
+    # copies are "built" by a compiler that writes nothing, so no gcc is needed
+    header = tmp_path / "maxplus_tile.h"
+    header.write_bytes(ckernel.SOURCES[0].with_name(header.name).read_bytes())
+    for source in ckernel.SOURCES:
+        (tmp_path / source.name).write_bytes(source.read_bytes())
+    monkeypatch.setattr(ckernel, "SOURCES", tuple(tmp_path / source.name for source in ckernel.SOURCES))
+    monkeypatch.setattr(ckernel, "CACHE", tmp_path / "cache")
+    compiler = shutil.which("true") or pytest.skip("no true command")
+    first = ckernel._library(compiler)
+    assert ckernel._library(compiler) == first
+    header.write_bytes(header.read_bytes() + b"\n")
+    assert ckernel._library(compiler) != first
 
 def _same_bits_or_both_raise(call) -> bool:
     """Runs ``call(kernel)`` on the compiled library and on the numpy kernel

@@ -5,8 +5,10 @@ product that :mod:`.matrix` calls and the max-plus Kronecker product that
 :mod:`.oracle` builds its system with; ``solver_passes.c``, the tolerance pass
 and the mismatch scan that :mod:`.solver` calls; and ``matrix_text.c``,
 the matrix text scanner and formatter that :mod:`.instance_io` calls.
-``maxplus_product.c`` includes ``maxplus_tile.h``, its register tile
-written once for double and once for int32 elements.  The first import on a
+``maxplus_product.c`` also holds the solvers' one fused call, which runs the
+p terms of a Sylvester sum on operands encoded once, and includes
+``maxplus_tile.h``, its register tile written once and instantiated for
+double, int32 and int16 elements.  The first import on a
 machine runs the C compiler once on all three and writes one shared
 library into the package's ``__pycache__``; later imports load that file.
 The file name holds a hash of every source and of every header beside
@@ -18,13 +20,14 @@ library or none.  The library is loaded with ``ctypes`` and links against
 no Python.
 
 This module is the one handle on the library.  An import builds and loads
-it once and binds its six functions once: ``LIBRARY`` is a
+it once and binds its seven functions once: ``LIBRARY`` is a
 :class:`Library`, or :data:`NUMPY` when no compiler could build it or the
-build could not be loaded.  :class:`Numpy` has the same six methods: its
+build could not be loaded.  :class:`Numpy` has the same seven methods: its
 two products and its two solver passes are the numpy definitions, which
-serve the tests as the bit reference, and its scanner and formatter
-decline every input, so :mod:`.instance_io` reads and writes the text in
-Python.  :mod:`.matrix`, :mod:`.oracle`, :mod:`.solver` and
+serve the tests as the bit reference, and its scanner, formatter and
+terms call decline every input, so :mod:`.instance_io` reads and writes
+the text in Python and :mod:`.solver` composes each Sylvester sum from
+products.  :mod:`.matrix`, :mod:`.oracle`, :mod:`.solver` and
 :mod:`.instance_io` make one call on ``LIBRARY`` on every use and never
 ask which it is, so setting it to ``NUMPY`` runs every product, solver
 pass, read and write in Python.  Both kernels raise FloatingPointError
@@ -93,7 +96,7 @@ def _output(shape: tuple[int, int], acc: np.ndarray | None) -> np.ndarray:
 
 
 class Library:
-    """The six functions of one loaded build, with their argument types declared."""
+    """The seven functions of one loaded build, with their argument types declared."""
 
     def __init__(self, cdll: ctypes.CDLL):
         self._product = cdll.maxplus_product
@@ -116,6 +119,9 @@ class Library:
         self._write = cdll.write_matrix
         self._write.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_void_p]
         self._write.restype = ctypes.c_ssize_t
+        self._terms = cdll.maxplus_terms
+        self._terms.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_ssize_t] * 3 + [ctypes.c_int]
+        self._terms.restype = ctypes.c_int
 
     def product(self, p: np.ndarray, q: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
         """The max-plus product of float64 arrays m×k and k×n, or ``acc`` ⊕ it in ``acc``.
@@ -142,6 +148,37 @@ class Library:
         if self._product(p.ctypes.data, q.ctypes.data, out.ctypes.data, m, k, n, acc is not None):
             raise FloatingPointError("overflow encountered in max-plus product")
         return out
+
+    def terms(self, A_terms, B_terms, X: np.ndarray, residual: bool):
+        """``⊕_k A_k ⊗ X ⊗ B_k`` as a fresh float64 array, or with ``residual`` set
+        ``−(⊕_k A_kᵀ ⊗ (−X) ⊗ B_kᵀ)``; None when the int16 tile does not serve the call.
+
+        It serves p ≥ 1 terms of m×m arrays ``A_terms`` and n×n ``B_terms``
+        beside an m×n ``X`` when every finite entry of the factors is an
+        integer of magnitude up to 2**9, every finite entry of ``X`` one up
+        to 3·2**9, and the shape repays the encoding (``terms_pay`` in
+        ``maxplus_product.c``).  Each product then runs 32 lanes per AVX-512
+        register on operands encoded once, and the result has the bits of
+        the composition of :meth:`product` calls.  Any other call, a shape
+        that does not fit included, is declined, so the caller's own
+        composition raises what it raises.
+        """
+        p, (m, n) = len(A_terms), X.shape
+        if p == 0 or len(B_terms) != p or not self._terms(None, None, None, None, p, m, n, residual):
+            return None  # the shape alone declines
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        x = X.ctypes.data
+        if not self._terms(None, None, x, None, p, m, n, residual):  # X's first entries decline
+            return None
+        A = [np.ascontiguousarray(A_k, dtype=np.float64) for A_k in A_terms]
+        B = [np.ascontiguousarray(B_k, dtype=np.float64) for B_k in B_terms]
+        if any(A_k.shape != (m, m) for A_k in A) or any(B_k.shape != (n, n) for B_k in B):
+            return None
+        pointers = ctypes.c_void_p * p
+        out = np.empty((m, n))
+        served = self._terms(pointers(*(A_k.ctypes.data for A_k in A)), pointers(*(B_k.ctypes.data for B_k in B)),
+                             x, out.ctypes.data, p, m, n, residual)
+        return out if served else None
 
     def kron(self, m: np.ndarray, n: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
         """The max-plus Kronecker product of float64 arrays a×b and c×d, or ``acc`` ⊕ it in ``acc``.
@@ -209,7 +246,7 @@ class Library:
 
 
 class Numpy:
-    """The numpy twins of :class:`Library`'s six methods, with the same signatures.
+    """The numpy twins of :class:`Library`'s seven methods, with the same signatures.
 
     The product takes blocks of rows of P, forms every sum
     ``P[i, l] + Q[l, j]`` of a block in one reused buffer and reduces over
@@ -250,6 +287,10 @@ class Numpy:
         if acc is None:
             return out
         return np.maximum(acc, out, out=acc)
+
+    def terms(self, A_terms, B_terms, X: np.ndarray, residual: bool):
+        """None for any input: the caller composes the terms from :meth:`product` calls."""
+        return None
 
     def kron(self, m: np.ndarray, n: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
         """As :meth:`Library.kron`: every sum at once, then one pass that sets NaN cells to ``-inf``."""

@@ -1,8 +1,9 @@
 /* The compiled max-plus product: out = p ⊗ q for row-major float64 arrays,
  * out[i, j] = max_l (p[i, l] + q[l, j]), or in accumulate mode
- * out = out ⊕ (p ⊗ q); and the max-plus Kronecker product the oracle
- * builds its system from, under the same rules.  ckernel.py builds and
- * binds both.
+ * out = out ⊕ (p ⊗ q); the max-plus Kronecker product the oracle builds its
+ * system from, under the same rules; and maxplus_terms, the p terms of a
+ * Sylvester sum in one call on small integer data.  ckernel.py builds and
+ * binds all three.
  *
  * Each cell starts at -inf, or at its own value in accumulate mode, and
  * takes a sum s only when s > cell.  A NaN sum, which only -inf + +inf
@@ -13,10 +14,11 @@
  * and a finite one that overflows raises FE_OVERFLOW.
  * -ffast-math would break both rules; build without it.
  *
- * The register tile comes in two element types, from one source,
- * maxplus_tile.h: 6×32 doubles padded with -inf, and 6×64 int32 padded
- * with INT_NEG.  Either way its 24 accumulator vectors (8 doubles or 16
- * int32 each) keep enough add-max chains in flight and fit AVX-512's 32
+ * The register tile comes in three element types, from one source,
+ * maxplus_tile.h: 6×32 doubles padded with -inf, 6×64 int32 padded with
+ * INT_NEG and 6×128 int16 padded with I16_NEG.  Each way its 24 accumulator
+ * vectors (8 doubles, 16 int32 or 32 int16 each) keep enough add-max
+ * chains in flight and fit AVX-512's 32
  * vector registers (BENCH_10.json; built for AVX2, gcc keeps them in L1).
  * Each block of out takes the tile over passes of KB inner indices.
  * Blocks past the last multiple of 6 rows or of WJ columns run the tile on
@@ -51,6 +53,44 @@
  * trap, so without -ffast-math gcc 12 does not vectorise a loop that
  * selects around one.  Encoding stops at the first CHUNK that holds an
  * entry that does not qualify.
+ *
+ * maxplus_terms runs ⊕_k A_k ⊗ X ⊗ B_k, or the residual
+ * −(⊕_k A_kᵀ ⊗ (−X) ⊗ B_kᵀ) that is the principal solution at C = X, on the
+ * int16 tile, 32 lanes to a register.  It serves a call only when every
+ * finite entry of the factors is an integer of magnitude up to 2^9 and
+ * every finite entry of X one up to 3·2^9, and when terms_pay says the
+ * lanes and the caller's calls saved repay the encoding; it declines any
+ * other call, and the caller composes the sum from maxplus_product calls.
+ * Each operand is encoded once into 64-byte aligned scratch of the call's
+ * own, as finite ↦ itself, -inf ↦ I16_NEG = -2^14, +inf ↦ I16_POS = 2^13;
+ * for the residual each factor is transposed as it is encoded and X is
+ * negated after it.  Each term's first product T = A_k ⊗ X is clamped,
+ * ≤ -2^12 ↦ -2^14 and ≥ 2^12 ↦ 2^13, before T ⊗ B_k is maxed into the
+ * running sum, which is decoded once at the end (≤ -2^12 ↦ -inf,
+ * ≥ 2^12 ↦ +inf, else itself), after a negation for the residual.
+ * Negation swaps the two codes and changes the sign of any other entry.
+ * That gives the per-product composition's bits:
+ *   - every operand of a product is a code or finite, and a finite one has
+ *     magnitude at most 2^9 (a factor), 3·2^9 (X) or 4·2^9 (a clamped T,
+ *     whose finite cells are sums of a factor entry and an X entry);
+ *   - so a finite sum has magnitude at most 5·2^9 = 2560, below the decode
+ *     edge 2^12, and it is exact in int16 as in double;
+ *   - -inf plus a finite entry is at most -2^14 + 2^11 and stays at or
+ *     below -2^12; +inf plus one is at least 2^13 - 2^11 and stays at or
+ *     above 2^12;
+ *   - -inf + -inf = -2^15 fits in int16, +inf + +inf = 2^14 fits, and
+ *     -inf + +inf = -2^13 decodes to -inf, as a NaN sum loses in double;
+ *   - a cell starts at -2^14 and only grows, so T and the running sum lie
+ *     in [-2^14, 2^14], and there negation takes every entry that decodes
+ *     to one infinity to one that decodes to the other: the last negation
+ *     needs no clamp before it;
+ *   - without its clamp T could hold +inf as 2^14, and 2^14 + -2^14 = 0
+ *     would read finite, so T is clamped: the running sum is only maxed,
+ *     never added to, so the bounds hold for any p;
+ *   - no double sum of such entries can overflow, so no FE_OVERFLOW is
+ *     lost, and encoding refuses -0.0.
+ * With these bounds the principal of data up to 2^9 has finite entries of
+ * magnitude at most 3·2^9, so it qualifies for its own substitution.
  */
 #include <fenv.h>
 #include <math.h>
@@ -70,6 +110,19 @@
 #define INT_ENTRY_COST 12      /* int32 multiply-adds that encoding or decoding one entry costs */
 #define WJ_F64 32              /* columns of q per double tile: 4 vectors of 8 */
 #define WJ_I32 64              /* columns of q per int32 tile: 4 vectors of 16 */
+#define WJ_I16 128             /* columns of q per int16 tile: 4 vectors of 32 */
+
+#define I16_NEG (-(1 << 14))   /* -inf in the int16 tile */
+#define I16_POS (1 << 13)      /* +inf in the int16 tile */
+#define I16_EDGE (1 << 12)     /* a value this far from 0 is an infinity */
+#define I16_FACTOR 0x1p9       /* finite factor entries up to this magnitude are encoded */
+#define I16_X 0x1.8p10         /* finite entries of X up to this magnitude, 3·2^9, are encoded */
+#define TERMS_ENTRY_COST 11    /* double multiply-adds that encoding or decoding one int16 entry costs */
+#ifndef TERMS_CALL_COST        /* the tests build one that serves every shape */
+#define TERMS_CALL_COST 90000  /* double multiply-adds one product's call from Python costs, about 4.5 µs */
+#endif
+#define TR 16                  /* rows of x a transposing encode takes at a time */
+#define TC 256                 /* and columns */
 
 #define T double
 #define WJ WJ_F64
@@ -81,6 +134,12 @@
 #define WJ WJ_I32
 #define BOTTOM INT_NEG
 #define NAME(f) f##_i32
+#include "maxplus_tile.h"
+
+#define T int16_t
+#define WJ WJ_I16
+#define BOTTOM I16_NEG
+#define NAME(f) f##_i16
 #include "maxplus_tile.h"
 
 #define MAGIC 0x1.8p52 /* v + MAGIC holds an integer v, |v| < 2^51, in its low mantissa bits */
@@ -232,4 +291,162 @@ int maxplus_kron(const double *mm, const double *nn, double *kron, ptrdiff_t a, 
                     cell[s] = mp_max(x + row[s], accumulate ? cell[s] : -INFINITY);
             }
     return fetestexcept(FE_OVERFLOW) != 0;
+}
+
+/* The int16 form of encode: x's finite entries up to bound in magnitude
+ * as themselves, -inf as I16_NEG and +inf as I16_POS, written to z, which
+ * has row stride zs, from the rows×cols x with row stride xs.  Returns the
+ * bits that are nonzero when an entry is none of these. */
+static uint64_t encode_rows_i16(const double *restrict x, ptrdiff_t xs, int16_t *restrict z, ptrdiff_t zs,
+                                ptrdiff_t rows, ptrdiff_t cols, double bound)
+{
+    uint64_t bad = 0;
+    for (ptrdiff_t r = 0; r < rows; r++)
+        for (ptrdiff_t c = 0; c < cols; c++) {
+            double v = x[r * xs + c], a = fabs(v);
+            v = v < I16_NEG ? I16_NEG : v > I16_POS ? I16_POS : v;
+            double y = v + MAGIC;
+            bad |= (bits(y - MAGIC) ^ bits(v)) | !((a <= bound) | (a == INFINITY));
+            z[r * zs + c] = (int16_t)bits(y);
+        }
+    return bad;
+}
+
+/* Writes the rows×cols x to z as the int16 tile reads it, or, with flip
+ * set, its transpose, a cols×rows z.  Returns 0, with z partly written,
+ * when an entry is not ±inf or an integer other than -0.0 of magnitude up
+ * to bound, else 1.  A transposing encode takes TR rows at a time, TC
+ * columns at a time: it encodes their rows into a buffer on the stack,
+ * then writes the buffer to z by columns, TR entries to a run, so x is
+ * read by rows and z written within a few cache lines. */
+static int encode_i16(const double *restrict x, int16_t *restrict z, ptrdiff_t rows, ptrdiff_t cols,
+                      double bound, int flip)
+{
+    if (!flip) {
+        for (ptrdiff_t c0 = 0; c0 < rows * cols; c0 += CHUNK) {
+            ptrdiff_t c1 = rows * cols - c0 < CHUNK ? rows * cols : c0 + CHUNK;
+            if (encode_rows_i16(x + c0, 0, z + c0, 0, 1, c1 - c0, bound)) return 0;
+        }
+        return 1;
+    }
+    int16_t buf[TR * TC];
+    for (ptrdiff_t i0 = 0; i0 < rows; i0 += TR) {
+        ptrdiff_t h = rows - i0 < TR ? rows - i0 : TR;
+        for (ptrdiff_t j0 = 0; j0 < cols; j0 += TC) {
+            ptrdiff_t w = cols - j0 < TC ? cols - j0 : TC;
+            if (encode_rows_i16(x + i0 * cols + j0, cols, buf, TC, h, w, bound)) return 0;
+            for (ptrdiff_t c = 0; c < w; c++)
+                for (ptrdiff_t r = 0; r < h; r++) z[(j0 + c) * rows + i0 + r] = buf[r * TC + c];
+        }
+    }
+    return 1;
+}
+
+/* Sets z's count entries, each the max of int16 sums of entries at most
+ * 4·2^9 from 0 or a code, to clamp form: at or below -I16_EDGE to I16_NEG,
+ * at or above I16_EDGE to I16_POS. */
+static void clamp_i16(int16_t *z, ptrdiff_t count)
+{
+    for (ptrdiff_t c = 0; c < count; c++) {
+        int16_t v = z[c];
+        z[c] = v <= -I16_EDGE ? I16_NEG : v >= I16_EDGE ? I16_POS : v;
+    }
+}
+
+/* Negates z's count entries, each in [I16_NEG, 2^14]: the two codes swap,
+ * and any other entry changes sign, which keeps it on its side of the
+ * decode edges. */
+static void negate_i16(int16_t *z, ptrdiff_t count)
+{
+    for (ptrdiff_t c = 0; c < count; c++) {
+        int16_t v = z[c];
+        z[c] = v == I16_NEG ? I16_POS : v == I16_POS ? I16_NEG : -v;
+    }
+}
+
+/* Writes z's count entries to x: at or below -I16_EDGE as -inf, at or
+ * above I16_EDGE as +inf, and any other as itself. */
+static void decode_i16(const int16_t *restrict z, double *restrict x, ptrdiff_t count)
+{
+    for (ptrdiff_t c = 0; c < count; c++) {
+        int16_t v = z[c];
+        double d;
+        uint64_t u = bits(MAGIC) + (uint64_t)(int64_t)v;
+        memcpy(&d, &u, sizeof d);
+        d -= MAGIC;
+        x[c] = v <= -I16_EDGE ? -INFINITY : v >= I16_EDGE ? INFINITY : d;
+    }
+}
+
+/* Double multiply-adds an rows×k by k×cols product costs on the per-product
+ * path: matvec and vecmat pad nothing, the double tile pads cols to WJ_F64. */
+static ptrdiff_t f64_work(ptrdiff_t rows, ptrdiff_t k, ptrdiff_t cols)
+{
+    if (rows == 1 || cols == 1) return rows * k * cols;
+    return (rows + WR - 1) / WR * WR * k * ((cols + WJ_F64 - 1) / WJ_F64 * WJ_F64);
+}
+
+/* The same in double multiply-adds on the int16 tile, which pads every
+ * product to whole tiles and does 4 multiply-adds where the double one
+ * does 1. */
+static ptrdiff_t i16_work(ptrdiff_t rows, ptrdiff_t k, ptrdiff_t cols)
+{
+    return (rows + WR - 1) / WR * WR * k * ((cols + WJ_I16 - 1) / WJ_I16 * WJ_I16) / 4;
+}
+
+/* Whether one maxplus_terms call beats the 2p products the caller would
+ * make instead for p terms at C of m×n: the int16 tile has 4 lanes for
+ * the double tile's 1, but each entry of the factors, of x and of out is
+ * encoded or decoded once, and each of the caller's products is a call
+ * from Python with its checks.  For n up to 32 both tiles do the same
+ * padded work, so the encoding pays only against the calls, which are
+ * what weighs at small m. */
+static int terms_pay(ptrdiff_t p, ptrdiff_t m, ptrdiff_t n)
+{
+    ptrdiff_t f64 = p * (f64_work(m, m, n) + f64_work(m, n, n) + 2 * TERMS_CALL_COST);
+    ptrdiff_t i16 = p * (i16_work(m, m, n) + i16_work(m, n, n) + TERMS_ENTRY_COST * (m * m + n * n));
+    return i16 + TERMS_ENTRY_COST * 2 * m * n < f64;
+}
+
+/* out = ⊕_k a[k] ⊗ x ⊗ b[k] over the p terms, for C-contiguous m×m a[k],
+ * n×n b[k] and m×n x and out; with residual set,
+ * out = −(⊕_k a[k]ᵀ ⊗ (−x) ⊗ b[k]ᵀ), the principal solution at C = x.
+ * Runs the int16 tile on encoded copies in one scratch block of the
+ * call's own, each factor encoded once, transposed as it is encoded, and x
+ * once; a clamp follows the first product of each term (see the header).
+ * Returns 1 with out written, or 0 with out untouched
+ * when an entry does not qualify (see the header), the shape does not
+ * repay the tile or no scratch could be had.  With a NULL a it is a
+ * query: whether the shape repays the tile and, unless x is NULL too,
+ * whether x's first CHUNK entries qualify, which is where most data that
+ * does not qualify shows it, so a caller can decline before it gathers
+ * the factors. */
+int maxplus_terms(const double *const *a, const double *const *b, const double *x, double *out,
+                  ptrdiff_t p, ptrdiff_t m, ptrdiff_t n, int residual)
+{
+    if (!terms_pay(p, m, n)) return 0;
+    if (!a) {
+        int16_t head[CHUNK];
+        return !x || !encode_rows_i16(x, 0, head, 0, 1, m * n < CHUNK ? m * n : CHUNK, I16_X);
+    }
+    /* each array starts on a 64-byte line: sizes rounded up to 32 int16 */
+    ptrdiff_t sa = (m * m + 31) & ~(ptrdiff_t)31, sb = (n * n + 31) & ~(ptrdiff_t)31;
+    ptrdiff_t sx = (m * n + 31) & ~(ptrdiff_t)31;
+    int16_t *za = aligned_alloc(64, (size_t)(sa + sb + 3 * sx) * sizeof(int16_t));
+    if (!za) return 0;
+    int16_t *zb = za + sa, *zx = zb + sb, *zt = zx + sx, *zo = zt + sx;
+    int ok = encode_i16(x, zx, m, n, I16_X, 0);
+    if (ok && residual) negate_i16(zx, m * n);
+    for (ptrdiff_t k = 0; ok && k < p; k++) {
+        ok = encode_i16(a[k], za, m, m, I16_FACTOR, residual) && encode_i16(b[k], zb, n, n, I16_FACTOR, residual);
+        if (ok) {
+            blocked_i16(za, zx, zt, m, m, n, 0);
+            clamp_i16(zt, m * n);
+            blocked_i16(zt, zb, zo, m, n, n, k > 0);
+        }
+    }
+    if (ok && residual) negate_i16(zo, m * n);
+    if (ok) decode_i16(zo, out, m * n);
+    free(za);
+    return ok;
 }

@@ -1,9 +1,14 @@
 /* The blocked max-plus product over one element type, included by
- * maxplus_product.c once per type.  The includer defines T, the element
- * type; WJ, the columns of q per register tile; BOTTOM, the value that
- * pads a block and starts a cell; and NAME(f), which gives each function
- * the type's suffix.  WR and KB are the includer's, shared by every type.
- * See maxplus_product.c for the tile, the padding and the two instances.
+ * maxplus_product.c once per type: double (6×32 cells, BOTTOM -inf), int32
+ * (6×64, -2^30) and int16 (6×128, -2^14), each tile 24 AVX-512 registers
+ * of accumulators.  The includer defines T, the element type; WJ, the
+ * columns of q per register tile; BOTTOM, the value that pads a block and
+ * starts a cell; and NAME(f), which gives each function the type's suffix.
+ * WR and KB are the includer's, shared by every type.  An integer sum is
+ * formed in int and stored as T, so the includer must keep every sum of
+ * two operands, BOTTOM among them, within T: for int16 the sentinels
+ * -2^14 and 2^13 give sums in [-2^15, 2^14].  See maxplus_product.c for the
+ * tile, the padding, the three instances and the int16 chain's proof.
  */
 
 /* One WR×WJ block of out, held in registers over kl inner indices; p, q

@@ -26,6 +26,16 @@ when there is none, ``ckernel.NUMPY``'s numpy passes, which are the
 definition and the tests' bit reference, as its product is for products.
 :func:`sylvester_apply` maxes each term into one running array with the
 products' accumulate mode.
+
+:func:`sylvester_principal_solution` and :func:`sylvester_apply` first offer
+their p terms to ``ckernel.LIBRARY.terms``, one compiled call that runs all
+2p products on the int16 tile, with each operand encoded once and no
+transposed, negated or running array made here.  It serves integer data
+small enough that every sum stays exact in int16 (factors up to 2**9 in
+magnitude, X or C up to 3·2**9) at shapes where that pays, and gives the
+composition's bits; anything else it declines, and the products above
+run as before, with their errors.  The ops are counted by formula either
+way, as the 2p products would count them.
 """
 
 from dataclasses import dataclass
@@ -41,6 +51,7 @@ from .matrix import (
     negate,
     transpose,
 )
+from .opcount import semiring_ops
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -190,6 +201,9 @@ def sylvester_principal_solution(inst: SylvesterInstance) -> TropicalMatrix:
     association order, and the min over k is the negated max, so the
     result is bit-identical to computing it in min-plus.
     """
+    served = _terms(inst.A, inst.B, inst.C, residual=True)
+    if served is not None:
+        return served
     A_t = tuple(transpose(A_k) for A_k in inst.A)
     B_t = tuple(transpose(B_k) for B_k in inst.B)
     return negate(sylvester_apply(A_t, B_t, negate(inst.C)))
@@ -202,10 +216,23 @@ def sylvester_apply(A_terms, B_terms, X: TropicalMatrix) -> TropicalMatrix:
     at the max-plus zero and that only this call holds; it becomes a matrix
     once every term is in, so an overflow leaves no partial sum behind.
     """
+    served = _terms(A_terms, B_terms, X, residual=False)
+    if served is not None:
+        return served
     acc = np.full(X.shape, NEG_INF)
     for A_k, B_k in zip(A_terms, B_terms):
         max_plus_matmul(max_plus_matmul(A_k, X), B_k, acc)
     return TropicalMatrix._wrap(acc)
+
+
+def _terms(A_terms, B_terms, X: TropicalMatrix, residual: bool):
+    """The p terms in one compiled call, counted as their 2p products would count; None when declined."""
+    out = ckernel.LIBRARY.terms([A_k.data for A_k in A_terms], [B_k.data for B_k in B_terms], X.data, residual)
+    if out is None:
+        return None
+    m, n = X.shape
+    semiring_ops.add(len(A_terms) * (m * m * n + m * n * n + m * n))
+    return TropicalMatrix._wrap(out)
 
 
 def solve_sylvester(inst: SylvesterInstance) -> SolveReport:

@@ -7,9 +7,11 @@ which implementation it got.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import maxplus_sylvester
+from maxplus_sylvester import ckernel
 
 PACKAGE = Path(maxplus_sylvester.__file__).parent
 
@@ -45,3 +47,15 @@ def test_the_check_flags_a_bound_or_compared_handle():
         "kernel = ckernel.LIBRARY.product\n"
         "ckernel.LIBRARY.product(p, q)\n"))
     assert flagged == [1, 2, 3, 4]
+
+
+def test_both_kernels_define_the_same_methods():
+    # the handle is either class, so a method on one side only would fail
+    # only where the other is loaded
+    def methods(cls):
+        return {name: inspect.signature(member) for name, member in vars(cls).items()
+                if callable(member) and not name.startswith("_")}
+
+    library, numpy = methods(ckernel.Library), methods(ckernel.Numpy)
+    assert library == numpy
+    assert {"product", "kron", "finite_scale", "mismatches", "scan", "write", "terms"} <= set(library)

@@ -787,3 +787,140 @@ def test_row_product_kernels_agree_on_any_entries(operands):
     p, q, acc = operands
     if not _same_bits_or_both_raise(lambda kernel: kernel.product(p, q)):
         assert not _same_bits_or_both_raise(lambda kernel: kernel.product(p, q, acc.copy()))
+
+
+def per_product_terms(A_terms, B_terms, X, residual):
+    """What ``terms`` computes, as the solvers composed it before it: 2p
+    products, each term maxed into one running array, on the transposed
+    factors at −X and negated when ``residual`` is set."""
+    if residual:
+        A_terms, B_terms, X = [transpose(A) for A in A_terms], [transpose(B) for B in B_terms], negate(X)
+    acc = np.full(X.shape, NEG_INF)
+    for A_k, B_k in zip(A_terms, B_terms):
+        max_plus_matmul(max_plus_matmul(A_k, X), B_k, acc)
+    return negate(M._wrap(acc)) if residual else M._wrap(acc)
+
+
+def terms_operands(rng, m, n, p, factor=2**9, x=3 * 2**9):
+    """p m×m and n×n factors up to ``factor`` and an m×n X up to ``x`` in
+    magnitude: a sixth of the entries at each edge, some ±inf, and a row
+    and a column of each matrix set to one edge or infinity, so sums reach
+    ±(2·factor + x) and meet every code."""
+    def draw(rows, cols, bound):
+        X = rng.integers(-bound, bound + 1, (rows, cols)).astype(float)
+        u = rng.random((rows, cols))
+        X[u < 1 / 6], X[u > 5 / 6] = bound, -bound
+        X[(u > 0.4) & (u < 0.5)], X[(u > 0.5) & (u < 0.55)] = NEG_INF, POS_INF
+        X[rng.integers(rows), :] = rng.choice([NEG_INF, POS_INF, bound, -bound])
+        X[:, rng.integers(cols)] = rng.choice([NEG_INF, POS_INF, bound, -bound])
+        return M(X)
+
+    return [draw(m, m, factor) for _ in range(p)], [draw(n, n, factor) for _ in range(p)], draw(m, n, x)
+
+
+def _terms(library, A_terms, B_terms, X, residual):
+    return library.terms([A.data for A in A_terms], [B.data for B in B_terms], X.data, residual)
+
+
+@pytest.fixture(scope="module")
+def serves_every_shape(tmp_path_factory):
+    """A build whose maxplus_terms takes every shape its rule would decline,
+    n == 1 and large m at small n among them, so the int16 tile is checked
+    where the live build sends the terms to the per-product path."""
+    if shutil.which("gcc") is None:
+        pytest.skip("no C compiler")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ckernel, "FLAGS", (*ckernel.FLAGS, "-DTERMS_CALL_COST=0x10000000000"))
+        mp.setattr(ckernel, "CACHE", tmp_path_factory.mktemp("terms"))
+        library = ckernel.load()
+    assert library is not None
+    return library
+
+
+# (m, n, p) on the int16 tile, 6×128 cells over passes of 256 inner
+# indices: m of 5, 6 and 7 ends short of, at and past a row block, n of
+# 127, 128, 129 and 257 the same for a column block, and m or n of 257
+# runs a second pass (A_k ⊗ X has m inner indices, T ⊗ B_k has n)
+TERMS_EDGES = [(1, 2, 1), (2, 1, 2), (5, 6, 3), (6, 7, 4), (7, 5, 1), (6, 127, 2), (7, 128, 1), (5, 129, 3),
+               (127, 2, 2), (128, 6, 1), (129, 7, 4), (2, 257, 1), (257, 5, 2), (129, 129, 1), (257, 128, 1)]
+
+
+@on_both_kernels("m,n,p", TERMS_EDGES)
+def test_terms_match_the_per_product_composition(m, n, p, kernel):
+    A, B, X = terms_operands(np.random.default_rng(m * 1000 + n * 10 + p), m, n, p)
+    for residual in (False, True):
+        got = _terms(ckernel.LIBRARY, A, B, X, residual)
+        if kernel == "numpy":
+            assert got is None
+        elif got is not None:
+            _assert_same_bits(M._wrap(got), per_product_terms(A, B, X, residual).data)
+
+
+@pytest.mark.parametrize("m,n,p", TERMS_EDGES)
+def test_terms_tile_matches_at_every_edge(m, n, p, serves_every_shape):
+    A, B, X = terms_operands(np.random.default_rng(m * 1000 + n * 10 + p), m, n, p)
+    for residual in (False, True):
+        got = _terms(serves_every_shape, A, B, X, residual)
+        assert got is not None
+        _assert_same_bits(M._wrap(got), per_product_terms(A, B, X, residual).data)
+
+
+def test_live_terms_serve_square_int16_data():
+    if ckernel.LIBRARY is ckernel.NUMPY:
+        pytest.skip("no compiled library")
+    for m, n, p in ((16, 16, 1), (64, 64, 4), (128, 128, 2), (96, 40, 8)):
+        A, B, X = terms_operands(np.random.default_rng(m + n + p), m, n, p)
+        for residual in (False, True):
+            got = _terms(ckernel.LIBRARY, A, B, X, residual)
+            assert got is not None
+            _assert_same_bits(M._wrap(got), per_product_terms(A, B, X, residual).data)
+
+
+# past the bounds: a factor entry of 2**9 + 1, a fraction, ±1e300 and the
+# overflowing ±1.7e308, and X entries of 3·2**9 + 1; -0.0, which no matrix
+# holds, is declined as the int32 encoding declines it
+@pytest.mark.parametrize("where,value", [("A", 2**9 + 1), ("B", -(2**9 + 1)), ("A", 0.5), ("B", 1e300),
+                                         ("A", -1.7e308), ("X", 3 * 2**9 + 1), ("X", -(3 * 2**9 + 1)),
+                                         ("X", 0.5), ("B", -0.0), ("X", -0.0)])
+def test_terms_decline_entries_past_the_bounds(where, value, serves_every_shape):
+    A, B, X = terms_operands(np.random.default_rng(24), 9, 140, 2)
+    arrays = {"A": [a.data.copy() for a in A], "B": [b.data.copy() for b in B], "X": X.data.copy()}
+    target = arrays[where][-1] if where != "X" else arrays["X"]
+    target[-1, -1] = value
+    for library in (serves_every_shape, ckernel.LIBRARY):
+        for residual in (False, True):
+            assert library.terms(arrays["A"], arrays["B"], arrays["X"], residual) is None
+    arrays[where] = [a.data for a in A] if where == "A" else [b.data for b in B] if where == "B" else X.data
+    assert serves_every_shape.terms(arrays["A"], arrays["B"], arrays["X"], False) is not None
+
+
+@st.composite
+def _terms_cases(draw):
+    # shapes across the row blocks and the 128 columns of the int16 tile,
+    # and seeded entries at the tile's edges, or at small integers
+    m, n, p = draw(st.integers(1, 14)), draw(st.integers(1, 140)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factor, x = draw(st.sampled_from([(2**9, 3 * 2**9), (10, 30)]))
+    return (*terms_operands(rng, m, n, p, factor, x), draw(st.booleans()))
+
+
+@given(_terms_cases())
+def test_terms_property_matches_the_per_product_composition(serves_every_shape, case):
+    A, B, X, residual = case
+    got = _terms(serves_every_shape, A, B, X, residual)
+    assert got is not None
+    _assert_same_bits(M._wrap(got), per_product_terms(A, B, X, residual).data)
+
+
+def test_terms_negate_cells_whose_sums_are_all_minus_inf(serves_every_shape):
+    # column 2 of each A_k and row 3 of each B_k are -inf, so every sum of
+    # cell (2, 3) of the residual's inner max is -inf + -inf, which the int16
+    # tile holds as -2**15 until the clamp before the negation; the principal
+    # is +inf there
+    A, B, X = terms_operands(np.random.default_rng(31), 8, 12, 2)
+    A = [M(np.where(np.arange(8) == 2, NEG_INF, A_k.data)) for A_k in A]
+    B = [M(np.where(np.arange(12)[:, None] == 3, NEG_INF, B_k.data)) for B_k in B]
+    want = per_product_terms(A, B, X, True)
+    assert want.data[2, 3] == POS_INF
+    for library in {serves_every_shape, ckernel.LIBRARY} - {ckernel.NUMPY}:
+        _assert_same_bits(M._wrap(_terms(library, A, B, X, True)), want.data)

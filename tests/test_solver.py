@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import bruteforce as bf
+from test_matrix import per_product_terms, terms_operands
 from maxplus_sylvester import ckernel, solver
 from maxplus_sylvester.instance_io import GeneratorConfig, generate_instance
 from maxplus_sylvester.matrix import (
@@ -332,6 +333,82 @@ def test_two_sided_solve_takes_four_products_and_no_unit(monkeypatch):
         assert not any(is_unit(P) or is_unit(Q) for P, Q, _ in calls)
 
 
+# the int16 terms call serves both solver steps at small integer data and
+# the per-product path the rest; either way the reports are the
+# composition's (see test_matrix.py for the kernel on its own)
+@pytest.mark.parametrize("kernel", ["live", "numpy"])
+@pytest.mark.parametrize("m,n,p", [(1, 2, 1), (6, 7, 4), (7, 129, 2), (128, 6, 3), (129, 128, 1), (5, 257, 2)])
+def test_solver_steps_match_the_per_product_composition(m, n, p, kernel, monkeypatch):
+    # the same X, within ±3·2**9, is the substitution's X and the principal's C
+    A, B, X = terms_operands(np.random.default_rng(m + n + p), m, n, p)
+    want = {residual: per_product_terms(A, B, X, residual) for residual in (False, True)}
+    if kernel == "numpy":
+        monkeypatch.setattr(ckernel, "LIBRARY", ckernel.NUMPY)
+    assert sylvester_apply(A, B, X).data.tobytes() == want[False].data.tobytes()
+    inst = SylvesterInstance(A=A, B=B, C=X)
+    assert sylvester_principal_solution(inst).data.tobytes() == want[True].data.tobytes()
+
+
+def _count_per_product_calls(monkeypatch):
+    calls = []
+    for name in ("max_plus_matmul", "transpose", "negate"):
+        def counting(*args, original=getattr(solver, name), name=name):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(solver, name, counting)
+    return calls
+
+
+def test_int16_data_takes_no_per_product_call(monkeypatch):
+    # factors at ±2**9 and C at ±3·2**9 run in two compiled calls, with no
+    # product, transpose or negate of the solver's own; one entry past the
+    # bounds, a fraction or ±1e300 sends both steps to the 4p products
+    calls = _count_per_product_calls(monkeypatch)
+    rng = np.random.default_rng(30)
+    m, n, p = 8, 12, 2
+    A, B, C = terms_operands(rng, m, n, p)
+    before = semiring_ops.total
+    report = solve_sylvester(SylvesterInstance(A=A, B=B, C=C))
+    assert semiring_ops.total - before == 2 * p * (m * m * n + m * n * n + m * n)
+    compiled = ckernel.LIBRARY is not ckernel.NUMPY
+    assert calls.count("max_plus_matmul") == (0 if compiled else 4 * p)
+    assert (calls.count("transpose"), calls.count("negate")) == ((0, 0) if compiled else (2 * p, 2))
+    monkeypatch.setattr(ckernel, "LIBRARY", ckernel.NUMPY)
+    assert solve_sylvester(SylvesterInstance(A=A, B=B, C=C)) == report
+    monkeypatch.undo()
+    calls = _count_per_product_calls(monkeypatch)
+    for value in (513.0, -513.0, 0.5, 1e300, -1e300):
+        A_k = A[1].data.copy()
+        A_k[3, 4] = value
+        calls.clear()
+        solve_sylvester(SylvesterInstance(A=(A[0], M(A_k)), B=B, C=C))
+        assert calls.count("max_plus_matmul") == 4 * p, value
+    # an overflowing sum still stops the first product, with the same text
+    for value in (1.7e308, -1.7e308):
+        calls.clear()
+        with pytest.raises(ValueError) as caught:
+            solve_sylvester(SylvesterInstance(A=(M(np.full((m, m), value)), A[1]), B=B, C=M(np.full((m, n), -value))))
+        assert str(caught.value) == (f"max-plus product of ({m}, {m}) by ({m}, {n}) overflows float64: "
+                                     "a finite sum exceeds the largest double")
+        assert calls.count("max_plus_matmul") == 1
+
+
+@pytest.mark.parametrize("kernel", ["live", "numpy"])
+def test_a_miss_equal_to_eps_is_no_mismatch(kernel, monkeypatch):
+    # |1.5 − 1.0| = 0.5 passes at eps = 0.5 and misses at the next double
+    # below it, wherever the cell lies in the scan's rows
+    if kernel == "numpy":
+        monkeypatch.setattr(ckernel, "LIBRARY", ckernel.NUMPY)
+    left, right = np.ones((3, 41)), np.ones((3, 41))
+    cells = [(0, 0), (1, 17), (2, 40)]
+    for cell in cells:
+        left[cell] = 1.5
+    assert len(matrix_mismatches(M(left), M(right), 0.5)[0]) == 0
+    found, residual = matrix_mismatches(M(left), M(right), np.nextafter(0.5, 0.0))
+    assert found.tolist() == [list(cell) for cell in cells] and residual == 0.5
+
+
 def test_instance_validation():
     with pytest.raises(ShapeError):
         SylvesterInstance(A=(), B=(), C=M([[0]]))
@@ -511,14 +588,23 @@ def test_miss_wider_than_float64_reads_inf():
 
 def test_fast_path_op_count_is_exact():
     rng = np.random.default_rng(27)
-    for _ in range(20):
-        m, n, p = int(rng.integers(1, 7)), int(rng.integers(1, 7)), int(rng.integers(1, 5))
-        cfg = GeneratorConfig(m=m, n=n, p=p, seed=int(rng.integers(0, 2**63)), mode="raw_random")
-        inst, _ = generate_instance(cfg)
-        before = semiring_ops.total
-        solve_sylvester(inst)
-        used = semiring_ops.total - before
-        assert used == 2 * p * (m * m * n + m * n * n + m * n)
+    cases = [(int(rng.integers(1, 7)), int(rng.integers(1, 7)), int(rng.integers(1, 5)), 1.0) for _ in range(20)]
+    # the int16 tile's row and column edges, and one-decimal data, which
+    # the compiled terms call declines, so the per-product path counts
+    cases += [(6, 7, 2, 1.0), (7, 6, 1, 1.0), (128, 129, 1, 1.0), (129, 128, 2, 1.0), (7, 129, 2, 0.1),
+              (128, 6, 1, 0.1)]
+    for kernel in (ckernel.LIBRARY, ckernel.NUMPY):
+        for m, n, p, step in cases:
+            cfg = GeneratorConfig(m=m, n=n, p=p, seed=int(rng.integers(0, 2**63)), mode="raw_random")
+            inst, _ = generate_instance(cfg)
+            inst = SylvesterInstance(A=[M(A.data * step) for A in inst.A], B=[M(B.data * step) for B in inst.B],
+                                     C=M(inst.C.data * step))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ckernel, "LIBRARY", kernel)
+                before = semiring_ops.total
+                solve_sylvester(inst)
+                used = semiring_ops.total - before
+            assert used == 2 * p * (m * m * n + m * n * n + m * n)
 
 
 def float_entries(rng, rows, cols, scale, neg=0.0, pos=0.0):

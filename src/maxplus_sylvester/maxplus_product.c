@@ -1,9 +1,10 @@
 /* The compiled max-plus product: out = p ⊗ q for row-major float64 arrays,
  * out[i, j] = max_l (p[i, l] + q[l, j]), or in accumulate mode
  * out = out ⊕ (p ⊗ q); the max-plus Kronecker product the oracle builds its
- * system from, under the same rules; and maxplus_terms, the p terms of a
- * Sylvester sum in one call on small integer data.  ckernel.py builds and
- * binds all three.
+ * system from, under the same rules; and, on small integer data,
+ * maxplus_terms, the p terms of a Sylvester sum in one call, and
+ * maxplus_solve, a whole Sylvester solve in one call.  ckernel.py builds
+ * and binds all four.
  *
  * Each cell starts at -inf, or at its own value in accumulate mode, and
  * takes a sum s only when s > cell.  A NaN sum, which only -inf + +inf
@@ -56,44 +57,64 @@
  *
  * maxplus_terms runs ⊕_k A_k ⊗ X ⊗ B_k, or the residual
  * −(⊕_k A_kᵀ ⊗ (−X) ⊗ B_kᵀ) that is the principal solution at C = X, on the
- * int16 tile, 32 lanes to a register.  It serves a call only when every
- * finite entry of the factors is an integer of magnitude up to 2^9 and
- * every finite entry of X one up to 3·2^9, and when terms_pay says the
- * lanes and the caller's calls saved repay the encoding; it declines any
- * other call, and the caller composes the sum from maxplus_product calls.
- * Each operand is encoded once into 64-byte aligned scratch of the call's
- * own, as finite ↦ itself, -inf ↦ I16_NEG = -2^14, +inf ↦ I16_POS = 2^13;
- * for the residual each factor is transposed as it is encoded and X is
- * negated after it.  Each term's first product T = A_k ⊗ X is clamped,
- * ≤ -2^12 ↦ -2^14 and ≥ 2^12 ↦ 2^13, before T ⊗ B_k is maxed into the
- * running sum, which is decoded once at the end (≤ -2^12 ↦ -inf,
- * ≥ 2^12 ↦ +inf, else itself), after a negation for the residual.
- * Negation swaps the two codes and changes the sign of any other entry.
- * That gives the per-product composition's bits:
+ * int16 tile, 32 lanes to a register; maxplus_solve runs a whole Sylvester
+ * solve there: the principal X̂ at C, its substitution and the exact scan
+ * against C.  Both serve a call only when every finite entry of the
+ * factors is an integer of magnitude up to 2^9 and every finite entry of X
+ * or C one up to 3·2^9, and when terms_pay says the lanes and the caller's
+ * calls saved repay the encoding; they decline any other call, and the
+ * caller composes the sum from maxplus_product calls.  Each operand is
+ * encoded once, plain, into 64-byte aligned scratch that the calling
+ * thread keeps from call to call (see scratch below), as
+ * finite ↦ itself, -inf ↦ I16_NEG = -2^14, +inf ↦ I16_POS = 2^13.  Each
+ * term's first product T is clamped, ≤ -2^12 ↦ -2^14 and ≥ 2^12 ↦ 2^13,
+ * before the second is maxed into the running sum, which is decoded once
+ * at the end (≤ -2^12 ↦ -inf, ≥ 2^12 ↦ +inf, else itself).  Negation clamps
+ * too: it takes ≤ -2^12 to 2^13, ≥ 2^12 to -2^14 and changes the sign of
+ * any other entry.
+ *
+ * No factor is transposed.  The principal runs through its transpose,
+ *   X̂ᵀ = −(⊕_k (B_k ⊗ (−Cᵀ)) ⊗ A_k),
+ * on C encoded, transposed and negated in int16, and X̂ᵀ, negated, is
+ * transposed back in int16.  Its first products are the transposes of
+ * (−C) ⊗ B_kᵀ, so they are formed from operands of the same bounds as
+ * the per-product path's first products A_kᵀ ⊗ (−C), and the bounds below
+ * hold for them unchanged.
+ * The values are the per-product composition's: every sum below is exact,
+ * and with -inf absorbing, as -inf + +inf = -inf makes it, the max-plus
+ * product is associative and (P ⊗ Q)ᵀ = Qᵀ ⊗ Pᵀ, so each cell is the same
+ * integer or infinity whatever the association, and that value has one
+ * double.  The bits hold:
  *   - every operand of a product is a code or finite, and a finite one has
- *     magnitude at most 2^9 (a factor), 3·2^9 (X) or 4·2^9 (a clamped T,
- *     whose finite cells are sums of a factor entry and an X entry);
- *   - so a finite sum has magnitude at most 5·2^9 = 2560, below the decode
+ *     magnitude at most 2^9 (a factor), 3·2^9 (X or C), 4·2^9 (a clamped T
+ *     of the principal or of a substitution at X), 5·2^9 (the principal
+ *     X̂, a sum of one entry of C and two factor entries) or 6·2^9 (a
+ *     clamped T of X̂'s substitution);
+ *   - so a finite sum has magnitude at most 7·2^9 = 3584, below the decode
  *     edge 2^12, and it is exact in int16 as in double;
- *   - -inf plus a finite entry is at most -2^14 + 2^11 and stays at or
- *     below -2^12; +inf plus one is at least 2^13 - 2^11 and stays at or
+ *   - -inf plus a finite entry is at most -2^14 + 6·2^9 and stays at or
+ *     below -2^12; +inf plus one is at least 2^13 - 6·2^9 and stays at or
  *     above 2^12;
  *   - -inf + -inf = -2^15 fits in int16, +inf + +inf = 2^14 fits, and
  *     -inf + +inf = -2^13 decodes to -inf, as a NaN sum loses in double;
- *   - a cell starts at -2^14 and only grows, so T and the running sum lie
- *     in [-2^14, 2^14], and there negation takes every entry that decodes
- *     to one infinity to one that decodes to the other: the last negation
- *     needs no clamp before it;
  *   - without its clamp T could hold +inf as 2^14, and 2^14 + -2^14 = 0
- *     would read finite, so T is clamped: the running sum is only maxed,
+ *     would read finite, so T is clamped, and so is X̂, which the
+ *     substitution reads as an operand: the running sum is only maxed,
  *     never added to, so the bounds hold for any p;
  *   - no double sum of such entries can overflow, so no FE_OVERFLOW is
  *     lost, and encoding refuses -0.0.
- * With these bounds the principal of data up to 2^9 has finite entries of
- * magnitude at most 3·2^9, so it qualifies for its own substitution.
+ * The scan compares the substitution's running sum, clamped, with C as
+ * encoded: both are then codes or exact finite integers, so they are equal
+ * exactly when their doubles are.  The tolerance the solver would compare
+ * with is 0.0 on this data: every entry is an integer, far below the
+ * 2^53 / 5 up to which five-entry double sums are exact.  So a cell misses
+ * when the two int16 entries differ, its residual is +inf when either is
+ * an infinity, as their infinity states then differ, and else their exact
+ * |difference|.
  */
 #include <fenv.h>
 #include <math.h>
+#include <pthread.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -121,8 +142,6 @@
 #ifndef TERMS_CALL_COST        /* the tests build one that serves every shape */
 #define TERMS_CALL_COST 90000  /* double multiply-adds one product's call from Python costs, about 4.5 µs */
 #endif
-#define TR 16                  /* rows of x a transposing encode takes at a time */
-#define TC 256                 /* and columns */
 
 #define T double
 #define WJ WJ_F64
@@ -293,58 +312,35 @@ int maxplus_kron(const double *mm, const double *nn, double *kron, ptrdiff_t a, 
     return fetestexcept(FE_OVERFLOW) != 0;
 }
 
-/* The int16 form of encode: x's finite entries up to bound in magnitude
- * as themselves, -inf as I16_NEG and +inf as I16_POS, written to z, which
- * has row stride zs, from the rows×cols x with row stride xs.  Returns the
- * bits that are nonzero when an entry is none of these. */
-static uint64_t encode_rows_i16(const double *restrict x, ptrdiff_t xs, int16_t *restrict z, ptrdiff_t zs,
-                                ptrdiff_t rows, ptrdiff_t cols, double bound)
+/* The int16 form of encode: x's count entries, finite ones up to bound in
+ * magnitude as themselves, -inf as I16_NEG and +inf as I16_POS, written to
+ * z.  Returns the bits that are nonzero when an entry is none of these. */
+static uint64_t encode_chunk_i16(const double *restrict x, int16_t *restrict z, ptrdiff_t count, double bound)
 {
     uint64_t bad = 0;
-    for (ptrdiff_t r = 0; r < rows; r++)
-        for (ptrdiff_t c = 0; c < cols; c++) {
-            double v = x[r * xs + c], a = fabs(v);
-            v = v < I16_NEG ? I16_NEG : v > I16_POS ? I16_POS : v;
-            double y = v + MAGIC;
-            bad |= (bits(y - MAGIC) ^ bits(v)) | !((a <= bound) | (a == INFINITY));
-            z[r * zs + c] = (int16_t)bits(y);
-        }
+    for (ptrdiff_t c = 0; c < count; c++) {
+        double v = x[c], a = fabs(v);
+        v = v < I16_NEG ? I16_NEG : v > I16_POS ? I16_POS : v;
+        double y = v + MAGIC;
+        bad |= (bits(y - MAGIC) ^ bits(v)) | !((a <= bound) | (a == INFINITY));
+        z[c] = (int16_t)bits(y);
+    }
     return bad;
 }
 
-/* Writes the rows×cols x to z as the int16 tile reads it, or, with flip
- * set, its transpose, a cols×rows z.  Returns 0, with z partly written,
- * when an entry is not ±inf or an integer other than -0.0 of magnitude up
- * to bound, else 1.  A transposing encode takes TR rows at a time, TC
- * columns at a time: it encodes their rows into a buffer on the stack,
- * then writes the buffer to z by columns, TR entries to a run, so x is
- * read by rows and z written within a few cache lines. */
-static int encode_i16(const double *restrict x, int16_t *restrict z, ptrdiff_t rows, ptrdiff_t cols,
-                      double bound, int flip)
+/* Writes x's count entries to z as the int16 tile reads them.  Returns 0,
+ * with z partly written, when an entry is not ±inf or an integer other
+ * than -0.0 of magnitude up to bound, else 1. */
+static int encode_i16(const double *restrict x, int16_t *restrict z, ptrdiff_t count, double bound)
 {
-    if (!flip) {
-        for (ptrdiff_t c0 = 0; c0 < rows * cols; c0 += CHUNK) {
-            ptrdiff_t c1 = rows * cols - c0 < CHUNK ? rows * cols : c0 + CHUNK;
-            if (encode_rows_i16(x + c0, 0, z + c0, 0, 1, c1 - c0, bound)) return 0;
-        }
-        return 1;
-    }
-    int16_t buf[TR * TC];
-    for (ptrdiff_t i0 = 0; i0 < rows; i0 += TR) {
-        ptrdiff_t h = rows - i0 < TR ? rows - i0 : TR;
-        for (ptrdiff_t j0 = 0; j0 < cols; j0 += TC) {
-            ptrdiff_t w = cols - j0 < TC ? cols - j0 : TC;
-            if (encode_rows_i16(x + i0 * cols + j0, cols, buf, TC, h, w, bound)) return 0;
-            for (ptrdiff_t c = 0; c < w; c++)
-                for (ptrdiff_t r = 0; r < h; r++) z[(j0 + c) * rows + i0 + r] = buf[r * TC + c];
-        }
-    }
+    for (ptrdiff_t c0 = 0; c0 < count; c0 += CHUNK)
+        if (encode_chunk_i16(x + c0, z + c0, count - c0 < CHUNK ? count - c0 : CHUNK, bound)) return 0;
     return 1;
 }
 
-/* Sets z's count entries, each the max of int16 sums of entries at most
- * 4·2^9 from 0 or a code, to clamp form: at or below -I16_EDGE to I16_NEG,
- * at or above I16_EDGE to I16_POS. */
+/* Sets z's count entries, each the max of int16 sums of the operands the
+ * header bounds, to clamp form: at or below -I16_EDGE to I16_NEG, at or
+ * above I16_EDGE to I16_POS. */
 static void clamp_i16(int16_t *z, ptrdiff_t count)
 {
     for (ptrdiff_t c = 0; c < count; c++) {
@@ -353,15 +349,54 @@ static void clamp_i16(int16_t *z, ptrdiff_t count)
     }
 }
 
-/* Negates z's count entries, each in [I16_NEG, 2^14]: the two codes swap,
- * and any other entry changes sign, which keeps it on its side of the
- * decode edges. */
+/* Negates z's count entries, each at least -2^14, to clamp form: at or
+ * below -I16_EDGE to I16_POS, at or above I16_EDGE to I16_NEG, and any
+ * other changes sign. */
 static void negate_i16(int16_t *z, ptrdiff_t count)
 {
     for (ptrdiff_t c = 0; c < count; c++) {
         int16_t v = z[c];
-        z[c] = v == I16_NEG ? I16_POS : v == I16_POS ? I16_NEG : -v;
+        z[c] = v <= -I16_EDGE ? I16_POS : v >= I16_EDGE ? I16_NEG : -v;
     }
+}
+
+/* Eight int16 lanes, for the transpose's 8×8 blocks.  gcc before 12 has
+ * __builtin_shuffle where gcc 12 and clang have __builtin_shufflevector. */
+typedef int16_t v8_i16 __attribute__((vector_size(16)));
+#if defined(__clang__) || __GNUC__ >= 12
+#define SHUFFLE(x, y, ...) __builtin_shufflevector(x, y, __VA_ARGS__)
+#else
+#define SHUFFLE(x, y, ...) __builtin_shuffle(x, y, (v8_i16){__VA_ARGS__})
+#endif
+
+/* z = xᵀ for the rows×cols x.  Each whole 8×8 block is 8 row loads, three
+ * rounds of interleaving pairs of rows (by 1, 2 and 4 lanes) and 8 row
+ * stores, about 4 times faster than a scalar loop over blocks; the rows
+ * and columns past the last multiple of 8 are copied one by one. */
+static void transpose_i16(const int16_t *restrict x, int16_t *restrict z, ptrdiff_t rows, ptrdiff_t cols)
+{
+    ptrdiff_t rw = rows - rows % 8, cw = cols - cols % 8;
+    for (ptrdiff_t j0 = 0; j0 < cw; j0 += 8)
+        for (ptrdiff_t i0 = 0; i0 < rw; i0 += 8) {
+            v8_i16 a[8], b[8];
+            for (int r = 0; r < 8; r++) memcpy(&a[r], x + (i0 + r) * cols + j0, sizeof a[r]);
+            for (int r = 0; r < 8; r += 2) {
+                b[r] = SHUFFLE(a[r], a[r + 1], 0, 8, 1, 9, 2, 10, 3, 11);
+                b[r + 1] = SHUFFLE(a[r], a[r + 1], 4, 12, 5, 13, 6, 14, 7, 15);
+            }
+            for (int r = 0; r < 8; r += 4)
+                for (int s = 0; s < 2; s++) {
+                    a[r + 2 * s] = SHUFFLE(b[r + s], b[r + s + 2], 0, 1, 8, 9, 2, 3, 10, 11);
+                    a[r + 2 * s + 1] = SHUFFLE(b[r + s], b[r + s + 2], 4, 5, 12, 13, 6, 7, 14, 15);
+                }
+            for (int s = 0; s < 4; s++) { /* column j0 + 2s, then j0 + 2s + 1 */
+                b[2 * s] = SHUFFLE(a[s], a[s + 4], 0, 1, 2, 3, 8, 9, 10, 11);
+                b[2 * s + 1] = SHUFFLE(a[s], a[s + 4], 4, 5, 6, 7, 12, 13, 14, 15);
+            }
+            for (int c = 0; c < 8; c++) memcpy(z + (j0 + c) * rows + i0, &b[c], sizeof b[c]);
+        }
+    for (ptrdiff_t i = 0; i < rows; i++)
+        for (ptrdiff_t j = i < rw ? cw : 0; j < cols; j++) z[j * rows + i] = x[i * cols + j];
 }
 
 /* Writes z's count entries to x: at or below -I16_EDGE as -inf, at or
@@ -408,45 +443,173 @@ static int terms_pay(ptrdiff_t p, ptrdiff_t m, ptrdiff_t n)
     return i16 + TERMS_ENTRY_COST * 2 * m * n < f64;
 }
 
+#define LINE16(count) (((count) + 31) & ~(ptrdiff_t)31) /* int16 entries rounded up to 64-byte lines */
+
+static pthread_key_t scratch_key;
+static pthread_once_t scratch_once = PTHREAD_ONCE_INIT;
+static int scratch_keyed;
+
+static void scratch_key_create(void) { scratch_keyed = !pthread_key_create(&scratch_key, free); }
+
+/* A 64-byte aligned block of size bytes, a multiple of 64, that the
+ * calling thread keeps from call to call, or NULL when none could be had.
+ * A block the size of a solve's operands, allocated and freed on every
+ * call, let glibc trim the top of the heap, and the caller's next fresh
+ * array of about that size page-faulted in again: 256 faults a 256×256
+ * solve beside numpy's own arrays.  The block grows to the thread's largest
+ * call and is freed when the thread exits.  Its first 64 bytes hold its
+ * size. */
+static void *scratch(size_t size)
+{
+    pthread_once(&scratch_once, scratch_key_create);
+    if (!scratch_keyed) return NULL;
+    size_t *block = pthread_getspecific(scratch_key);
+    if (!block || *block < size) {
+        free(block);
+        block = aligned_alloc(64, 64 + size);
+        if (block) *block = size;
+        pthread_setspecific(scratch_key, block);
+    }
+    return block ? (char *)block + 64 : NULL;
+}
+
+/* The thread's scratch, holding the p m×m a[k] and then the p n×n b[k],
+ * encoded, LINE16(m·m) and LINE16(n·n) entries apart, followed by room for
+ * arrays m×n arrays, LINE16(m·n) apart.  NULL when a factor entry does not
+ * qualify or no scratch could be had. */
+static int16_t *encode_factors(const double *const *a, const double *const *b, ptrdiff_t p, ptrdiff_t m,
+                               ptrdiff_t n, ptrdiff_t arrays)
+{
+    ptrdiff_t sa = LINE16(m * m), sb = LINE16(n * n);
+    int16_t *z = scratch((size_t)(p * (sa + sb) + arrays * LINE16(m * n)) * sizeof(int16_t));
+    for (ptrdiff_t k = 0; z && k < p; k++)
+        if (!encode_i16(a[k], z + k * sa, m * m, I16_FACTOR) ||
+            !encode_i16(b[k], z + p * sa + k * sb, n * n, I16_FACTOR))
+            return NULL;
+    return z;
+}
+
+/* zo = ⊕_k (zl[k] ⊗ zx) ⊗ zr[k] on the int16 tile, for p r×r zl[k], sl
+ * entries apart, p c×c zr[k], sr apart, and r×c zx, zt and zo; each term's
+ * first product goes to zt and is clamped before the second is maxed into
+ * zo (see the header). */
+static void sum_i16(const int16_t *zl, ptrdiff_t sl, const int16_t *zr, ptrdiff_t sr, const int16_t *zx,
+                    int16_t *zt, int16_t *zo, ptrdiff_t p, ptrdiff_t r, ptrdiff_t c)
+{
+    for (ptrdiff_t k = 0; k < p; k++) {
+        blocked_i16(zl + k * sl, zx, zt, r, r, c, 0);
+        clamp_i16(zt, r * c);
+        blocked_i16(zt, zr + k * sr, zo, r, c, c, k > 0);
+    }
+}
+
+/* zx = X̂ in clamp form, the principal solution at the encoded m×n C zc,
+ * for p encoded m×m za[k], sa entries apart, and n×n zb[k], sb apart:
+ * X̂ᵀ = −(⊕_k (zb[k] ⊗ (−zcᵀ)) ⊗ za[k]) is formed in three n×m arrays at w,
+ * s entries apart, then transposed.  zx may be zc or w. */
+static void principal_i16(const int16_t *za, ptrdiff_t sa, const int16_t *zb, ptrdiff_t sb, const int16_t *zc,
+                          int16_t *w, ptrdiff_t s, int16_t *zx, ptrdiff_t p, ptrdiff_t m, ptrdiff_t n)
+{
+    transpose_i16(zc, w, m, n);
+    negate_i16(w, m * n);
+    sum_i16(zb, sb, za, sa, w, w + s, w + 2 * s, p, n, m);
+    negate_i16(w + 2 * s, m * n);
+    transpose_i16(w + 2 * s, zx, n, m);
+}
+
 /* out = ⊕_k a[k] ⊗ x ⊗ b[k] over the p terms, for C-contiguous m×m a[k],
  * n×n b[k] and m×n x and out; with residual set,
  * out = −(⊕_k a[k]ᵀ ⊗ (−x) ⊗ b[k]ᵀ), the principal solution at C = x.
- * Runs the int16 tile on encoded copies in one scratch block of the
- * call's own, each factor encoded once, transposed as it is encoded, and x
- * once; a clamp follows the first product of each term (see the header).
- * Returns 1 with out written, or 0 with out untouched
- * when an entry does not qualify (see the header), the shape does not
- * repay the tile or no scratch could be had.  With a NULL a it is a
- * query: whether the shape repays the tile and, unless x is NULL too,
- * whether x's first CHUNK entries qualify, which is where most data that
- * does not qualify shows it, so a caller can decline before it gathers
- * the factors. */
+ * Runs the int16 tile on encoded copies in the thread's scratch, each
+ * operand encoded once (see the header).  Returns 1 with out written, or 0
+ * with out untouched when an entry does not qualify (see the header), the
+ * shape does not repay the tile or no scratch could be had.  With a NULL a it is a query: whether the shape repays the tile
+ * and, unless x is NULL too, whether x's first CHUNK entries qualify,
+ * which is where most data that does not qualify shows it, so a caller
+ * can decline before it gathers the factors.  The query is maxplus_solve's
+ * too, with C for x. */
 int maxplus_terms(const double *const *a, const double *const *b, const double *x, double *out,
                   ptrdiff_t p, ptrdiff_t m, ptrdiff_t n, int residual)
 {
     if (!terms_pay(p, m, n)) return 0;
     if (!a) {
         int16_t head[CHUNK];
-        return !x || !encode_rows_i16(x, 0, head, 0, 1, m * n < CHUNK ? m * n : CHUNK, I16_X);
+        return !x || !encode_chunk_i16(x, head, m * n < CHUNK ? m * n : CHUNK, I16_X);
     }
-    /* each array starts on a 64-byte line: sizes rounded up to 32 int16 */
-    ptrdiff_t sa = (m * m + 31) & ~(ptrdiff_t)31, sb = (n * n + 31) & ~(ptrdiff_t)31;
-    ptrdiff_t sx = (m * n + 31) & ~(ptrdiff_t)31;
-    int16_t *za = aligned_alloc(64, (size_t)(sa + sb + 3 * sx) * sizeof(int16_t));
+    ptrdiff_t sa = LINE16(m * m), sb = LINE16(n * n), sx = LINE16(m * n);
+    int16_t *za = encode_factors(a, b, p, m, n, 4);
     if (!za) return 0;
-    int16_t *zb = za + sa, *zx = zb + sb, *zt = zx + sx, *zo = zt + sx;
-    int ok = encode_i16(x, zx, m, n, I16_X, 0);
-    if (ok && residual) negate_i16(zx, m * n);
-    for (ptrdiff_t k = 0; ok && k < p; k++) {
-        ok = encode_i16(a[k], za, m, m, I16_FACTOR, residual) && encode_i16(b[k], zb, n, n, I16_FACTOR, residual);
-        if (ok) {
-            blocked_i16(za, zx, zt, m, m, n, 0);
-            clamp_i16(zt, m * n);
-            blocked_i16(zt, zb, zo, m, n, n, k > 0);
-        }
+    int16_t *zb = za + p * sa, *zx = zb + p * sb, *w = zx + sx;
+    int ok = encode_i16(x, zx, m * n, I16_X);
+    if (ok && residual) {
+        principal_i16(za, sa, zb, sb, zx, w, sx, zx, p, m, n);
+        decode_i16(zx, out, m * n);
+    } else if (ok) {
+        sum_i16(za, sa, zb, sb, zx, w, w + sx, p, m, n);
+        decode_i16(w + sx, out, m * n);
     }
-    if (ok && residual) negate_i16(zo, m * n);
-    if (ok) decode_i16(zo, out, m * n);
-    free(za);
     return ok;
+}
+
+/* The mismatch scan at eps = 0 on the encoded m×n zo, the substitution's
+ * running sum in clamp form, and zc, C: writes the (row, col) pair of each
+ * cell where they differ, in row-major order, to cells, which holds 2·m·n
+ * entries, and the largest residual of those cells (0.0 when there is
+ * none) to *residual: +inf where either entry is an infinity, else the
+ * |difference| (see the header).  Returns the number of pairs.  A first
+ * pass over each row, in 32 lanes, finds its largest finite difference
+ * and whether it misses at all; only a row that misses is listed, each of
+ * its cells writing its pair at the next free slot and moving on only
+ * when it misses, as mismatches does. */
+static ptrdiff_t scan_i16(const int16_t *zo, const int16_t *zc, ptrdiff_t m, ptrdiff_t n, ptrdiff_t *cells,
+                          double *residual)
+{
+    ptrdiff_t count = 0;
+    int16_t worst = 0, infinite = 0;
+    for (ptrdiff_t i = 0; i < m; i++) {
+        const int16_t *o = zo + i * n, *e = zc + i * n;
+        int16_t misses = 0;
+        for (ptrdiff_t j = 0; j < n; j++) {
+            int16_t v = o[j], w = e[j], d = v > w ? v - w : w - v; /* fits: v, w in [-2^14, 2^13] */
+            int16_t finite = (v > I16_NEG) & (v < I16_POS) & (w > I16_NEG) & (w < I16_POS);
+            misses |= d;
+            infinite |= d & (finite - 1); /* a miss beside an infinity */
+            d &= -finite;
+            worst = d > worst ? d : worst;
+        }
+        if (misses)
+            for (ptrdiff_t j = 0; j < n; j++) {
+                cells[2 * count] = i;
+                cells[2 * count + 1] = j;
+                count += o[j] != e[j];
+            }
+    }
+    *residual = infinite ? INFINITY : worst;
+    return count;
+}
+
+/* The Sylvester solve ⊕_k a[k] ⊗ X ⊗ b[k] = c in one call, for
+ * C-contiguous m×m a[k], n×n b[k] and m×n c: writes the principal solution
+ * X̂ = −(⊕_k a[k]ᵀ ⊗ (−c) ⊗ b[k]ᵀ) to the m×n principal and the scan of its
+ * substitution against c at eps = 0 to cells and *residual, as mismatches
+ * writes them, and returns the number of cells.  It serves the calls
+ * maxplus_terms serves, with c as x (see the header), and returns -1, with
+ * nothing written, for any other. */
+ptrdiff_t maxplus_solve(const double *const *a, const double *const *b, const double *c, double *principal,
+                        ptrdiff_t *cells, double *residual, ptrdiff_t p, ptrdiff_t m, ptrdiff_t n)
+{
+    if (!terms_pay(p, m, n)) return -1;
+    ptrdiff_t sa = LINE16(m * m), sb = LINE16(n * n), sx = LINE16(m * n);
+    int16_t *za = encode_factors(a, b, p, m, n, 5);
+    if (!za) return -1;
+    int16_t *zb = za + p * sa, *zc = zb + p * sb, *zx = zc + sx, *w = zx + sx;
+    ptrdiff_t count = -1;
+    if (encode_i16(c, zc, m * n, I16_X)) {
+        principal_i16(za, sa, zb, sb, zc, w, sx, zx, p, m, n);
+        decode_i16(zx, principal, m * n);
+        sum_i16(za, sa, zb, sb, zx, w, w + sx, p, m, n);
+        clamp_i16(w + sx, m * n);
+        count = scan_i16(w + sx, zc, m, n, cells, residual);
+    }
+    return count;
 }

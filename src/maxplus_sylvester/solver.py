@@ -27,15 +27,23 @@ definition and the tests' bit reference, as its product is for products.
 :func:`sylvester_apply` maxes each term into one running array with the
 products' accumulate mode.
 
-:func:`sylvester_principal_solution` and :func:`sylvester_apply` first offer
-their p terms to ``ckernel.LIBRARY.terms``, one compiled call that runs all
-2p products on the int16 tile, with each operand encoded once and no
-transposed, negated or running array made here.  It serves integer data
-small enough that every sum stays exact in int16 (factors up to 2**9 in
-magnitude, X or C up to 3·2**9) at shapes where that pays, and gives the
-composition's bits; anything else it declines, and the products above
-run as before, with their errors.  The ops are counted by formula either
-way, as the 2p products would count them.
+:func:`solve_sylvester` first offers the whole solve to
+``ckernel.LIBRARY.solve``, one compiled call that forms the principal, its
+substitution and the scan against C on the int16 tile, each operand
+encoded once, no factor transposed and the principal decoded only for
+the report.  It serves integer data small enough that every sum stays exact in
+int16 (factors up to 2**9 in magnitude, C up to 3·2**9) at shapes where
+that pays.  On such data :func:`effective_tolerance` is 0.0, so the call
+compares exactly and no tolerance pass runs; the report has the bits of
+the per-product steps.  A solve it declines runs its 4p products: the terms
+call below has the same bounds and shape rule, so only the principal step
+offers it the data again, and the substitution is not offered.
+:func:`sylvester_principal_solution` and
+:func:`sylvester_apply`, called on their own, offer their p terms to
+``ckernel.LIBRARY.terms``, which runs the 2p products of one step in one
+such call, and otherwise run the products as before, with their errors.
+The ops are counted by formula either way, as the products would count
+them.
 """
 
 from dataclasses import dataclass
@@ -206,7 +214,7 @@ def sylvester_principal_solution(inst: SylvesterInstance) -> TropicalMatrix:
         return served
     A_t = tuple(transpose(A_k) for A_k in inst.A)
     B_t = tuple(transpose(B_k) for B_k in inst.B)
-    return negate(sylvester_apply(A_t, B_t, negate(inst.C)))
+    return negate(_apply_by_products(A_t, B_t, negate(inst.C)))
 
 
 def sylvester_apply(A_terms, B_terms, X: TropicalMatrix) -> TropicalMatrix:
@@ -217,8 +225,10 @@ def sylvester_apply(A_terms, B_terms, X: TropicalMatrix) -> TropicalMatrix:
     once every term is in, so an overflow leaves no partial sum behind.
     """
     served = _terms(A_terms, B_terms, X, residual=False)
-    if served is not None:
-        return served
+    return served if served is not None else _apply_by_products(A_terms, B_terms, X)
+
+
+def _apply_by_products(A_terms, B_terms, X: TropicalMatrix) -> TropicalMatrix:
     acc = np.full(X.shape, NEG_INF)
     for A_k, B_k in zip(A_terms, B_terms):
         max_plus_matmul(max_plus_matmul(A_k, X), B_k, acc)
@@ -237,10 +247,20 @@ def _terms(A_terms, B_terms, X: TropicalMatrix, residual: bool):
 
 def solve_sylvester(inst: SylvesterInstance) -> SolveReport:
     """Decide ⊕_k A_k ⊗ X ⊗ B_k = C by substitution of the greatest candidate."""
-    X = sylvester_principal_solution(inst)
-    achieved = sylvester_apply(inst.A, inst.B, X)
-    eps = effective_tolerance((*inst.A, *inst.B, inst.C))
-    return _report(X, achieved, inst.C, eps)
+    served = ckernel.LIBRARY.solve([A_k.data for A_k in inst.A], [B_k.data for B_k in inst.B], inst.C.data)
+    if served is None:
+        # the terms call has the solve call's bounds and shape rule, so it
+        # declines too: the principal step, this module's one caller of its
+        # public name, offers it once, in a shape or head query for most
+        # data, and the substitution runs its products at once
+        X = sylvester_principal_solution(inst)
+        achieved = _apply_by_products(inst.A, inst.B, X)
+        eps = effective_tolerance((*inst.A, *inst.B, inst.C))
+        return _report(X, achieved, inst.C, eps)
+    principal, cells, residual = served
+    semiring_ops.add(2 * inst.p * (inst.m * inst.m * inst.n + inst.m * inst.n * inst.n + inst.m * inst.n))
+    cells.flags.writeable = False
+    return SolveReport(TropicalMatrix._wrap(principal), cells, residual)
 
 
 def solve_two_sided_special(A: TropicalMatrix, B: TropicalMatrix, C: TropicalMatrix) -> SolveReport:

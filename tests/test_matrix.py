@@ -24,7 +24,7 @@ from maxplus_sylvester.matrix import (
 )
 from maxplus_sylvester.opcount import semiring_ops
 from maxplus_sylvester.oracle import kron_max, max_plus_unit, unvec, vec
-from maxplus_sylvester.solver import linear_principal_solution, sylvester_apply
+from maxplus_sylvester.solver import effective_tolerance, linear_principal_solution, sylvester_apply
 
 M = TropicalMatrix
 
@@ -924,3 +924,85 @@ def test_terms_negate_cells_whose_sums_are_all_minus_inf(serves_every_shape):
     assert want.data[2, 3] == POS_INF
     for library in {serves_every_shape, ckernel.LIBRARY} - {ckernel.NUMPY}:
         _assert_same_bits(M._wrap(_terms(library, A, B, X, True)), want.data)
+
+
+def per_product_report(A_terms, B_terms, C):
+    """What ``solve`` gives, as the solver made it before it: the principal
+    and its substitution by ``per_product_terms``, and the numpy scan of the
+    substitution against C at the tolerance of the data, as
+    ``(principal, cells, residual)``."""
+    X = per_product_terms(A_terms, B_terms, C, True)
+    achieved = per_product_terms(A_terms, B_terms, X, False)
+    cells, residual = ckernel.NUMPY.mismatches(achieved.data, C.data, effective_tolerance((*A_terms, *B_terms, C)))
+    return X, cells, residual
+
+
+def assert_same_report(got, want):
+    """``got``, a solve's ``(principal, cells, residual)``, has ``want``'s principal
+    bits, cell values in their row-major order and residual, with cells a k×2
+    intp array."""
+    (principal, cells, residual), (X, want_cells, want_residual) = got, want
+    _assert_same_bits(M._wrap(principal), X.data)
+    assert cells.dtype == np.intp
+    assert cells.shape == want_cells.shape and np.array_equal(cells, want_cells)
+    assert residual == want_residual
+
+
+def finite_operands(rng, m, n, p):
+    """Factors up to 2**9 and a C up to 3·2**9 in magnitude with no +inf and -inf
+    only in the factors, so a miss has a finite residual."""
+    def draw(rows, cols, bound, neg=0.0):
+        X = rng.integers(-bound, bound + 1, (rows, cols)).astype(float)
+        X[rng.random((rows, cols)) < neg] = NEG_INF
+        return M(X)
+
+    return [draw(m, m, 2**9, 0.1) for _ in range(p)], [draw(n, n, 2**9, 0.1) for _ in range(p)], draw(m, n, 3 * 2**9)
+
+
+def _solve(library, A_terms, B_terms, C):
+    return library.solve([A.data for A in A_terms], [B.data for B in B_terms], C.data)
+
+
+@pytest.mark.parametrize("m,n,p", TERMS_EDGES)
+def test_solve_matches_the_per_product_report_at_every_edge(m, n, p, serves_every_shape):
+    # the ±inf lines give a residual of +inf, the finite data a finite one
+    rng = np.random.default_rng(m * 1000 + n * 10 + p)
+    for A, B, C in (terms_operands(rng, m, n, p), finite_operands(rng, m, n, p)):
+        want = per_product_report(A, B, C)
+        assert_same_report(_solve(serves_every_shape, A, B, C), want)
+    assert want[2] < POS_INF
+
+
+@given(_terms_cases())
+def test_solve_property_matches_the_per_product_report(serves_every_shape, case):
+    A, B, C, _ = case
+    assert_same_report(_solve(serves_every_shape, A, B, C), per_product_report(A, B, C))
+
+
+def test_live_solve_serves_square_int16_data():
+    if ckernel.LIBRARY is ckernel.NUMPY:
+        pytest.skip("no compiled library")
+    for m, n, p in ((16, 16, 1), (64, 64, 4), (128, 128, 2), (96, 40, 8)):
+        rng = np.random.default_rng(m + n + p)
+        for A, B, C in (terms_operands(rng, m, n, p), finite_operands(rng, m, n, p)):
+            assert_same_report(_solve(ckernel.LIBRARY, A, B, C), per_product_report(A, B, C))
+
+
+# the solve call has the terms call's bounds: factors at ±2**9 and C at
+# ±3·2**9 are served, one entry past them, a fraction, -0.0 or ±1e300
+# declines the call
+@pytest.mark.parametrize("where,value", [("A", 2**9 + 1), ("B", -(2**9 + 1)), ("A", 0.5), ("B", 1e300),
+                                         ("A", -1e300), ("C", 3 * 2**9 + 1), ("C", -(3 * 2**9 + 1)),
+                                         ("C", 0.5), ("B", -0.0), ("C", -0.0), ("C", 1e300)])
+def test_solve_declines_entries_past_the_bounds(where, value, serves_every_shape):
+    A, B, C = terms_operands(np.random.default_rng(25), 9, 140, 2)
+    arrays = {"A": [a.data for a in A], "B": [b.data for b in B], "C": C.data}
+    assert serves_every_shape.solve(arrays["A"], arrays["B"], arrays["C"]) is not None
+    factors = np.concatenate([a.ravel() for a in arrays["A"] + arrays["B"]])
+    assert np.abs(factors[np.isfinite(factors)]).max() == 2**9
+    assert np.abs(C.data[np.isfinite(C.data)]).max() == 3 * 2**9
+    arrays = {"A": [a.copy() for a in arrays["A"]], "B": [b.copy() for b in arrays["B"]], "C": arrays["C"].copy()}
+    target = arrays[where][-1] if where != "C" else arrays["C"]
+    target[-1, -1] = value
+    for library in (serves_every_shape, ckernel.LIBRARY, ckernel.NUMPY):
+        assert library.solve(arrays["A"], arrays["B"], arrays["C"]) is None

@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given
@@ -5,7 +7,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import bruteforce as bf
-from test_matrix import per_product_terms, terms_operands
+from test_matrix import (
+    TERMS_EDGES,
+    assert_same_report,
+    finite_operands,
+    per_product_report,
+    per_product_terms,
+    terms_operands,
+)
 from maxplus_sylvester import ckernel, solver
 from maxplus_sylvester.instance_io import GeneratorConfig, generate_instance
 from maxplus_sylvester.matrix import (
@@ -643,3 +652,71 @@ def test_principal_matches_bruteforce():
             b = make(rng_b, m, 1, c_inf)
             expect = bf.min_plus_matmul(bf.conjugate(A[0].tolist()), b.tolist())
             assert linear_principal_solution(A[0], b).tolist() == expect
+
+
+# the compiled solve call serves the whole solve at small integer data and
+# declines the rest; either way the report is the per-product one
+@pytest.mark.parametrize("kernel", ["live", "numpy"])
+@pytest.mark.parametrize("m,n,p", TERMS_EDGES)
+def test_solve_matches_the_per_product_report(m, n, p, kernel, monkeypatch):
+    rng = np.random.default_rng(m * 1000 + n * 10 + p)
+    for A, B, C in (terms_operands(rng, m, n, p), finite_operands(rng, m, n, p)):
+        want = per_product_report(A, B, C)
+        with monkeypatch.context() as mp:
+            if kernel == "numpy":
+                mp.setattr(ckernel, "LIBRARY", ckernel.NUMPY)
+            report = solve_sylvester(SylvesterInstance(A=A, B=B, C=C))
+        assert_same_report((report.principal.data, report.cells, report.residual_max_abs), want)
+        assert not report.cells.flags.writeable
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = _count_per_product_calls(monkeypatch)
+    for name in ("finite_scale", "mismatches", "product", "terms"):
+        def counting(*args, original=getattr(ckernel.LIBRARY, name), name=name):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(ckernel.LIBRARY, name, counting)
+    return calls
+
+
+def test_a_served_solve_makes_no_other_call(monkeypatch):
+    if ckernel.LIBRARY is ckernel.NUMPY:
+        pytest.skip("no compiled library")
+    A, B, C = terms_operands(np.random.default_rng(32), 8, 12, 2)
+    want = per_product_report(A, B, C)
+    calls = _count_kernel_calls(monkeypatch)
+    report = solve_sylvester(SylvesterInstance(A=A, B=B, C=C))
+    assert calls == []
+    assert_same_report((report.principal.data, report.cells, report.residual_max_abs), want)
+
+
+@pytest.mark.parametrize("value", [2**9 + 1, -(2**9 + 1), 0.5, 1e300, -1e300])
+def test_a_declined_solve_offers_terms_once(value, monkeypatch):
+    # the terms call has the solve call's bounds and shape rule, so a solve
+    # it declines offers it the data once, for the principal, and runs the
+    # 4p products; the report is unchanged
+    A, B, C = terms_operands(np.random.default_rng(33), 8, 12, 2)
+    A_k = A[1].data.copy()
+    A_k[3, 4] = value
+    A = [A[0], M(A_k)]
+    want = per_product_report(A, B, C)
+    calls = _count_kernel_calls(monkeypatch)
+    report = solve_sylvester(SylvesterInstance(A=A, B=B, C=C))
+    assert calls.count("terms") == 1 and calls.count("max_plus_matmul") == 8
+    assert_same_report((report.principal.data, report.cells, report.residual_max_abs), want)
+
+
+def test_concurrent_solves_match_one_at_a_time():
+    # each thread keeps its own scratch for the compiled calls, so solves of
+    # different shapes running at once give the reports they give alone
+    shapes = [(64, 64, 2), (96, 40, 3), (16, 16, 1), (128, 128, 1)]
+    insts = [SylvesterInstance(*terms_operands(np.random.default_rng(40 + k), m, n, p))
+             for k, (m, n, p) in enumerate(shapes)]
+    want = [solve_sylvester(inst) for inst in insts]
+    with ThreadPoolExecutor(8) as pool:
+        got = list(pool.map(lambda k: [solve_sylvester(insts[k % 4]) for _ in range(10)], range(16), timeout=120))
+    assert len(got) == 16
+    for k, reports in enumerate(got):
+        assert all(report == want[k % 4] for report in reports)

@@ -5,11 +5,10 @@ product that :mod:`.matrix` calls and the max-plus Kronecker product that
 :mod:`.oracle` builds its system with; ``solver_passes.c``, the tolerance pass
 and the mismatch scan that :mod:`.solver` calls; and ``matrix_text.c``,
 the matrix text scanner and formatter that :mod:`.instance_io` calls.
-``maxplus_product.c`` also holds the solvers' two fused calls, one that runs
-the p terms of a Sylvester sum and one that runs a whole Sylvester solve,
-principal, substitution and scan, each on operands encoded once, and includes
-``maxplus_tile.h``, its register tile written once and instantiated for
-double, int32 and int16 elements.  The first import on a
+``maxplus_product.c`` also holds the solver's fused call, which runs a whole
+Sylvester solve, principal, substitution and scan, on operands encoded once,
+and includes ``maxplus_tile.h``, its register tile written once and
+instantiated for double, int32 and int16 elements.  The first import on a
 machine runs the C compiler once on all three and writes one shared
 library into the package's ``__pycache__``; later imports load that file.
 The file name holds a hash of every source and of every header beside
@@ -21,14 +20,14 @@ library or none.  The library is loaded with ``ctypes`` and links against
 no Python.
 
 This module is the one handle on the library.  An import builds and loads
-it once and binds its eight functions once: ``LIBRARY`` is a
+it once and binds its seven functions once: ``LIBRARY`` is a
 :class:`Library`, or :data:`NUMPY` when no compiler could build it or the
-build could not be loaded.  :class:`Numpy` has the same eight methods: its
+build could not be loaded.  :class:`Numpy` has the same seven methods: its
 two products and its two solver passes are the numpy definitions, which
-serve the tests as the bit reference, and its scanner, formatter, terms
-call and solve call decline every input, so :mod:`.instance_io` reads and
-writes the text in Python and :mod:`.solver` composes each Sylvester sum
-and solve from products and its passes.  :mod:`.matrix`, :mod:`.oracle`,
+serve the tests as the bit reference, and its scanner, formatter and solve
+call decline every input, so :mod:`.instance_io` reads and writes the text
+in Python and :mod:`.solver` composes each Sylvester solve from products
+and its passes.  :mod:`.matrix`, :mod:`.oracle`,
 :mod:`.solver` and :mod:`.instance_io` make one call on ``LIBRARY`` on
 every use and never ask which it is, so setting it to ``NUMPY`` runs every
 product, solver pass, read and write in Python.  Both kernels raise FloatingPointError
@@ -97,7 +96,7 @@ def _output(shape: tuple[int, int], acc: np.ndarray | None) -> np.ndarray:
 
 
 class Library:
-    """The eight functions of one loaded build, with their argument types declared."""
+    """The seven functions of one loaded build, with their argument types declared."""
 
     def __init__(self, cdll: ctypes.CDLL):
         self._product = cdll.maxplus_product
@@ -120,9 +119,6 @@ class Library:
         self._write = cdll.write_matrix
         self._write.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_void_p]
         self._write.restype = ctypes.c_ssize_t
-        self._terms = cdll.maxplus_terms
-        self._terms.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_ssize_t] * 3 + [ctypes.c_int]
-        self._terms.restype = ctypes.c_int
         self._solve = cdll.maxplus_solve
         self._solve.argtypes = [ctypes.c_void_p] * 5 + [ctypes.POINTER(ctypes.c_double)] + [ctypes.c_ssize_t] * 3
         self._solve.restype = ctypes.c_ssize_t
@@ -153,75 +149,49 @@ class Library:
             raise FloatingPointError("overflow encountered in max-plus product")
         return out
 
-    def terms(self, A_terms, B_terms, X: np.ndarray, residual: bool):
-        """``⊕_k A_k ⊗ X ⊗ B_k`` as a fresh float64 array, or with ``residual`` set
-        ``−(⊕_k A_kᵀ ⊗ (−X) ⊗ B_kᵀ)``; None when the int16 tile does not serve the call.
-
-        It serves p ≥ 1 terms of m×m arrays ``A_terms`` and n×n ``B_terms``
-        beside an m×n ``X`` when every finite entry of the factors is an
-        integer of magnitude up to 2**9, every finite entry of ``X`` one up
-        to 3·2**9, and the shape repays the encoding (``terms_pay`` in
-        ``maxplus_product.c``).  Each product then runs 32 lanes per AVX-512
-        register on operands encoded once, and the result has the bits of
-        the composition of :meth:`product` calls.  Any other call, a shape
-        that does not fit included, is declined, so the caller's own
-        composition raises what it raises.
-        """
-        operands = self._operands(A_terms, B_terms, X)
-        if operands is None:
-            return None
-        a, b, x, (m, n), _ = operands
-        out = np.empty((m, n))
-        return out if self._terms(a, b, x, out.ctypes.data, len(A_terms), m, n, residual) else None
-
     def solve(self, A_terms, B_terms, C: np.ndarray):
         """The solve of ``⊕_k A_k ⊗ X ⊗ B_k = C`` in one call: ``(principal, cells,
         residual)``, or None when the int16 tile does not serve it.
 
-        It serves the calls :meth:`terms` serves, with ``C`` as ``X``.  The
-        principal is a fresh float64 array with the bits of
-        ``terms(A_terms, B_terms, C, True)``.  ``cells`` and ``residual``
-        are what :meth:`mismatches` gives for its substitution against
-        ``C`` at eps = 0.0, the tolerance such integer data compares with:
-        the k×2 intp array of the missed (row, col) pairs in row-major order,
-        and the largest |difference| there, +inf where the infinity states
-        differ.  No factor is transposed, and the principal stays int16 for
-        the substitution (see ``maxplus_product.c``).
-        """
-        operands = self._operands(A_terms, B_terms, C)
-        if operands is None:
-            return None
-        a, b, c, (m, n), _ = operands
-        principal, cells, residual = np.empty((m, n)), np.empty((m * n, 2), dtype=np.intp), ctypes.c_double()
-        count = self._solve(a, b, c, principal.ctypes.data, cells.ctypes.data, residual, len(A_terms), m, n)
-        if count < 0:
-            return None
-        cells.resize((count, 2), refcheck=False)  # as in mismatches
-        return principal, cells, residual.value
+        It serves p ≥ 1 terms of m×m arrays ``A_terms`` and n×n ``B_terms``
+        beside an m×n ``C`` when every finite entry of the factors is an
+        integer of magnitude up to 2**9, every finite entry of ``C`` one up
+        to 3·2**9, and the shape repays the encoding (``terms_pay`` in
+        ``maxplus_product.c``).  Each product then runs 32 lanes per AVX-512
+        register on operands encoded once.  The principal is a fresh float64
+        array with the bits of the composition of :meth:`product` calls.
+        ``cells`` and ``residual`` are what :meth:`mismatches` gives for its
+        substitution against ``C`` at eps = 0.0, the tolerance such integer
+        data compares with: the k×2 intp array of the missed (row, col) pairs
+        in row-major order, and the largest |difference| there, +inf where
+        the infinity states differ.  No factor is transposed, and the
+        principal stays int16 for the substitution.  Any other call, a shape
+        that does not fit included, is declined, so the caller's own
+        composition raises what it raises.
 
-    def _operands(self, A_terms, B_terms, X: np.ndarray):
-        """``(a, b, x, (m, n), arrays)`` for a terms or solve call: pointer arrays to
-        the factors, the pointer to X and the arrays they point into, which the
-        caller holds until the call returns; None when the call is declined.
-
-        It first asks ``maxplus_terms`` whether the shape repays the tile,
-        then whether X's first entries qualify, before it gathers the
+        It first asks ``maxplus_solve`` whether the shape repays the tile,
+        then whether C's first entries qualify, before it gathers the
         factors (``.ctypes.data`` costs about 2 µs an array).
         """
-        p, (m, n) = len(A_terms), X.shape
-        if p == 0 or len(B_terms) != p or not self._terms(None, None, None, None, p, m, n, 0):
+        p, (m, n) = len(A_terms), C.shape
+        if p == 0 or len(B_terms) != p or self._solve(None, None, None, None, None, None, p, m, n) < 0:
             return None  # the shape alone declines
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        x = X.ctypes.data
-        if not self._terms(None, None, x, None, p, m, n, 0):  # X's first entries decline
+        C = np.ascontiguousarray(C, dtype=np.float64)
+        c = C.ctypes.data
+        if self._solve(None, None, c, None, None, None, p, m, n) < 0:  # C's first entries decline
             return None
         A = [np.ascontiguousarray(A_k, dtype=np.float64) for A_k in A_terms]
         B = [np.ascontiguousarray(B_k, dtype=np.float64) for B_k in B_terms]
         if any(A_k.shape != (m, m) for A_k in A) or any(B_k.shape != (n, n) for B_k in B):
             return None
         pointers = ctypes.c_void_p * p
-        return (pointers(*(A_k.ctypes.data for A_k in A)), pointers(*(B_k.ctypes.data for B_k in B)), x, (m, n),
-                (A, B, X))
+        principal, cells, residual = np.empty((m, n)), np.empty((m * n, 2), dtype=np.intp), ctypes.c_double()
+        count = self._solve(pointers(*(A_k.ctypes.data for A_k in A)), pointers(*(B_k.ctypes.data for B_k in B)),
+                            c, principal.ctypes.data, cells.ctypes.data, residual, p, m, n)
+        if count < 0:
+            return None
+        cells.resize((count, 2), refcheck=False)  # as in mismatches
+        return principal, cells, residual.value
 
     def kron(self, m: np.ndarray, n: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
         """The max-plus Kronecker product of float64 arrays a×b and c×d, or ``acc`` ⊕ it in ``acc``.
@@ -289,7 +259,7 @@ class Library:
 
 
 class Numpy:
-    """The numpy twins of :class:`Library`'s eight methods, with the same signatures.
+    """The numpy twins of :class:`Library`'s seven methods, with the same signatures.
 
     The product takes blocks of rows of P, forms every sum
     ``P[i, l] + Q[l, j]`` of a block in one reused buffer and reduces over
@@ -330,10 +300,6 @@ class Numpy:
         if acc is None:
             return out
         return np.maximum(acc, out, out=acc)
-
-    def terms(self, A_terms, B_terms, X: np.ndarray, residual: bool):
-        """None for any input: the caller composes the terms from :meth:`product` calls."""
-        return None
 
     def solve(self, A_terms, B_terms, C: np.ndarray):
         """None for any input: the solver composes the solve from :meth:`product` calls and its passes."""

@@ -2,9 +2,8 @@
  * out[i, j] = max_l (p[i, l] + q[l, j]), or in accumulate mode
  * out = out ⊕ (p ⊗ q); the max-plus Kronecker product the oracle builds its
  * system from, under the same rules; and, on small integer data,
- * maxplus_terms, the p terms of a Sylvester sum in one call, and
  * maxplus_solve, a whole Sylvester solve in one call.  ckernel.py builds
- * and binds all four.
+ * and binds all three.
  *
  * Each cell starts at -inf, or at its own value in accumulate mode, and
  * takes a sum s only when s > cell.  A NaN sum, which only -inf + +inf
@@ -36,7 +35,7 @@
  * 8.  It serves a product whose every entry of p, q and, in accumulate
  * mode, out is -inf, +inf or an integer of magnitude below 2^27, and only
  * when int_tile_pays says the lanes save more than the encoding costs.
- * Entries are encoded into 64-byte aligned scratch of the call's own as
+ * Entries are encoded into the thread's scratch (see scratch below) as
  * finite ↦ itself, -inf ↦ INT_NEG = -2^30, +inf ↦ INT_POS = 2^29, and the
  * result is decoded as ≤ -2^28 ↦ -inf, ≥ 2^28 ↦ +inf, else itself.  That
  * gives the double tile's bits:
@@ -55,23 +54,21 @@
  * selects around one.  Encoding stops at the first CHUNK that holds an
  * entry that does not qualify.
  *
- * maxplus_terms runs ⊕_k A_k ⊗ X ⊗ B_k, or the residual
- * −(⊕_k A_kᵀ ⊗ (−X) ⊗ B_kᵀ) that is the principal solution at C = X, on the
- * int16 tile, 32 lanes to a register; maxplus_solve runs a whole Sylvester
- * solve there: the principal X̂ at C, its substitution and the exact scan
- * against C.  Both serve a call only when every finite entry of the
- * factors is an integer of magnitude up to 2^9 and every finite entry of X
- * or C one up to 3·2^9, and when terms_pay says the lanes and the caller's
- * calls saved repay the encoding; they decline any other call, and the
- * caller composes the sum from maxplus_product calls.  Each operand is
- * encoded once, plain, into 64-byte aligned scratch that the calling
- * thread keeps from call to call (see scratch below), as
+ * maxplus_solve runs a whole Sylvester solve ⊕_k A_k ⊗ X ⊗ B_k = C on the
+ * int16 tile, 32 lanes to a register: the principal solution
+ * X̂ = −(⊕_k A_kᵀ ⊗ (−C) ⊗ B_kᵀ), its substitution ⊕_k A_k ⊗ X̂ ⊗ B_k and
+ * the exact scan against C.  It serves a call only when every finite entry
+ * of the factors is an integer of magnitude up to 2^9 and every finite
+ * entry of C one up to 3·2^9, and when terms_pay says the lanes and the
+ * caller's calls saved repay the encoding; it declines any other call, and
+ * the caller composes the solve from maxplus_product calls.  Each operand
+ * is encoded once, plain, into the thread's scratch, as
  * finite ↦ itself, -inf ↦ I16_NEG = -2^14, +inf ↦ I16_POS = 2^13.  Each
  * term's first product T is clamped, ≤ -2^12 ↦ -2^14 and ≥ 2^12 ↦ 2^13,
- * before the second is maxed into the running sum, which is decoded once
- * at the end (≤ -2^12 ↦ -inf, ≥ 2^12 ↦ +inf, else itself).  Negation clamps
- * too: it takes ≤ -2^12 to 2^13, ≥ 2^12 to -2^14 and changes the sign of
- * any other entry.
+ * before the second is maxed into the running sum.  Negation clamps too:
+ * it takes ≤ -2^12 to 2^13, ≥ 2^12 to -2^14 and changes the sign of any
+ * other entry.  X̂ is decoded once, for the report (≤ -2^12 ↦ -inf,
+ * ≥ 2^12 ↦ +inf, else itself).
  *
  * No factor is transposed.  The principal runs through its transpose,
  *   X̂ᵀ = −(⊕_k (B_k ⊗ (−Cᵀ)) ⊗ A_k),
@@ -86,10 +83,9 @@
  * integer or infinity whatever the association, and that value has one
  * double.  The bits hold:
  *   - every operand of a product is a code or finite, and a finite one has
- *     magnitude at most 2^9 (a factor), 3·2^9 (X or C), 4·2^9 (a clamped T
- *     of the principal or of a substitution at X), 5·2^9 (the principal
- *     X̂, a sum of one entry of C and two factor entries) or 6·2^9 (a
- *     clamped T of X̂'s substitution);
+ *     magnitude at most 2^9 (a factor), 3·2^9 (C), 4·2^9 (a clamped T of
+ *     the principal), 5·2^9 (the principal X̂, a sum of one entry of C and
+ *     two factor entries) or 6·2^9 (a clamped T of X̂'s substitution);
  *   - so a finite sum has magnitude at most 7·2^9 = 3584, below the decode
  *     edge 2^12, and it is exact in int16 as in double;
  *   - -inf plus a finite entry is at most -2^14 + 6·2^9 and stays at or
@@ -137,7 +133,7 @@
 #define I16_POS (1 << 13)      /* +inf in the int16 tile */
 #define I16_EDGE (1 << 12)     /* a value this far from 0 is an infinity */
 #define I16_FACTOR 0x1p9       /* finite factor entries up to this magnitude are encoded */
-#define I16_X 0x1.8p10         /* finite entries of X up to this magnitude, 3·2^9, are encoded */
+#define I16_C 0x1.8p10         /* finite entries of C up to this magnitude, 3·2^9, are encoded */
 #define TERMS_ENTRY_COST 11    /* double multiply-adds that encoding or decoding one int16 entry costs */
 #ifndef TERMS_CALL_COST        /* the tests build one that serves every shape */
 #define TERMS_CALL_COST 90000  /* double multiply-adds one product's call from Python costs, about 4.5 µs */
@@ -243,6 +239,36 @@ static void decode(const int32_t *restrict z, double *restrict x, ptrdiff_t coun
     }
 }
 
+static pthread_key_t scratch_key;
+static pthread_once_t scratch_once = PTHREAD_ONCE_INIT;
+static int scratch_keyed;
+
+static void scratch_key_create(void) { scratch_keyed = !pthread_key_create(&scratch_key, free); }
+
+/* A 64-byte aligned block of size bytes, a multiple of 64, that the
+ * calling thread keeps from call to call, or NULL when none could be had;
+ * the int32 product and the int16 solve both take theirs here.  A block
+ * the size of a call's operands, allocated and freed on every call, let
+ * glibc trim the top of the heap, and the caller's next fresh array of
+ * about that size page-faulted in again: 256 faults a 256×256 solve beside
+ * numpy's own arrays.  Freeing a block glibc had served by mmap also raised
+ * its mmap threshold, so numpy's larger arrays stayed resident.  The block
+ * grows to the thread's largest call and is freed when the thread exits.
+ * Its first 64 bytes hold its size. */
+static void *scratch(size_t size)
+{
+    pthread_once(&scratch_once, scratch_key_create);
+    if (!scratch_keyed) return NULL;
+    size_t *block = pthread_getspecific(scratch_key);
+    if (!block || *block < size) {
+        free(block);
+        block = aligned_alloc(64, 64 + size);
+        if (block) *block = size;
+        pthread_setspecific(scratch_key, block);
+    }
+    return block ? (char *)block + 64 : NULL;
+}
+
 /* The int32 tile on encoded copies of p, q and, in accumulate mode, out:
  * 0 when an entry does not qualify or no scratch could be had, with out
  * untouched; else 1, with out holding the result. */
@@ -252,7 +278,7 @@ static int product_i32(const double *p, const double *q, double *out, ptrdiff_t 
     /* each array starts on a 64-byte line: sizes rounded up to 16 int32 */
     ptrdiff_t sp = (m * k + 15) & ~(ptrdiff_t)15, sq = (k * n + 15) & ~(ptrdiff_t)15;
     ptrdiff_t so = (m * n + 15) & ~(ptrdiff_t)15;
-    int32_t *zp = aligned_alloc(64, (size_t)(sp + sq + so) * sizeof(int32_t));
+    int32_t *zp = scratch((size_t)(sp + sq + so) * sizeof(int32_t));
     if (!zp) return 0;
     int32_t *zq = zp + sp, *zo = zq + sq;
     int ok = encode(p, zp, m * k) && encode(q, zq, k * n) && (!accumulate || encode(out, zo, m * n));
@@ -260,7 +286,6 @@ static int product_i32(const double *p, const double *q, double *out, ptrdiff_t 
         blocked_i32(zp, zq, zo, m, k, n, accumulate);
         decode(zo, out, m * n);
     }
-    free(zp);
     return ok;
 }
 
@@ -429,13 +454,14 @@ static ptrdiff_t i16_work(ptrdiff_t rows, ptrdiff_t k, ptrdiff_t cols)
     return (rows + WR - 1) / WR * WR * k * ((cols + WJ_I16 - 1) / WJ_I16 * WJ_I16) / 4;
 }
 
-/* Whether one maxplus_terms call beats the 2p products the caller would
- * make instead for p terms at C of m×n: the int16 tile has 4 lanes for
- * the double tile's 1, but each entry of the factors, of x and of out is
- * encoded or decoded once, and each of the caller's products is a call
- * from Python with its checks.  For n up to 32 both tiles do the same
- * padded work, so the encoding pays only against the calls, which are
- * what weighs at small m. */
+/* Whether a maxplus_solve call beats the 4p products the caller would make
+ * instead for p terms at C of m×n.  It weighs one step of the solve, 2p
+ * products, against the same products on the int16 tile: that tile has 4
+ * lanes for the double tile's 1, but each entry of the factors and of two
+ * m×n arrays is encoded or decoded once, and each of the caller's products
+ * is a call from Python with its checks.  The other step has the same
+ * shapes.  For n up to 32 both tiles do the same padded work, so the
+ * encoding pays only against the calls, which are what weighs at small m. */
 static int terms_pay(ptrdiff_t p, ptrdiff_t m, ptrdiff_t n)
 {
     ptrdiff_t f64 = p * (f64_work(m, m, n) + f64_work(m, n, n) + 2 * TERMS_CALL_COST);
@@ -445,43 +471,15 @@ static int terms_pay(ptrdiff_t p, ptrdiff_t m, ptrdiff_t n)
 
 #define LINE16(count) (((count) + 31) & ~(ptrdiff_t)31) /* int16 entries rounded up to 64-byte lines */
 
-static pthread_key_t scratch_key;
-static pthread_once_t scratch_once = PTHREAD_ONCE_INIT;
-static int scratch_keyed;
-
-static void scratch_key_create(void) { scratch_keyed = !pthread_key_create(&scratch_key, free); }
-
-/* A 64-byte aligned block of size bytes, a multiple of 64, that the
- * calling thread keeps from call to call, or NULL when none could be had.
- * A block the size of a solve's operands, allocated and freed on every
- * call, let glibc trim the top of the heap, and the caller's next fresh
- * array of about that size page-faulted in again: 256 faults a 256×256
- * solve beside numpy's own arrays.  The block grows to the thread's largest
- * call and is freed when the thread exits.  Its first 64 bytes hold its
- * size. */
-static void *scratch(size_t size)
-{
-    pthread_once(&scratch_once, scratch_key_create);
-    if (!scratch_keyed) return NULL;
-    size_t *block = pthread_getspecific(scratch_key);
-    if (!block || *block < size) {
-        free(block);
-        block = aligned_alloc(64, 64 + size);
-        if (block) *block = size;
-        pthread_setspecific(scratch_key, block);
-    }
-    return block ? (char *)block + 64 : NULL;
-}
-
 /* The thread's scratch, holding the p m×m a[k] and then the p n×n b[k],
  * encoded, LINE16(m·m) and LINE16(n·n) entries apart, followed by room for
- * arrays m×n arrays, LINE16(m·n) apart.  NULL when a factor entry does not
+ * five m×n arrays, LINE16(m·n) apart.  NULL when a factor entry does not
  * qualify or no scratch could be had. */
 static int16_t *encode_factors(const double *const *a, const double *const *b, ptrdiff_t p, ptrdiff_t m,
-                               ptrdiff_t n, ptrdiff_t arrays)
+                               ptrdiff_t n)
 {
     ptrdiff_t sa = LINE16(m * m), sb = LINE16(n * n);
-    int16_t *z = scratch((size_t)(p * (sa + sb) + arrays * LINE16(m * n)) * sizeof(int16_t));
+    int16_t *z = scratch((size_t)(p * (sa + sb) + 5 * LINE16(m * n)) * sizeof(int16_t));
     for (ptrdiff_t k = 0; z && k < p; k++)
         if (!encode_i16(a[k], z + k * sa, m * m, I16_FACTOR) ||
             !encode_i16(b[k], z + p * sa + k * sb, n * n, I16_FACTOR))
@@ -501,54 +499,6 @@ static void sum_i16(const int16_t *zl, ptrdiff_t sl, const int16_t *zr, ptrdiff_
         clamp_i16(zt, r * c);
         blocked_i16(zt, zr + k * sr, zo, r, c, c, k > 0);
     }
-}
-
-/* zx = X̂ in clamp form, the principal solution at the encoded m×n C zc,
- * for p encoded m×m za[k], sa entries apart, and n×n zb[k], sb apart:
- * X̂ᵀ = −(⊕_k (zb[k] ⊗ (−zcᵀ)) ⊗ za[k]) is formed in three n×m arrays at w,
- * s entries apart, then transposed.  zx may be zc or w. */
-static void principal_i16(const int16_t *za, ptrdiff_t sa, const int16_t *zb, ptrdiff_t sb, const int16_t *zc,
-                          int16_t *w, ptrdiff_t s, int16_t *zx, ptrdiff_t p, ptrdiff_t m, ptrdiff_t n)
-{
-    transpose_i16(zc, w, m, n);
-    negate_i16(w, m * n);
-    sum_i16(zb, sb, za, sa, w, w + s, w + 2 * s, p, n, m);
-    negate_i16(w + 2 * s, m * n);
-    transpose_i16(w + 2 * s, zx, n, m);
-}
-
-/* out = ⊕_k a[k] ⊗ x ⊗ b[k] over the p terms, for C-contiguous m×m a[k],
- * n×n b[k] and m×n x and out; with residual set,
- * out = −(⊕_k a[k]ᵀ ⊗ (−x) ⊗ b[k]ᵀ), the principal solution at C = x.
- * Runs the int16 tile on encoded copies in the thread's scratch, each
- * operand encoded once (see the header).  Returns 1 with out written, or 0
- * with out untouched when an entry does not qualify (see the header), the
- * shape does not repay the tile or no scratch could be had.  With a NULL a it is a query: whether the shape repays the tile
- * and, unless x is NULL too, whether x's first CHUNK entries qualify,
- * which is where most data that does not qualify shows it, so a caller
- * can decline before it gathers the factors.  The query is maxplus_solve's
- * too, with C for x. */
-int maxplus_terms(const double *const *a, const double *const *b, const double *x, double *out,
-                  ptrdiff_t p, ptrdiff_t m, ptrdiff_t n, int residual)
-{
-    if (!terms_pay(p, m, n)) return 0;
-    if (!a) {
-        int16_t head[CHUNK];
-        return !x || !encode_chunk_i16(x, head, m * n < CHUNK ? m * n : CHUNK, I16_X);
-    }
-    ptrdiff_t sa = LINE16(m * m), sb = LINE16(n * n), sx = LINE16(m * n);
-    int16_t *za = encode_factors(a, b, p, m, n, 4);
-    if (!za) return 0;
-    int16_t *zb = za + p * sa, *zx = zb + p * sb, *w = zx + sx;
-    int ok = encode_i16(x, zx, m * n, I16_X);
-    if (ok && residual) {
-        principal_i16(za, sa, zb, sb, zx, w, sx, zx, p, m, n);
-        decode_i16(zx, out, m * n);
-    } else if (ok) {
-        sum_i16(za, sa, zb, sb, zx, w, w + sx, p, m, n);
-        decode_i16(w + sx, out, m * n);
-    }
-    return ok;
 }
 
 /* The mismatch scan at eps = 0 on the encoded m×n zo, the substitution's
@@ -592,24 +542,35 @@ static ptrdiff_t scan_i16(const int16_t *zo, const int16_t *zc, ptrdiff_t m, ptr
  * C-contiguous m×m a[k], n×n b[k] and m×n c: writes the principal solution
  * X̂ = −(⊕_k a[k]ᵀ ⊗ (−c) ⊗ b[k]ᵀ) to the m×n principal and the scan of its
  * substitution against c at eps = 0 to cells and *residual, as mismatches
- * writes them, and returns the number of cells.  It serves the calls
- * maxplus_terms serves, with c as x (see the header), and returns -1, with
- * nothing written, for any other. */
+ * writes them, and returns the number of cells.  Returns -1, with nothing
+ * written, when an entry does not qualify (see the header), the shape does
+ * not repay the tile or no scratch could be had.  With a NULL a it is a
+ * query: whether the shape repays the tile and, unless c is NULL too,
+ * whether c's first CHUNK entries qualify, which is where most data that
+ * does not qualify shows it, so a caller can decline before it gathers the
+ * factors; it returns 0 for yes and -1 for no. */
 ptrdiff_t maxplus_solve(const double *const *a, const double *const *b, const double *c, double *principal,
                         ptrdiff_t *cells, double *residual, ptrdiff_t p, ptrdiff_t m, ptrdiff_t n)
 {
     if (!terms_pay(p, m, n)) return -1;
+    if (!a) {
+        int16_t head[CHUNK];
+        return c && encode_chunk_i16(c, head, m * n < CHUNK ? m * n : CHUNK, I16_C) ? -1 : 0;
+    }
     ptrdiff_t sa = LINE16(m * m), sb = LINE16(n * n), sx = LINE16(m * n);
-    int16_t *za = encode_factors(a, b, p, m, n, 5);
+    int16_t *za = encode_factors(a, b, p, m, n);
     if (!za) return -1;
     int16_t *zb = za + p * sa, *zc = zb + p * sb, *zx = zc + sx, *w = zx + sx;
-    ptrdiff_t count = -1;
-    if (encode_i16(c, zc, m * n, I16_X)) {
-        principal_i16(za, sa, zb, sb, zc, w, sx, zx, p, m, n);
-        decode_i16(zx, principal, m * n);
-        sum_i16(za, sa, zb, sb, zx, w, w + sx, p, m, n);
-        clamp_i16(w + sx, m * n);
-        count = scan_i16(w + sx, zc, m, n, cells, residual);
-    }
-    return count;
+    if (!encode_i16(c, zc, m * n, I16_C)) return -1;
+    /* X̂ᵀ = −(⊕_k (zb[k] ⊗ (−zcᵀ)) ⊗ za[k]) in three n×m arrays at w, then
+     * X̂ in clamp form at zx */
+    transpose_i16(zc, w, m, n);
+    negate_i16(w, m * n);
+    sum_i16(zb, sb, za, sa, w, w + sx, w + 2 * sx, p, n, m);
+    negate_i16(w + 2 * sx, m * n);
+    transpose_i16(w + 2 * sx, zx, n, m);
+    decode_i16(zx, principal, m * n);
+    sum_i16(za, sa, zb, sb, zx, w, w + sx, p, m, n);
+    clamp_i16(w + sx, m * n);
+    return scan_i16(w + sx, zc, m, n, cells, residual);
 }

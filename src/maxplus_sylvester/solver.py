@@ -35,15 +35,9 @@ the report.  It serves integer data small enough that every sum stays exact in
 int16 (factors up to 2**9 in magnitude, C up to 3·2**9) at shapes where
 that pays.  On such data :func:`effective_tolerance` is 0.0, so the call
 compares exactly and no tolerance pass runs; the report has the bits of
-the per-product steps.  A solve it declines runs its 4p products: the terms
-call below has the same bounds and shape rule, so only the principal step
-offers it the data again, and the substitution is not offered.
-:func:`sylvester_principal_solution` and
-:func:`sylvester_apply`, called on their own, offer their p terms to
-``ckernel.LIBRARY.terms``, which runs the 2p products of one step in one
-such call, and otherwise run the products as before, with their errors.
-The ops are counted by formula either way, as the products would count
-them.
+the per-product steps, and the ops are counted by formula, as the products
+would count them.  A solve it declines runs :func:`sylvester_principal_solution`
+and :func:`sylvester_apply`, 4p products, with their errors.
 """
 
 from dataclasses import dataclass
@@ -209,12 +203,9 @@ def sylvester_principal_solution(inst: SylvesterInstance) -> TropicalMatrix:
     association order, and the min over k is the negated max, so the
     result is bit-identical to computing it in min-plus.
     """
-    served = _terms(inst.A, inst.B, inst.C, residual=True)
-    if served is not None:
-        return served
     A_t = tuple(transpose(A_k) for A_k in inst.A)
     B_t = tuple(transpose(B_k) for B_k in inst.B)
-    return negate(_apply_by_products(A_t, B_t, negate(inst.C)))
+    return negate(sylvester_apply(A_t, B_t, negate(inst.C)))
 
 
 def sylvester_apply(A_terms, B_terms, X: TropicalMatrix) -> TropicalMatrix:
@@ -224,37 +215,18 @@ def sylvester_apply(A_terms, B_terms, X: TropicalMatrix) -> TropicalMatrix:
     at the max-plus zero and that only this call holds; it becomes a matrix
     once every term is in, so an overflow leaves no partial sum behind.
     """
-    served = _terms(A_terms, B_terms, X, residual=False)
-    return served if served is not None else _apply_by_products(A_terms, B_terms, X)
-
-
-def _apply_by_products(A_terms, B_terms, X: TropicalMatrix) -> TropicalMatrix:
     acc = np.full(X.shape, NEG_INF)
     for A_k, B_k in zip(A_terms, B_terms):
         max_plus_matmul(max_plus_matmul(A_k, X), B_k, acc)
     return TropicalMatrix._wrap(acc)
 
 
-def _terms(A_terms, B_terms, X: TropicalMatrix, residual: bool):
-    """The p terms in one compiled call, counted as their 2p products would count; None when declined."""
-    out = ckernel.LIBRARY.terms([A_k.data for A_k in A_terms], [B_k.data for B_k in B_terms], X.data, residual)
-    if out is None:
-        return None
-    m, n = X.shape
-    semiring_ops.add(len(A_terms) * (m * m * n + m * n * n + m * n))
-    return TropicalMatrix._wrap(out)
-
-
 def solve_sylvester(inst: SylvesterInstance) -> SolveReport:
     """Decide ⊕_k A_k ⊗ X ⊗ B_k = C by substitution of the greatest candidate."""
     served = ckernel.LIBRARY.solve([A_k.data for A_k in inst.A], [B_k.data for B_k in inst.B], inst.C.data)
     if served is None:
-        # the terms call has the solve call's bounds and shape rule, so it
-        # declines too: the principal step, this module's one caller of its
-        # public name, offers it once, in a shape or head query for most
-        # data, and the substitution runs its products at once
         X = sylvester_principal_solution(inst)
-        achieved = _apply_by_products(inst.A, inst.B, X)
+        achieved = sylvester_apply(inst.A, inst.B, X)
         eps = effective_tolerance((*inst.A, *inst.B, inst.C))
         return _report(X, achieved, inst.C, eps)
     principal, cells, residual = served

@@ -790,9 +790,9 @@ def test_row_product_kernels_agree_on_any_entries(operands):
 
 
 def per_product_terms(A_terms, B_terms, X, residual):
-    """What ``terms`` computes, as the solvers composed it before it: 2p
-    products, each term maxed into one running array, on the transposed
-    factors at −X and negated when ``residual`` is set."""
+    """⊕_k A_k ⊗ X ⊗ B_k composed from 2p products, each term maxed into one
+    running array, or, with ``residual`` set, the same on the transposed
+    factors at −X, negated: the principal solution at C = X."""
     if residual:
         A_terms, B_terms, X = [transpose(A) for A in A_terms], [transpose(B) for B in B_terms], negate(X)
     acc = np.full(X.shape, NEG_INF)
@@ -818,20 +818,16 @@ def terms_operands(rng, m, n, p, factor=2**9, x=3 * 2**9):
     return [draw(m, m, factor) for _ in range(p)], [draw(n, n, factor) for _ in range(p)], draw(m, n, x)
 
 
-def _terms(library, A_terms, B_terms, X, residual):
-    return library.terms([A.data for A in A_terms], [B.data for B in B_terms], X.data, residual)
-
-
 @pytest.fixture(scope="module")
 def serves_every_shape(tmp_path_factory):
-    """A build whose maxplus_terms takes every shape its rule would decline,
+    """A build whose maxplus_solve takes every shape its rule would decline,
     n == 1 and large m at small n among them, so the int16 tile is checked
-    where the live build sends the terms to the per-product path."""
+    where the live build sends the solve to the per-product path."""
     if shutil.which("gcc") is None:
         pytest.skip("no C compiler")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ckernel, "FLAGS", (*ckernel.FLAGS, "-DTERMS_CALL_COST=0x10000000000"))
-        mp.setattr(ckernel, "CACHE", tmp_path_factory.mktemp("terms"))
+        mp.setattr(ckernel, "CACHE", tmp_path_factory.mktemp("every_shape"))
         library = ckernel.load()
     assert library is not None
     return library
@@ -845,90 +841,19 @@ TERMS_EDGES = [(1, 2, 1), (2, 1, 2), (5, 6, 3), (6, 7, 4), (7, 5, 1), (6, 127, 2
                (127, 2, 2), (128, 6, 1), (129, 7, 4), (2, 257, 1), (257, 5, 2), (129, 129, 1), (257, 128, 1)]
 
 
-@on_both_kernels("m,n,p", TERMS_EDGES)
-def test_terms_match_the_per_product_composition(m, n, p, kernel):
-    A, B, X = terms_operands(np.random.default_rng(m * 1000 + n * 10 + p), m, n, p)
-    for residual in (False, True):
-        got = _terms(ckernel.LIBRARY, A, B, X, residual)
-        if kernel == "numpy":
-            assert got is None
-        elif got is not None:
-            _assert_same_bits(M._wrap(got), per_product_terms(A, B, X, residual).data)
-
-
-@pytest.mark.parametrize("m,n,p", TERMS_EDGES)
-def test_terms_tile_matches_at_every_edge(m, n, p, serves_every_shape):
-    A, B, X = terms_operands(np.random.default_rng(m * 1000 + n * 10 + p), m, n, p)
-    for residual in (False, True):
-        got = _terms(serves_every_shape, A, B, X, residual)
-        assert got is not None
-        _assert_same_bits(M._wrap(got), per_product_terms(A, B, X, residual).data)
-
-
-def test_live_terms_serve_square_int16_data():
-    if ckernel.LIBRARY is ckernel.NUMPY:
-        pytest.skip("no compiled library")
-    for m, n, p in ((16, 16, 1), (64, 64, 4), (128, 128, 2), (96, 40, 8)):
-        A, B, X = terms_operands(np.random.default_rng(m + n + p), m, n, p)
-        for residual in (False, True):
-            got = _terms(ckernel.LIBRARY, A, B, X, residual)
-            assert got is not None
-            _assert_same_bits(M._wrap(got), per_product_terms(A, B, X, residual).data)
-
-
-# past the bounds: a factor entry of 2**9 + 1, a fraction, ±1e300 and the
-# overflowing ±1.7e308, and X entries of 3·2**9 + 1; -0.0, which no matrix
-# holds, is declined as the int32 encoding declines it
-@pytest.mark.parametrize("where,value", [("A", 2**9 + 1), ("B", -(2**9 + 1)), ("A", 0.5), ("B", 1e300),
-                                         ("A", -1.7e308), ("X", 3 * 2**9 + 1), ("X", -(3 * 2**9 + 1)),
-                                         ("X", 0.5), ("B", -0.0), ("X", -0.0)])
-def test_terms_decline_entries_past_the_bounds(where, value, serves_every_shape):
-    A, B, X = terms_operands(np.random.default_rng(24), 9, 140, 2)
-    arrays = {"A": [a.data.copy() for a in A], "B": [b.data.copy() for b in B], "X": X.data.copy()}
-    target = arrays[where][-1] if where != "X" else arrays["X"]
-    target[-1, -1] = value
-    for library in (serves_every_shape, ckernel.LIBRARY):
-        for residual in (False, True):
-            assert library.terms(arrays["A"], arrays["B"], arrays["X"], residual) is None
-    arrays[where] = [a.data for a in A] if where == "A" else [b.data for b in B] if where == "B" else X.data
-    assert serves_every_shape.terms(arrays["A"], arrays["B"], arrays["X"], False) is not None
-
-
 @st.composite
-def _terms_cases(draw):
+def _solve_cases(draw):
     # shapes across the row blocks and the 128 columns of the int16 tile,
     # and seeded entries at the tile's edges, or at small integers
     m, n, p = draw(st.integers(1, 14)), draw(st.integers(1, 140)), draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     factor, x = draw(st.sampled_from([(2**9, 3 * 2**9), (10, 30)]))
-    return (*terms_operands(rng, m, n, p, factor, x), draw(st.booleans()))
-
-
-@given(_terms_cases())
-def test_terms_property_matches_the_per_product_composition(serves_every_shape, case):
-    A, B, X, residual = case
-    got = _terms(serves_every_shape, A, B, X, residual)
-    assert got is not None
-    _assert_same_bits(M._wrap(got), per_product_terms(A, B, X, residual).data)
-
-
-def test_terms_negate_cells_whose_sums_are_all_minus_inf(serves_every_shape):
-    # column 2 of each A_k and row 3 of each B_k are -inf, so every sum of
-    # cell (2, 3) of the residual's inner max is -inf + -inf, which the int16
-    # tile holds as -2**15 until the clamp before the negation; the principal
-    # is +inf there
-    A, B, X = terms_operands(np.random.default_rng(31), 8, 12, 2)
-    A = [M(np.where(np.arange(8) == 2, NEG_INF, A_k.data)) for A_k in A]
-    B = [M(np.where(np.arange(12)[:, None] == 3, NEG_INF, B_k.data)) for B_k in B]
-    want = per_product_terms(A, B, X, True)
-    assert want.data[2, 3] == POS_INF
-    for library in {serves_every_shape, ckernel.LIBRARY} - {ckernel.NUMPY}:
-        _assert_same_bits(M._wrap(_terms(library, A, B, X, True)), want.data)
+    return terms_operands(rng, m, n, p, factor, x)
 
 
 def per_product_report(A_terms, B_terms, C):
-    """What ``solve`` gives, as the solver made it before it: the principal
-    and its substitution by ``per_product_terms``, and the numpy scan of the
+    """What ``solve`` gives, composed from products: the principal and its
+    substitution by ``per_product_terms``, and the numpy scan of the
     substitution against C at the tolerance of the data, as
     ``(principal, cells, residual)``."""
     X = per_product_terms(A_terms, B_terms, C, True)
@@ -973,9 +898,9 @@ def test_solve_matches_the_per_product_report_at_every_edge(m, n, p, serves_ever
     assert want[2] < POS_INF
 
 
-@given(_terms_cases())
+@given(_solve_cases())
 def test_solve_property_matches_the_per_product_report(serves_every_shape, case):
-    A, B, C, _ = case
+    A, B, C = case
     assert_same_report(_solve(serves_every_shape, A, B, C), per_product_report(A, B, C))
 
 
@@ -988,12 +913,26 @@ def test_live_solve_serves_square_int16_data():
             assert_same_report(_solve(ckernel.LIBRARY, A, B, C), per_product_report(A, B, C))
 
 
-# the solve call has the terms call's bounds: factors at ±2**9 and C at
-# ±3·2**9 are served, one entry past them, a fraction, -0.0 or ±1e300
-# declines the call
+def test_solve_negates_cells_whose_sums_are_all_minus_inf(serves_every_shape):
+    # column 2 of each A_k and row 3 of each B_k are -inf, so every sum of
+    # cell (2, 3) of the principal's inner max is -inf + -inf, which the
+    # int16 tile holds as -2**15 until the clamp before the negation; the
+    # principal is +inf there
+    A, B, C = terms_operands(np.random.default_rng(31), 8, 12, 2)
+    A = [M(np.where(np.arange(8) == 2, NEG_INF, A_k.data)) for A_k in A]
+    B = [M(np.where(np.arange(12)[:, None] == 3, NEG_INF, B_k.data)) for B_k in B]
+    want = per_product_report(A, B, C)
+    assert want[0].data[2, 3] == POS_INF
+    for library in {serves_every_shape, ckernel.LIBRARY} - {ckernel.NUMPY}:
+        assert_same_report(_solve(library, A, B, C), want)
+
+
+# factors at ±2**9 and C at ±3·2**9 are served; one entry past them, a
+# fraction, -0.0, ±1e300 or the overflowing -1.7e308 declines the call
 @pytest.mark.parametrize("where,value", [("A", 2**9 + 1), ("B", -(2**9 + 1)), ("A", 0.5), ("B", 1e300),
-                                         ("A", -1e300), ("C", 3 * 2**9 + 1), ("C", -(3 * 2**9 + 1)),
-                                         ("C", 0.5), ("B", -0.0), ("C", -0.0), ("C", 1e300)])
+                                         ("A", -1e300), ("A", -1.7e308), ("C", 3 * 2**9 + 1),
+                                         ("C", -(3 * 2**9 + 1)), ("C", 0.5), ("B", -0.0), ("C", -0.0),
+                                         ("C", 1e300)])
 def test_solve_declines_entries_past_the_bounds(where, value, serves_every_shape):
     A, B, C = terms_operands(np.random.default_rng(25), 9, 140, 2)
     arrays = {"A": [a.data for a in A], "B": [b.data for b in B], "C": C.data}

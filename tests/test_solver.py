@@ -342,9 +342,9 @@ def test_two_sided_solve_takes_four_products_and_no_unit(monkeypatch):
         assert not any(is_unit(P) or is_unit(Q) for P, Q, _ in calls)
 
 
-# the int16 terms call serves both solver steps at small integer data and
-# the per-product path the rest; either way the reports are the
-# composition's (see test_matrix.py for the kernel on its own)
+# the solver steps, called on their own, compose products on either
+# kernel, and at int16-range data they give the reference composition's
+# bits (see test_matrix.py for the compiled solve call)
 @pytest.mark.parametrize("kernel", ["live", "numpy"])
 @pytest.mark.parametrize("m,n,p", [(1, 2, 1), (6, 7, 4), (7, 129, 2), (128, 6, 3), (129, 128, 1), (5, 257, 2)])
 def test_solver_steps_match_the_per_product_composition(m, n, p, kernel, monkeypatch):
@@ -370,7 +370,7 @@ def _count_per_product_calls(monkeypatch):
 
 
 def test_int16_data_takes_no_per_product_call(monkeypatch):
-    # factors at ±2**9 and C at ±3·2**9 run in two compiled calls, with no
+    # factors at ±2**9 and C at ±3·2**9 run in one compiled call, with no
     # product, transpose or negate of the solver's own; one entry past the
     # bounds, a fraction or ±1e300 sends both steps to the 4p products
     calls = _count_per_product_calls(monkeypatch)
@@ -599,7 +599,7 @@ def test_fast_path_op_count_is_exact():
     rng = np.random.default_rng(27)
     cases = [(int(rng.integers(1, 7)), int(rng.integers(1, 7)), int(rng.integers(1, 5)), 1.0) for _ in range(20)]
     # the int16 tile's row and column edges, and one-decimal data, which
-    # the compiled terms call declines, so the per-product path counts
+    # the compiled solve call declines, so the per-product path counts
     cases += [(6, 7, 2, 1.0), (7, 6, 1, 1.0), (128, 129, 1, 1.0), (129, 128, 2, 1.0), (7, 129, 2, 0.1),
               (128, 6, 1, 0.1)]
     for kernel in (ckernel.LIBRARY, ckernel.NUMPY):
@@ -672,7 +672,7 @@ def test_solve_matches_the_per_product_report(m, n, p, kernel, monkeypatch):
 
 def _count_kernel_calls(monkeypatch):
     calls = _count_per_product_calls(monkeypatch)
-    for name in ("finite_scale", "mismatches", "product", "terms"):
+    for name in ("finite_scale", "mismatches", "product"):
         def counting(*args, original=getattr(ckernel.LIBRARY, name), name=name):
             calls.append(name)
             return original(*args)
@@ -687,16 +687,21 @@ def test_a_served_solve_makes_no_other_call(monkeypatch):
     A, B, C = terms_operands(np.random.default_rng(32), 8, 12, 2)
     want = per_product_report(A, B, C)
     calls = _count_kernel_calls(monkeypatch)
+
+    def native_solve(*args, original=ckernel.LIBRARY._solve):
+        calls.append("query" if args[0] is None else "solve")
+        return original(*args)
+
+    monkeypatch.setattr(ckernel.LIBRARY, "_solve", native_solve)
     report = solve_sylvester(SylvesterInstance(A=A, B=B, C=C))
-    assert calls == []
+    assert calls == ["query", "query", "solve"]  # the shape, C's first entries, the solve
     assert_same_report((report.principal.data, report.cells, report.residual_max_abs), want)
 
 
 @pytest.mark.parametrize("value", [2**9 + 1, -(2**9 + 1), 0.5, 1e300, -1e300])
-def test_a_declined_solve_offers_terms_once(value, monkeypatch):
-    # the terms call has the solve call's bounds and shape rule, so a solve
-    # it declines offers it the data once, for the principal, and runs the
-    # 4p products; the report is unchanged
+def test_a_declined_solve_runs_its_products(value, monkeypatch):
+    # a solve the compiled call declines runs its 4p products; the report is
+    # unchanged
     A, B, C = terms_operands(np.random.default_rng(33), 8, 12, 2)
     A_k = A[1].data.copy()
     A_k[3, 4] = value
@@ -704,7 +709,7 @@ def test_a_declined_solve_offers_terms_once(value, monkeypatch):
     want = per_product_report(A, B, C)
     calls = _count_kernel_calls(monkeypatch)
     report = solve_sylvester(SylvesterInstance(A=A, B=B, C=C))
-    assert calls.count("terms") == 1 and calls.count("max_plus_matmul") == 8
+    assert calls.count("max_plus_matmul") == 8
     assert_same_report((report.principal.data, report.cells, report.residual_max_abs), want)
 
 

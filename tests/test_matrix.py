@@ -24,7 +24,13 @@ from maxplus_sylvester.matrix import (
 )
 from maxplus_sylvester.opcount import semiring_ops
 from maxplus_sylvester.oracle import kron_max, max_plus_unit, unvec, vec
-from maxplus_sylvester.solver import effective_tolerance, linear_principal_solution, sylvester_apply
+from maxplus_sylvester.solver import (
+    SylvesterInstance,
+    effective_tolerance,
+    linear_principal_solution,
+    sylvester_apply,
+    sylvester_principal_solution,
+)
 
 M = TropicalMatrix
 
@@ -839,6 +845,19 @@ def serves_every_shape(tmp_path_factory):
 # runs a second pass (A_k ⊗ X has m inner indices, T ⊗ B_k has n)
 TERMS_EDGES = [(1, 2, 1), (2, 1, 2), (5, 6, 3), (6, 7, 4), (7, 5, 1), (6, 127, 2), (7, 128, 1), (5, 129, 3),
                (127, 2, 2), (128, 6, 1), (129, 7, 4), (2, 257, 1), (257, 5, 2), (129, 129, 1), (257, 128, 1)]
+
+
+@on_both_kernels("m,n,p", TERMS_EDGES)
+def test_terms_match_the_per_product_composition(m, n, p, kernel):
+    # the solver's two term steps, ⊕_k A_k ⊗ X ⊗ B_k and the principal's
+    # negated residual terms, give the numpy kernel's per-product bits on
+    # either kernel at every edge of the int16 tile
+    A, B, X = terms_operands(np.random.default_rng(m * 1000 + n * 10 + p), m, n, p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ckernel, "LIBRARY", ckernel.NUMPY)
+        want = {residual: per_product_terms(A, B, X, residual) for residual in (False, True)}
+    _assert_same_bits(sylvester_apply(A, B, X), want[False].data)
+    _assert_same_bits(sylvester_principal_solution(SylvesterInstance(A=A, B=B, C=X)), want[True].data)
 
 
 @st.composite

@@ -132,11 +132,10 @@ class Library:
         partly updated.
 
         The C loop picks its register tile by itself, and the bits are the
-        same either way.  When every entry of the operands, and of ``acc``,
-        is ±inf or an integer below 2**27 in magnitude, and the product is
-        large enough to repay the copies, it runs in int32 with 16 lanes per
-        AVX-512 register instead of 8 doubles; any other product runs in
-        double (see ``maxplus_product.c``).
+        same either way: integer data, at shapes that repay the encoding,
+        runs in int32 with 16 lanes per AVX-512 register instead of 8
+        doubles.  The header of ``maxplus_product.c`` gives the codes, the
+        bounds and the rule.
         """
         # the C loop reads both operands as dense row-major float64
         p = np.ascontiguousarray(p, dtype=np.float64)
@@ -154,10 +153,9 @@ class Library:
         residual)``, or None when the int16 tile does not serve it.
 
         It serves p ≥ 1 terms of m×m arrays ``A_terms`` and n×n ``B_terms``
-        beside an m×n ``C`` when every finite entry of the factors is an
-        integer of magnitude up to 2**9, every finite entry of ``C`` one up
-        to 3·2**9, and the shape repays the encoding (``terms_pay`` in
-        ``maxplus_product.c``).  Each product then runs 32 lanes per AVX-512
+        beside an m×n ``C`` of small integer data, at shapes that repay the
+        encoding; the header of ``maxplus_product.c`` gives the codes, the
+        bounds and the rule.  Each product then runs 32 lanes per AVX-512
         register on operands encoded once.  The principal is a fresh float64
         array with the bits of the composition of :meth:`product` calls.
         ``cells`` and ``residual`` are what :meth:`mismatches` gives for its
@@ -169,16 +167,16 @@ class Library:
         that does not fit included, is declined, so the caller's own
         composition raises what it raises.
 
-        It first asks ``maxplus_solve`` whether the shape repays the tile,
-        then whether C's first entries qualify, before it gathers the
-        factors (``.ctypes.data`` costs about 2 µs an array).
+        It first asks ``maxplus_solve`` whether the shape repays the tile
+        and C's first entries qualify, before it gathers the factors
+        (``.ctypes.data`` costs about 2 µs an array).
         """
         p, (m, n) = len(A_terms), C.shape
-        if p == 0 or len(B_terms) != p or self._solve(None, None, None, None, None, None, p, m, n) < 0:
-            return None  # the shape alone declines
+        if p == 0 or len(B_terms) != p:
+            return None
         C = np.ascontiguousarray(C, dtype=np.float64)
         c = C.ctypes.data
-        if self._solve(None, None, c, None, None, None, p, m, n) < 0:  # C's first entries decline
+        if self._solve(None, None, c, None, None, None, p, m, n) < 0:  # the shape or C's first entries decline
             return None
         A = [np.ascontiguousarray(A_k, dtype=np.float64) for A_k in A_terms]
         B = [np.ascontiguousarray(B_k, dtype=np.float64) for B_k in B_terms]

@@ -23,10 +23,10 @@ each cell at ``-inf`` and takes a sum ``s`` only when ``s > cell``.  The
 NaN of ``-inf + +inf`` loses every IEEE comparison, so the mixed-infinity
 rule holds with no patch pass; an overflowing sum raises the FPU's
 overflow flag, which the loop tests once at the end.  Products of
-integer data, every finite entry below 2**27 in magnitude, run the same
-tile in int32, with ±inf as sentinels that keep these rules, and decode
-to the same bits; the C loop alone decides, from the entries and the
-shape, which tile runs.  In accumulate mode
+integer data may run the same tile in int32, with ±inf as codes that keep
+these rules, and decode to the same bits; the C loop alone decides, from
+the entries and the shape, which tile runs (the header of
+``maxplus_product.c`` gives the codes and the rule).  In accumulate mode
 (the ``acc`` argument) the C loop starts each cell at the caller's running
 value instead, so ``acc ⊕ (P ⊗ Q)`` takes no second pass and no second
 array.  The library has no entrywise ⊕ of its own: the solvers fold each

@@ -31,14 +31,21 @@
  * rows.  A single row or a single column never reaches the tile: m == 1
  * and n == 1 take the loops below.
  *
- * The int32 tile does a multiply-add in 16 lanes where the double one has
- * 8.  It serves a product whose every entry of p, q and, in accumulate
- * mode, out is -inf, +inf or an integer of magnitude below 2^27, and only
- * when int_tile_pays says the lanes save more than the encoding costs.
- * Entries are encoded into the thread's scratch (see scratch below) as
- * finite ↦ itself, -inf ↦ INT_NEG = -2^30, +inf ↦ INT_POS = 2^29, and the
- * result is decoded as ≤ -2^28 ↦ -inf, ≥ 2^28 ↦ +inf, else itself.  That
- * gives the double tile's bits:
+ * The integer tiles do a multiply-add in 16 (int32) or 32 (int16) lanes
+ * where the double one has 8, on data whose every entry is ±inf or an
+ * integer.  maxplus_tile.h's encode writes an operand into the thread's
+ * scratch (see scratch below) as the tile's codes, and its decode reads a
+ * result back, each an infinity past the tile's edge:
+ *     tile   -inf ↦  +inf ↦  finite entries up to       ↦ -inf   ↦ +inf
+ *     int32  -2^30   2^29    2^27 - 1                   ≤ -2^28  ≥ 2^28
+ *     int16  -2^14   2^13    2^9 (factors), 3·2^9 (C)   ≤ -2^12  ≥ 2^12
+ * Encoding stops at the first CHUNK that holds an entry past the bound, a
+ * fraction, -0.0 or NaN.  Such an entry, or a failed allocation, sends a
+ * product to the double tile, and makes maxplus_solve decline, so the
+ * caller composes its solve from maxplus_product calls.  Each tile serves
+ * only where its rule says the lanes repay the encoding: int_tile_pays
+ * for a product, solve_pays for a whole solve, in double multiply-adds.
+ * The int32 codes give the double tile's bits:
  *   - every sum fits int32: -2^30 + -2^30 = -2^31;
  *   - a finite sum has magnitude below 2^28, so it decodes to the same
  *     double sum, which is exact too;
@@ -47,28 +54,15 @@
  *   - +inf + a finite entry is at least 3·2^27 and decodes to +inf;
  *   - no finite double sum can overflow, so no FE_OVERFLOW is lost, and
  *     encoding refuses -0.0, so none reaches the tile.
- * Any other entry sends the product to the double tile, as does a failed
- * allocation.  Encoding and decoding are branch-free vectorised passes
- * built on the 0x1.8p52 magic add: a cast between double and int32 may
- * trap, so without -ffast-math gcc 12 does not vectorise a loop that
- * selects around one.  Encoding stops at the first CHUNK that holds an
- * entry that does not qualify.
  *
  * maxplus_solve runs a whole Sylvester solve ⊕_k A_k ⊗ X ⊗ B_k = C on the
- * int16 tile, 32 lanes to a register: the principal solution
- * X̂ = −(⊕_k A_kᵀ ⊗ (−C) ⊗ B_kᵀ), its substitution ⊕_k A_k ⊗ X̂ ⊗ B_k and
- * the exact scan against C.  It serves a call only when every finite entry
- * of the factors is an integer of magnitude up to 2^9 and every finite
- * entry of C one up to 3·2^9, and when terms_pay says the lanes and the
- * caller's calls saved repay the encoding; it declines any other call, and
- * the caller composes the solve from maxplus_product calls.  Each operand
- * is encoded once, plain, into the thread's scratch, as
- * finite ↦ itself, -inf ↦ I16_NEG = -2^14, +inf ↦ I16_POS = 2^13.  Each
- * term's first product T is clamped, ≤ -2^12 ↦ -2^14 and ≥ 2^12 ↦ 2^13,
- * before the second is maxed into the running sum.  Negation clamps too:
- * it takes ≤ -2^12 to 2^13, ≥ 2^12 to -2^14 and changes the sign of any
- * other entry.  X̂ is decoded once, for the report (≤ -2^12 ↦ -inf,
- * ≥ 2^12 ↦ +inf, else itself).
+ * int16 tile: the principal solution X̂ = −(⊕_k A_kᵀ ⊗ (−C) ⊗ B_kᵀ), its
+ * substitution ⊕_k A_k ⊗ X̂ ⊗ B_k and the exact scan against C.  Each
+ * operand is encoded once, plain.  Each term's first product T is clamped,
+ * ≤ -2^12 ↦ -2^14 and ≥ 2^12 ↦ 2^13, before the second is maxed into the
+ * running sum.  Negation clamps too: it takes ≤ -2^12 to 2^13, ≥ 2^12 to
+ * -2^14 and changes the sign of any other entry.  X̂ is decoded once, for
+ * the report.
  *
  * No factor is transposed.  The principal runs through its transpose,
  *   X̂ᵀ = −(⊕_k (B_k ⊗ (−Cᵀ)) ⊗ A_k),
@@ -123,8 +117,8 @@
 #define INT_NEG (-(1 << 30))   /* -inf in the int32 tile */
 #define INT_POS (1 << 29)      /* +inf in the int32 tile */
 #define INT_EDGE (1 << 28)     /* a result this far from 0 decodes to an infinity */
-#define INT_BOUND 0x1p27       /* finite entries below this in magnitude are encoded */
-#define INT_ENTRY_COST 12      /* int32 multiply-adds that encoding or decoding one entry costs */
+#define INT_BOUND ((1 << 27) - 1) /* finite entries up to this magnitude are encoded */
+#define INT_ENTRY_COST 6       /* double multiply-adds that encoding or decoding one int32 entry costs */
 #define WJ_F64 32              /* columns of q per double tile: 4 vectors of 8 */
 #define WJ_I32 64              /* columns of q per int32 tile: 4 vectors of 16 */
 #define WJ_I16 128             /* columns of q per int16 tile: 4 vectors of 32 */
@@ -134,10 +128,20 @@
 #define I16_EDGE (1 << 12)     /* a value this far from 0 is an infinity */
 #define I16_FACTOR 0x1p9       /* finite factor entries up to this magnitude are encoded */
 #define I16_C 0x1.8p10         /* finite entries of C up to this magnitude, 3·2^9, are encoded */
-#define TERMS_ENTRY_COST 11    /* double multiply-adds that encoding or decoding one int16 entry costs */
-#ifndef TERMS_CALL_COST        /* the tests build one that serves every shape */
-#define TERMS_CALL_COST 90000  /* double multiply-adds one product's call from Python costs, about 4.5 µs */
+#define I16_ENTRY_COST 11      /* double multiply-adds that encoding or decoding one int16 entry costs */
+#ifndef SOLVE_CALL_COST        /* the tests build one that serves every shape */
+#define SOLVE_CALL_COST 90000  /* double multiply-adds one product's call from Python costs, about 4.5 µs */
 #endif
+
+#define MAGIC 0x1.8p52 /* v + MAGIC holds an integer v, |v| < 2^51, in its low mantissa bits */
+#define CHUNK 128      /* entries encoded between checks for one that does not qualify */
+
+static inline uint64_t bits(double x)
+{
+    uint64_t u;
+    memcpy(&u, &x, sizeof u);
+    return u;
+}
 
 #define T double
 #define WJ WJ_F64
@@ -148,17 +152,18 @@
 #define T int32_t
 #define WJ WJ_I32
 #define BOTTOM INT_NEG
+#define TOP INT_POS
+#define EDGE INT_EDGE
 #define NAME(f) f##_i32
 #include "maxplus_tile.h"
 
 #define T int16_t
 #define WJ WJ_I16
 #define BOTTOM I16_NEG
+#define TOP I16_POS
+#define EDGE I16_EDGE
 #define NAME(f) f##_i16
 #include "maxplus_tile.h"
-
-#define MAGIC 0x1.8p52 /* v + MAGIC holds an integer v, |v| < 2^51, in its low mantissa bits */
-#define CHUNK 128      /* entries encoded between checks for one that does not qualify */
 
 static inline double mp_max(double s, double o) { return s > o ? s : o; }
 
@@ -196,49 +201,6 @@ static void vecmat(const double *p, const double *restrict q, double *restrict o
     }
 }
 
-static inline uint64_t bits(double x)
-{
-    uint64_t u;
-    memcpy(&u, &x, sizeof u);
-    return u;
-}
-
-/* Writes x's count entries to z as the int32 tile reads them: a finite
- * integer of magnitude below INT_BOUND as itself, -inf as INT_NEG and +inf
- * as INT_POS.  Returns 0, with z partly written, when an entry is none of
- * these (-0.0, a fraction, a larger number or NaN), else 1. */
-static int encode(const double *restrict x, int32_t *restrict z, ptrdiff_t count)
-{
-    for (ptrdiff_t c0 = 0; c0 < count; c0 += CHUNK) {
-        ptrdiff_t c1 = count - c0 < CHUNK ? count : c0 + CHUNK;
-        uint64_t bad = 0; /* 64 bits wide, and no && or ||, so gcc vectorises the loop */
-        for (ptrdiff_t c = c0; c < c1; c++) {
-            double v = x[c], a = fabs(v);
-            v = v < INT_NEG ? INT_NEG : v > INT_POS ? INT_POS : v; /* the infinities' codes */
-            double y = v + MAGIC;
-            /* y - MAGIC keeps v's bits only when v is an integer other than -0.0 */
-            bad |= (bits(y - MAGIC) ^ bits(v)) | !((a < INT_BOUND) | (a == INFINITY));
-            z[c] = (int32_t)bits(y);
-        }
-        if (bad) return 0;
-    }
-    return 1;
-}
-
-/* Writes z's count entries to x: at or below -INT_EDGE as -inf, at or
- * above INT_EDGE as +inf, and any other as itself. */
-static void decode(const int32_t *restrict z, double *restrict x, ptrdiff_t count)
-{
-    for (ptrdiff_t c = 0; c < count; c++) {
-        int32_t v = z[c];
-        double d;
-        uint64_t u = bits(MAGIC) + (uint64_t)(int64_t)v;
-        memcpy(&d, &u, sizeof d);
-        d -= MAGIC;
-        x[c] = v <= -INT_EDGE ? -INFINITY : v >= INT_EDGE ? INFINITY : d;
-    }
-}
-
 static pthread_key_t scratch_key;
 static pthread_once_t scratch_once = PTHREAD_ONCE_INIT;
 static int scratch_keyed;
@@ -269,35 +231,47 @@ static void *scratch(size_t size)
     return block ? (char *)block + 64 : NULL;
 }
 
-/* The int32 tile on encoded copies of p, q and, in accumulate mode, out:
- * 0 when an entry does not qualify or no scratch could be had, with out
- * untouched; else 1, with out holding the result. */
+/* n rounded up to a multiple of w */
+static inline ptrdiff_t pad(ptrdiff_t n, ptrdiff_t w) { return (n + w - 1) / w * w; }
+
+#define LINE(count, type) pad(count, 64 / sizeof(type)) /* entries of type rounded up to 64-byte lines */
+
+/* The int32 tile on encoded copies of p, q and, in accumulate mode, out,
+ * each starting on a 64-byte line: 0 when an entry does not qualify or no
+ * scratch could be had, with out untouched; else 1, with out holding the
+ * result. */
 static int product_i32(const double *p, const double *q, double *out, ptrdiff_t m, ptrdiff_t k,
                        ptrdiff_t n, int accumulate)
 {
-    /* each array starts on a 64-byte line: sizes rounded up to 16 int32 */
-    ptrdiff_t sp = (m * k + 15) & ~(ptrdiff_t)15, sq = (k * n + 15) & ~(ptrdiff_t)15;
-    ptrdiff_t so = (m * n + 15) & ~(ptrdiff_t)15;
+    ptrdiff_t sp = LINE(m * k, int32_t), sq = LINE(k * n, int32_t), so = LINE(m * n, int32_t);
     int32_t *zp = scratch((size_t)(sp + sq + so) * sizeof(int32_t));
     if (!zp) return 0;
     int32_t *zq = zp + sp, *zo = zq + sq;
-    int ok = encode(p, zp, m * k) && encode(q, zq, k * n) && (!accumulate || encode(out, zo, m * n));
+    int ok = encode_i32(p, zp, m * k, INT_BOUND) && encode_i32(q, zq, k * n, INT_BOUND) &&
+             (!accumulate || encode_i32(out, zo, m * n, INT_BOUND));
     if (ok) {
         blocked_i32(zp, zq, zo, m, k, n, accumulate);
-        decode(zo, out, m * n);
+        decode_i32(zo, out, m * n);
     }
     return ok;
 }
 
-/* Whether the int32 tile beats the double one on an m×k by k×n product:
- * it does a multiply-add in about half the time, each tile pads n to a
- * multiple of its width, and each entry of p, q and out is encoded or
- * decoded once.  Up to 32 columns both tiles do the same padded work, so
- * the int32 tile never pays there. */
+/* Double multiply-adds a rows×k by k×cols product costs on the tile wj
+ * columns wide: it pads cols to a multiple of wj, and its wj / WJ_F64
+ * times as many lanes do that many multiply-adds where the double tile
+ * does one. */
+static ptrdiff_t work(ptrdiff_t rows, ptrdiff_t k, ptrdiff_t cols, ptrdiff_t wj)
+{
+    return rows * k * pad(cols, wj) / (wj / WJ_F64);
+}
+
+/* Whether the int32 tile beats the double one on an m×k by k×n product,
+ * where each entry of p, q and out is encoded or decoded once.  Both tiles
+ * pad m alike.  Up to 32 columns both do the same padded work, so the
+ * int32 tile never pays there. */
 static int int_tile_pays(ptrdiff_t m, ptrdiff_t k, ptrdiff_t n)
 {
-    ptrdiff_t f64 = (n + WJ_F64 - 1) / WJ_F64 * WJ_F64, i32 = (n + WJ_I32 - 1) / WJ_I32 * WJ_I32;
-    return m * k * (2 * f64 - i32) >= INT_ENTRY_COST * (m * k + k * n + m * n);
+    return work(m, k, n, WJ_F64) - work(m, k, n, WJ_I32) >= INT_ENTRY_COST * (m * k + k * n + m * n);
 }
 
 /* p is m×k, q is k×n, out is m×n, all C-contiguous.  With accumulate set,
@@ -335,32 +309,6 @@ int maxplus_kron(const double *mm, const double *nn, double *kron, ptrdiff_t a, 
                     cell[s] = mp_max(x + row[s], accumulate ? cell[s] : -INFINITY);
             }
     return fetestexcept(FE_OVERFLOW) != 0;
-}
-
-/* The int16 form of encode: x's count entries, finite ones up to bound in
- * magnitude as themselves, -inf as I16_NEG and +inf as I16_POS, written to
- * z.  Returns the bits that are nonzero when an entry is none of these. */
-static uint64_t encode_chunk_i16(const double *restrict x, int16_t *restrict z, ptrdiff_t count, double bound)
-{
-    uint64_t bad = 0;
-    for (ptrdiff_t c = 0; c < count; c++) {
-        double v = x[c], a = fabs(v);
-        v = v < I16_NEG ? I16_NEG : v > I16_POS ? I16_POS : v;
-        double y = v + MAGIC;
-        bad |= (bits(y - MAGIC) ^ bits(v)) | !((a <= bound) | (a == INFINITY));
-        z[c] = (int16_t)bits(y);
-    }
-    return bad;
-}
-
-/* Writes x's count entries to z as the int16 tile reads them.  Returns 0,
- * with z partly written, when an entry is not ±inf or an integer other
- * than -0.0 of magnitude up to bound, else 1. */
-static int encode_i16(const double *restrict x, int16_t *restrict z, ptrdiff_t count, double bound)
-{
-    for (ptrdiff_t c0 = 0; c0 < count; c0 += CHUNK)
-        if (encode_chunk_i16(x + c0, z + c0, count - c0 < CHUNK ? count - c0 : CHUNK, bound)) return 0;
-    return 1;
 }
 
 /* Sets z's count entries, each the max of int16 sums of the operands the
@@ -424,62 +372,33 @@ static void transpose_i16(const int16_t *restrict x, int16_t *restrict z, ptrdif
         for (ptrdiff_t j = i < rw ? cw : 0; j < cols; j++) z[j * rows + i] = x[i * cols + j];
 }
 
-/* Writes z's count entries to x: at or below -I16_EDGE as -inf, at or
- * above I16_EDGE as +inf, and any other as itself. */
-static void decode_i16(const int16_t *restrict z, double *restrict x, ptrdiff_t count)
-{
-    for (ptrdiff_t c = 0; c < count; c++) {
-        int16_t v = z[c];
-        double d;
-        uint64_t u = bits(MAGIC) + (uint64_t)(int64_t)v;
-        memcpy(&d, &u, sizeof d);
-        d -= MAGIC;
-        x[c] = v <= -I16_EDGE ? -INFINITY : v >= I16_EDGE ? INFINITY : d;
-    }
-}
-
-/* Double multiply-adds an rows×k by k×cols product costs on the per-product
- * path: matvec and vecmat pad nothing, the double tile pads cols to WJ_F64. */
-static ptrdiff_t f64_work(ptrdiff_t rows, ptrdiff_t k, ptrdiff_t cols)
-{
-    if (rows == 1 || cols == 1) return rows * k * cols;
-    return (rows + WR - 1) / WR * WR * k * ((cols + WJ_F64 - 1) / WJ_F64 * WJ_F64);
-}
-
-/* The same in double multiply-adds on the int16 tile, which pads every
- * product to whole tiles and does 4 multiply-adds where the double one
- * does 1. */
-static ptrdiff_t i16_work(ptrdiff_t rows, ptrdiff_t k, ptrdiff_t cols)
-{
-    return (rows + WR - 1) / WR * WR * k * ((cols + WJ_I16 - 1) / WJ_I16 * WJ_I16) / 4;
-}
-
 /* Whether a maxplus_solve call beats the 4p products the caller would make
  * instead for p terms at C of m×n.  It weighs one step of the solve, 2p
- * products, against the same products on the int16 tile: that tile has 4
- * lanes for the double tile's 1, but each entry of the factors and of two
- * m×n arrays is encoded or decoded once, and each of the caller's products
- * is a call from Python with its checks.  The other step has the same
- * shapes.  For n up to 32 both tiles do the same padded work, so the
- * encoding pays only against the calls, which are what weighs at small m. */
-static int terms_pay(ptrdiff_t p, ptrdiff_t m, ptrdiff_t n)
+ * products of m rows, A_k ⊗ X over m inner indices and T ⊗ B_k over n,
+ * against the same products on the int16 tile: each entry of the factors
+ * and of two m×n arrays is encoded or decoded once, and each of the
+ * caller's products is a call from Python with its checks.  On the
+ * caller's path matvec and vecmat pad nothing, and both tiles pad m alike.
+ * The other step has the same shapes.  For n up to 32 both tiles do the
+ * same padded work, so the encoding pays only against the calls, which are
+ * what weighs at small m. */
+static int solve_pays(ptrdiff_t p, ptrdiff_t m, ptrdiff_t n)
 {
-    ptrdiff_t f64 = p * (f64_work(m, m, n) + f64_work(m, n, n) + 2 * TERMS_CALL_COST);
-    ptrdiff_t i16 = p * (i16_work(m, m, n) + i16_work(m, n, n) + TERMS_ENTRY_COST * (m * m + n * n));
-    return i16 + TERMS_ENTRY_COST * 2 * m * n < f64;
+    ptrdiff_t rows = pad(m, WR), k = m + n;
+    ptrdiff_t f64 = p * ((m == 1 || n == 1 ? m * k * n : work(rows, k, n, WJ_F64)) + 2 * SOLVE_CALL_COST);
+    ptrdiff_t i16 = p * (work(rows, k, n, WJ_I16) + I16_ENTRY_COST * (m * m + n * n));
+    return i16 + I16_ENTRY_COST * 2 * m * n < f64;
 }
 
-#define LINE16(count) (((count) + 31) & ~(ptrdiff_t)31) /* int16 entries rounded up to 64-byte lines */
-
 /* The thread's scratch, holding the p m×m a[k] and then the p n×n b[k],
- * encoded, LINE16(m·m) and LINE16(n·n) entries apart, followed by room for
- * five m×n arrays, LINE16(m·n) apart.  NULL when a factor entry does not
+ * encoded, each starting on a 64-byte line, followed by room for five m×n
+ * arrays, each on its own line.  NULL when a factor entry does not
  * qualify or no scratch could be had. */
 static int16_t *encode_factors(const double *const *a, const double *const *b, ptrdiff_t p, ptrdiff_t m,
                                ptrdiff_t n)
 {
-    ptrdiff_t sa = LINE16(m * m), sb = LINE16(n * n);
-    int16_t *z = scratch((size_t)(p * (sa + sb) + 5 * LINE16(m * n)) * sizeof(int16_t));
+    ptrdiff_t sa = LINE(m * m, int16_t), sb = LINE(n * n, int16_t);
+    int16_t *z = scratch((size_t)(p * (sa + sb) + 5 * LINE(m * n, int16_t)) * sizeof(int16_t));
     for (ptrdiff_t k = 0; z && k < p; k++)
         if (!encode_i16(a[k], z + k * sa, m * m, I16_FACTOR) ||
             !encode_i16(b[k], z + p * sa + k * sb, n * n, I16_FACTOR))
@@ -545,19 +464,19 @@ static ptrdiff_t scan_i16(const int16_t *zo, const int16_t *zc, ptrdiff_t m, ptr
  * writes them, and returns the number of cells.  Returns -1, with nothing
  * written, when an entry does not qualify (see the header), the shape does
  * not repay the tile or no scratch could be had.  With a NULL a it is a
- * query: whether the shape repays the tile and, unless c is NULL too,
- * whether c's first CHUNK entries qualify, which is where most data that
- * does not qualify shows it, so a caller can decline before it gathers the
- * factors; it returns 0 for yes and -1 for no. */
+ * query: whether the shape repays the tile and c's first CHUNK entries
+ * qualify, which is where most data that does not qualify shows it, so a
+ * caller can decline before it gathers the factors; it returns 0 for yes
+ * and -1 for no. */
 ptrdiff_t maxplus_solve(const double *const *a, const double *const *b, const double *c, double *principal,
                         ptrdiff_t *cells, double *residual, ptrdiff_t p, ptrdiff_t m, ptrdiff_t n)
 {
-    if (!terms_pay(p, m, n)) return -1;
+    if (!solve_pays(p, m, n)) return -1;
     if (!a) {
         int16_t head[CHUNK];
-        return c && encode_chunk_i16(c, head, m * n < CHUNK ? m * n : CHUNK, I16_C) ? -1 : 0;
+        return encode_i16(c, head, m * n < CHUNK ? m * n : CHUNK, I16_C) ? 0 : -1;
     }
-    ptrdiff_t sa = LINE16(m * m), sb = LINE16(n * n), sx = LINE16(m * n);
+    ptrdiff_t sa = LINE(m * m, int16_t), sb = LINE(n * n, int16_t), sx = LINE(m * n, int16_t);
     int16_t *za = encode_factors(a, b, p, m, n);
     if (!za) return -1;
     int16_t *zb = za + p * sa, *zc = zb + p * sb, *zx = zc + sx, *w = zx + sx;

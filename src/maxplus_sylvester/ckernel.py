@@ -8,7 +8,7 @@ the matrix text scanner and formatter that :mod:`.instance_io` calls.
 ``maxplus_product.c`` also holds the solver's fused call, which runs a whole
 Sylvester solve, principal, substitution and scan, on operands encoded once,
 and includes ``maxplus_tile.h``, its register tile written once and
-instantiated for double, int32 and int16 elements.  The first import on a
+instantiated for double and int16 elements.  The first import on a
 machine runs the C compiler once on all three and writes one shared
 library into the package's ``__pycache__``; later imports load that file.
 The file name holds a hash of every source and of every header beside
@@ -132,10 +132,10 @@ class Library:
         partly updated.
 
         The C loop picks its register tile by itself, and the bits are the
-        same either way: integer data, at shapes that repay the encoding,
-        runs in int32 with 16 lanes per AVX-512 register instead of 8
-        doubles.  The header of ``maxplus_product.c`` gives the codes, the
-        bounds and the rule.
+        same either way: small integer data, at shapes that repay the
+        encoding, runs in int16 with 32 lanes per AVX-512 register instead
+        of 8 doubles.  The header of ``maxplus_product.c`` gives the codes,
+        the bounds and the rule.
         """
         # the C loop reads both operands as dense row-major float64
         p = np.ascontiguousarray(p, dtype=np.float64)
@@ -297,7 +297,8 @@ class Numpy:
         out[np.isnan(out)] = -np.inf
         if acc is None:
             return out
-        return np.maximum(acc, out, out=acc)
+        np.copyto(acc, out, where=out > acc)  # as the C loop: a tie keeps acc's bits, 0.0 beside -0.0 too
+        return acc
 
     def solve(self, A_terms, B_terms, C: np.ndarray):
         """None for any input: the solver composes the solve from :meth:`product` calls and its passes."""

@@ -22,8 +22,8 @@ numpy kernel also serves the tests as the bit reference.  The C loop starts
 each cell at ``-inf`` and takes a sum ``s`` only when ``s > cell``.  The
 NaN of ``-inf + +inf`` loses every IEEE comparison, so the mixed-infinity
 rule holds with no patch pass; an overflowing sum raises the FPU's
-overflow flag, which the loop tests once at the end.  Products of
-integer data may run the same tile in int32, with ±inf as codes that keep
+overflow flag, which the loop tests once at the end.  Products of small
+integer data may run the same tile in int16, with ±inf as codes that keep
 these rules, and decode to the same bits; the C loop alone decides, from
 the entries and the shape, which tile runs (the header of
 ``maxplus_product.c`` gives the codes and the rule).  In accumulate mode

@@ -14,11 +14,10 @@
  * and a finite one that overflows raises FE_OVERFLOW.
  * -ffast-math would break both rules; build without it.
  *
- * The register tile comes in three element types, from one source,
- * maxplus_tile.h: 6×32 doubles padded with -inf, 6×64 int32 padded with
- * INT_NEG and 6×128 int16 padded with I16_NEG.  Each way its 24 accumulator
- * vectors (8 doubles, 16 int32 or 32 int16 each) keep enough add-max
- * chains in flight and fit AVX-512's 32
+ * The register tile comes in two element types, from one source,
+ * maxplus_tile.h: 6×32 doubles padded with -inf and 6×128 int16 padded
+ * with I16_NEG.  Each way its 24 accumulator vectors (8 doubles or 32
+ * int16 each) keep enough add-max chains in flight and fit AVX-512's 32
  * vector registers (BENCH_10.json; built for AVX2, gcc keeps them in L1).
  * Each block of out takes the tile over passes of KB inner indices.
  * Blocks past the last multiple of 6 rows or of WJ columns run the tile on
@@ -31,29 +30,33 @@
  * rows.  A single row or a single column never reaches the tile: m == 1
  * and n == 1 take the loops below.
  *
- * The integer tiles do a multiply-add in 16 (int32) or 32 (int16) lanes
- * where the double one has 8, on data whose every entry is ±inf or an
- * integer.  maxplus_tile.h's encode writes an operand into the thread's
- * scratch (see scratch below) as the tile's codes, and its decode reads a
- * result back, each an infinity past the tile's edge:
- *     tile   -inf ↦  +inf ↦  finite entries up to       ↦ -inf   ↦ +inf
- *     int32  -2^30   2^29    2^27 - 1                   ≤ -2^28  ≥ 2^28
- *     int16  -2^14   2^13    2^9 (factors), 3·2^9 (C)   ≤ -2^12  ≥ 2^12
+ * The int16 tile does a multiply-add in 32 lanes where the double one has
+ * 8, on data whose every entry is ±inf or an integer.  encode_i16 writes
+ * an operand into the thread's scratch (see scratch below) as the tile's
+ * codes, -inf as -2^14 and +inf as 2^13, and decode_i16 reads a result
+ * back, at or below -2^12 as -inf and at or above 2^12 as +inf.  Finite
+ * entries are encoded up to a bound in magnitude: 2^11 - 1 for a single
+ * product's operands, 2^9 for a solve's factors and 3·2^9 for its C.
  * Encoding stops at the first CHUNK that holds an entry past the bound, a
  * fraction, -0.0 or NaN.  Such an entry, or a failed allocation, sends a
  * product to the double tile, and makes maxplus_solve decline, so the
- * caller composes its solve from maxplus_product calls.  Each tile serves
+ * caller composes its solve from maxplus_product calls.  Each call serves
  * only where its rule says the lanes repay the encoding: int_tile_pays
  * for a product, solve_pays for a whole solve, in double multiply-adds.
- * The int32 codes give the double tile's bits:
- *   - every sum fits int32: -2^30 + -2^30 = -2^31;
- *   - a finite sum has magnitude below 2^28, so it decodes to the same
- *     double sum, which is exact too;
- *   - -inf + +inf is -2^29, which decodes to -inf, as a NaN sum loses;
- *   - -inf + a finite entry is at most -2^30 + 2^27 and decodes to -inf;
- *   - +inf + a finite entry is at least 3·2^27 and decodes to +inf;
- *   - no finite double sum can overflow, so no FE_OVERFLOW is lost, and
- *     encoding refuses -0.0, so none reaches the tile.
+ * A product's codes give the double tile's bits:
+ *   - every operand, out in accumulate mode among them, is a code or
+ *     finite with magnitude at most 2^11 - 1, so a finite sum has
+ *     magnitude at most 2^12 - 2, below the decode edge 2^12, and it is
+ *     exact in int16 as in double;
+ *   - -inf + a finite entry is at most -2^14 + 2^11 ≤ -2^12 and decodes
+ *     to -inf; +inf + one is at least 2^13 - 2^11 + 1 ≥ 2^12 and decodes
+ *     to +inf;
+ *   - -inf + +inf is -2^13, which decodes to -inf, as a NaN sum loses;
+ *   - -inf + -inf = -2^15 and +inf + +inf = 2^14 fit in int16;
+ *   - out in accumulate mode is only maxed with sums, never added to;
+ *   - no finite double sum of such entries can overflow, so no
+ *     FE_OVERFLOW is lost, and encoding refuses -0.0, so none reaches the
+ *     tile.
  *
  * maxplus_solve runs a whole Sylvester solve ⊕_k A_k ⊗ X ⊗ B_k = C on the
  * int16 tile: the principal solution X̂ = −(⊕_k A_kᵀ ⊗ (−C) ⊗ B_kᵀ), its
@@ -114,18 +117,13 @@
 #define KB 256   /* inner indices per pass, so a pass's rows of q stay in cache */
 #define LANES 16 /* independent maxima per row when n == 1 */
 
-#define INT_NEG (-(1 << 30))   /* -inf in the int32 tile */
-#define INT_POS (1 << 29)      /* +inf in the int32 tile */
-#define INT_EDGE (1 << 28)     /* a result this far from 0 decodes to an infinity */
-#define INT_BOUND ((1 << 27) - 1) /* finite entries up to this magnitude are encoded */
-#define INT_ENTRY_COST 6       /* double multiply-adds that encoding or decoding one int32 entry costs */
 #define WJ_F64 32              /* columns of q per double tile: 4 vectors of 8 */
-#define WJ_I32 64              /* columns of q per int32 tile: 4 vectors of 16 */
 #define WJ_I16 128             /* columns of q per int16 tile: 4 vectors of 32 */
 
 #define I16_NEG (-(1 << 14))   /* -inf in the int16 tile */
 #define I16_POS (1 << 13)      /* +inf in the int16 tile */
 #define I16_EDGE (1 << 12)     /* a value this far from 0 is an infinity */
+#define I16_PRODUCT (0x1p11 - 1) /* finite entries of a product's operands up to this magnitude are encoded */
 #define I16_FACTOR 0x1p9       /* finite factor entries up to this magnitude are encoded */
 #define I16_C 0x1.8p10         /* finite entries of C up to this magnitude, 3·2^9, are encoded */
 #define I16_ENTRY_COST 11      /* double multiply-adds that encoding or decoding one int16 entry costs */
@@ -149,21 +147,50 @@ static inline uint64_t bits(double x)
 #define NAME(f) f##_f64
 #include "maxplus_tile.h"
 
-#define T int32_t
-#define WJ WJ_I32
-#define BOTTOM INT_NEG
-#define TOP INT_POS
-#define EDGE INT_EDGE
-#define NAME(f) f##_i32
-#include "maxplus_tile.h"
-
 #define T int16_t
 #define WJ WJ_I16
 #define BOTTOM I16_NEG
-#define TOP I16_POS
-#define EDGE I16_EDGE
 #define NAME(f) f##_i16
 #include "maxplus_tile.h"
+
+/* Writes x's count entries to z as the int16 tile reads them: -inf as
+ * I16_NEG, +inf as I16_POS and an integer other than -0.0 of magnitude up
+ * to bound as itself.  Returns 0, with z partly written, at the first
+ * CHUNK that holds an entry that is none of these (-0.0, a fraction, a
+ * larger number or NaN), else 1.  Branch-free, on the MAGIC add: a cast
+ * between double and an integer may trap, so without -ffast-math gcc 12
+ * does not vectorise a loop that selects around one. */
+static int encode_i16(const double *restrict x, int16_t *restrict z, ptrdiff_t count, double bound)
+{
+    for (ptrdiff_t c0 = 0; c0 < count; c0 += CHUNK) {
+        ptrdiff_t c1 = count - c0 < CHUNK ? count : c0 + CHUNK;
+        uint64_t bad = 0; /* 64 bits wide, and no && or ||, so gcc vectorises the loop */
+        for (ptrdiff_t c = c0; c < c1; c++) {
+            double v = x[c], a = fabs(v);
+            v = v < I16_NEG ? I16_NEG : v > I16_POS ? I16_POS : v; /* the infinities' codes */
+            double y = v + MAGIC;
+            /* y - MAGIC keeps v's bits only when v is an integer other than -0.0 */
+            bad |= (bits(y - MAGIC) ^ bits(v)) | !((a <= bound) | (a == INFINITY));
+            z[c] = (int16_t)bits(y);
+        }
+        if (bad) return 0;
+    }
+    return 1;
+}
+
+/* Writes z's count entries to x: at or below -I16_EDGE as -inf, at or
+ * above I16_EDGE as +inf, and any other as itself. */
+static void decode_i16(const int16_t *restrict z, double *restrict x, ptrdiff_t count)
+{
+    for (ptrdiff_t c = 0; c < count; c++) {
+        int16_t v = z[c];
+        double d;
+        uint64_t u = bits(MAGIC) + (uint64_t)(int64_t)v;
+        memcpy(&d, &u, sizeof d);
+        d -= MAGIC;
+        x[c] = v <= -I16_EDGE ? -INFINITY : v >= I16_EDGE ? INFINITY : d;
+    }
+}
 
 static inline double mp_max(double s, double o) { return s > o ? s : o; }
 
@@ -209,7 +236,7 @@ static void scratch_key_create(void) { scratch_keyed = !pthread_key_create(&scra
 
 /* A 64-byte aligned block of size bytes, a multiple of 64, that the
  * calling thread keeps from call to call, or NULL when none could be had;
- * the int32 product and the int16 solve both take theirs here.  A block
+ * the int16 product and solve both take theirs here.  A block
  * the size of a call's operands, allocated and freed on every call, let
  * glibc trim the top of the heap, and the caller's next fresh array of
  * about that size page-faulted in again: 256 faults a 256×256 solve beside
@@ -236,22 +263,22 @@ static inline ptrdiff_t pad(ptrdiff_t n, ptrdiff_t w) { return (n + w - 1) / w *
 
 #define LINE(count, type) pad(count, 64 / sizeof(type)) /* entries of type rounded up to 64-byte lines */
 
-/* The int32 tile on encoded copies of p, q and, in accumulate mode, out,
+/* The int16 tile on encoded copies of p, q and, in accumulate mode, out,
  * each starting on a 64-byte line: 0 when an entry does not qualify or no
  * scratch could be had, with out untouched; else 1, with out holding the
  * result. */
-static int product_i32(const double *p, const double *q, double *out, ptrdiff_t m, ptrdiff_t k,
+static int product_i16(const double *p, const double *q, double *out, ptrdiff_t m, ptrdiff_t k,
                        ptrdiff_t n, int accumulate)
 {
-    ptrdiff_t sp = LINE(m * k, int32_t), sq = LINE(k * n, int32_t), so = LINE(m * n, int32_t);
-    int32_t *zp = scratch((size_t)(sp + sq + so) * sizeof(int32_t));
+    ptrdiff_t sp = LINE(m * k, int16_t), sq = LINE(k * n, int16_t), so = LINE(m * n, int16_t);
+    int16_t *zp = scratch((size_t)(sp + sq + so) * sizeof(int16_t));
     if (!zp) return 0;
-    int32_t *zq = zp + sp, *zo = zq + sq;
-    int ok = encode_i32(p, zp, m * k, INT_BOUND) && encode_i32(q, zq, k * n, INT_BOUND) &&
-             (!accumulate || encode_i32(out, zo, m * n, INT_BOUND));
+    int16_t *zq = zp + sp, *zo = zq + sq;
+    int ok = encode_i16(p, zp, m * k, I16_PRODUCT) && encode_i16(q, zq, k * n, I16_PRODUCT) &&
+             (!accumulate || encode_i16(out, zo, m * n, I16_PRODUCT));
     if (ok) {
-        blocked_i32(zp, zq, zo, m, k, n, accumulate);
-        decode_i32(zo, out, m * n);
+        blocked_i16(zp, zq, zo, m, k, n, accumulate);
+        decode_i16(zo, out, m * n);
     }
     return ok;
 }
@@ -265,13 +292,13 @@ static ptrdiff_t work(ptrdiff_t rows, ptrdiff_t k, ptrdiff_t cols, ptrdiff_t wj)
     return rows * k * pad(cols, wj) / (wj / WJ_F64);
 }
 
-/* Whether the int32 tile beats the double one on an m×k by k×n product,
+/* Whether the int16 tile beats the double one on an m×k by k×n product,
  * where each entry of p, q and out is encoded or decoded once.  Both tiles
  * pad m alike.  Up to 32 columns both do the same padded work, so the
- * int32 tile never pays there. */
+ * int16 tile never pays there. */
 static int int_tile_pays(ptrdiff_t m, ptrdiff_t k, ptrdiff_t n)
 {
-    return work(m, k, n, WJ_F64) - work(m, k, n, WJ_I32) >= INT_ENTRY_COST * (m * k + k * n + m * n);
+    return work(m, k, n, WJ_F64) - work(m, k, n, WJ_I16) >= I16_ENTRY_COST * (m * k + k * n + m * n);
 }
 
 /* p is m×k, q is k×n, out is m×n, all C-contiguous.  With accumulate set,
@@ -285,7 +312,7 @@ int maxplus_product(const double *p, const double *q, double *out, ptrdiff_t m, 
         matvec(p, q, out, m, k, accumulate);
     else if (m == 1)
         vecmat(p, q, out, k, n, accumulate);
-    else if (!int_tile_pays(m, k, n) || !product_i32(p, q, out, m, k, n, accumulate))
+    else if (!int_tile_pays(m, k, n) || !product_i16(p, q, out, m, k, n, accumulate))
         blocked_f64(p, q, out, m, k, n, accumulate);
     return fetestexcept(FE_OVERFLOW) != 0;
 }

@@ -1,17 +1,14 @@
 /* The blocked max-plus product over one element type, included by
- * maxplus_product.c once per type: double (6×32 cells, BOTTOM -inf), int32
- * (6×64, -2^30) and int16 (6×128, -2^14), each tile 24 AVX-512 registers
- * of accumulators.  The includer defines T, the element type; WJ, the
- * columns of q per register tile; BOTTOM, the value that pads a block and
- * starts a cell; and NAME(f), which gives each function the type's suffix.
- * WR and KB are the includer's, shared by every type.  An integer sum is
- * formed in int and stored as T, so the includer must keep every sum of
- * two operands, BOTTOM among them, within T: for int16 the sentinels
- * -2^14 and 2^13 give sums in [-2^15, 2^14].  An integer includer also
- * defines TOP, the code of +inf, and EDGE, the distance from 0 at which a
- * result decodes to an infinity, and gets the type's encode and decode,
- * built on its MAGIC, CHUNK and bits.  See maxplus_product.c for the tile,
- * the padding, the three instances, the codes and their proofs.
+ * maxplus_product.c once per type: double (6×32 cells, BOTTOM -inf) and
+ * int16 (6×128, -2^14), each tile 24 AVX-512 registers of accumulators.
+ * The includer defines T, the element type; WJ, the columns of q per
+ * register tile; BOTTOM, the value that pads a block and starts a cell;
+ * and NAME(f), which gives each function the type's suffix.  WR and KB are
+ * the includer's, shared by both types.  An integer sum is formed in int
+ * and stored as T, so the includer must keep every sum of two operands,
+ * BOTTOM among them, within T: for int16 the sentinels -2^14 and 2^13 give
+ * sums in [-2^15, 2^14].  See maxplus_product.c for the tile, the padding,
+ * the two instances, the int16 codes and their proofs.
  */
 
 /* One WR×WJ block of out, held in registers over kl inner indices; p, q
@@ -77,49 +74,6 @@ static void NAME(blocked)(const T *p, const T *q, T *out, ptrdiff_t m, ptrdiff_t
             }
     }
 }
-
-#ifdef TOP
-/* Writes x's count entries to z as the tile reads them: -inf as BOTTOM,
- * +inf as TOP and an integer other than -0.0 of magnitude up to bound as
- * itself.  Returns 0, with z partly written, at the first CHUNK that holds
- * an entry that is none of these (-0.0, a fraction, a larger number or
- * NaN), else 1.  Branch-free, on the MAGIC add: a cast between double and
- * an integer may trap, so without -ffast-math gcc 12 does not vectorise a
- * loop that selects around one. */
-static int NAME(encode)(const double *restrict x, T *restrict z, ptrdiff_t count, double bound)
-{
-    for (ptrdiff_t c0 = 0; c0 < count; c0 += CHUNK) {
-        ptrdiff_t c1 = count - c0 < CHUNK ? count : c0 + CHUNK;
-        uint64_t bad = 0; /* 64 bits wide, and no && or ||, so gcc vectorises the loop */
-        for (ptrdiff_t c = c0; c < c1; c++) {
-            double v = x[c], a = fabs(v);
-            v = v < BOTTOM ? BOTTOM : v > TOP ? TOP : v; /* the infinities' codes */
-            double y = v + MAGIC;
-            /* y - MAGIC keeps v's bits only when v is an integer other than -0.0 */
-            bad |= (bits(y - MAGIC) ^ bits(v)) | !((a <= bound) | (a == INFINITY));
-            z[c] = (T)bits(y);
-        }
-        if (bad) return 0;
-    }
-    return 1;
-}
-
-/* Writes z's count entries to x: at or below -EDGE as -inf, at or above
- * EDGE as +inf, and any other as itself. */
-static void NAME(decode)(const T *restrict z, double *restrict x, ptrdiff_t count)
-{
-    for (ptrdiff_t c = 0; c < count; c++) {
-        T v = z[c];
-        double d;
-        uint64_t u = bits(MAGIC) + (uint64_t)(int64_t)v;
-        memcpy(&d, &u, sizeof d);
-        d -= MAGIC;
-        x[c] = v <= -EDGE ? -INFINITY : v >= EDGE ? INFINITY : d;
-    }
-}
-#undef TOP
-#undef EDGE
-#endif
 
 #undef T
 #undef WJ

@@ -320,14 +320,16 @@ def _edge_operands(m, k, n, integers=False):
     return P, Q
 
 
-# Integer products the C loop runs on the int32 tile, which is 6×64 and
-# pads with -2**30: 64×300 is whole column tiles over two passes, with 4
-# rows past the last whole row block; 31×513 is one row and one column
-# past them, over three passes; 50×95 is two rows and 31 columns past
-# them; 97×40 fills no whole column tile; 20×257·130 is two rows and two
-# columns past them, over two passes; 24×256·128 is whole tiles only.
-# The numpy kernel splits and transposes them as it does MATMUL_EDGES
-INT_EDGES = [(64, 300, 64), (31, 513, 65), (50, 64, 95), (97, 96, 40), (20, 257, 130), (24, 256, 128)]
+# Integer products the C loop runs on the int16 tile, which is 6×128 and
+# pads with -2**14.  The first four fill no whole column tile: 64×300·64 is
+# 4 rows past the last whole row block, over two passes; 31×513·65 is one
+# row past it, over three passes; 50×64·95 is two rows past it; 97×96·40 is
+# one.  20×257·130 is two rows and two columns past the whole tiles, over
+# two passes; 24×256·128 is whole tiles only; 48×300·257 is two whole
+# column blocks and one column past them, over two passes.  The numpy
+# kernel splits and transposes them as it does MATMUL_EDGES
+INT_EDGES = [(64, 300, 64), (31, 513, 65), (50, 64, 95), (97, 96, 40), (20, 257, 130), (24, 256, 128),
+             (48, 300, 257)]
 
 
 @functools.cache
@@ -374,7 +376,7 @@ def test_integer_block_edges_match_bruteforce(m, k, n, kernel):
 def test_integer_accumulate_matches_bruteforce(m, k, n, kernel):
     P, Q = _edge_operands(m, k, n, integers=True)
     rng = np.random.default_rng(22)
-    acc = rng.integers(-4000, 4001, (m, n)).astype(float)
+    acc = rng.integers(-2047, 2048, (m, n)).astype(float)
     # row 0 of the product is -inf, and column 0 is +inf below it, so acc's
     # infinities meet a -inf and a +inf cell as well as finite ones
     acc[rng.random(acc.shape) < 0.1] = NEG_INF
@@ -387,20 +389,21 @@ def test_integer_accumulate_matches_bruteforce(m, k, n, kernel):
     assert np.array_equal(acc.view(np.int64), want.view(np.int64))
 
 
-# ±(2**27 - 1) are the largest entries the int32 tile takes, and the sums
-# of two of them, ±(2**28 - 2), stay short of the codes that decode to an
-# infinity; ±2**27, a fraction, ±1e300 and -0.0, which the int32 tile would
-# sum to 0.0, send the product to the double tile.  Either way the bits are
-# the bit reference's
-@pytest.mark.parametrize("value", [2**27 - 1, -(2**27 - 1), 2**27, -2**27, 0.5, 1e300, -1e300, -0.0])
+# ±(2**11 - 1) are the largest entries the int16 tile takes in a product,
+# and the sums of two of them, ±(2**12 - 2), stay short of the codes that
+# decode to an infinity; ±2**11, whose sum 2**12 would decode to +inf, a
+# fraction, ±1e300 and -0.0, which the int16 tile would sum to 0.0, send
+# the product to the double tile.  Either way the bits are the bit
+# reference's.  64×64·128 is a shape the C loop gives the int16 tile
+@pytest.mark.parametrize("value", [2**11 - 1, -(2**11 - 1), 2**11, -2**11, 0.5, 1e300, -1e300, -0.0])
 def test_integer_tile_bound_keeps_the_bits(value):
     rng = np.random.default_rng(23)
-    P, Q = rng.integers(-9, 10, (32, 32)).astype(float), rng.integers(-9, 10, (32, 48)).astype(float)
+    P, Q = rng.integers(-9, 10, (64, 64)).astype(float), rng.integers(-9, 10, (64, 128)).astype(float)
     # cell (0, 0) takes only value + value, cell (1, 1) +inf and cell (2, 2) -inf
     P[0, :], Q[:, 0] = value, value
     P[1, :], Q[:, 1] = value, POS_INF
     P[2, :], Q[:, 2] = NEG_INF, value
-    acc = rng.integers(-9, 10, (32, 48)).astype(float)
+    acc = rng.integers(-9, 10, (64, 128)).astype(float)
     acc[3, 3], acc[4, 4], acc[5, 5] = value, NEG_INF, POS_INF
     assert not _same_bits_or_both_raise(lambda kernel: kernel.product(P, Q))
     assert not _same_bits_or_both_raise(lambda kernel: kernel.product(P, Q, acc.copy()))
@@ -525,13 +528,14 @@ def _operands(draw):
 
 @st.composite
 def _integer_operands(draw):
-    # shapes the int32 tile takes when m·k is large enough beside k·n: n from
-    # 33 crosses its 64 columns, k up to 300 its 256 inner indices per pass.
+    # shapes the int16 tile takes when m·k is large enough beside k·n: n from
+    # 33 to 140 crosses its 128 columns, k up to 300 its 256 inner indices
+    # per pass.
     # Entries are integers up to the tile's bound and ±inf, drawn by a seeded
     # generator, with whole rows and columns of one infinity laid over them
     m, k, n = draw(st.integers(6, 40)), draw(st.integers(8, 300)), draw(st.integers(33, 140))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    bound = draw(st.sampled_from([20, 2**27 - 1]))
+    bound = draw(st.sampled_from([20, 2**11 - 1]))
     operands = []
     for rows, cols in ((m, k), (k, n), (m, n)):
         X = rng.integers(-bound, bound + 1, (rows, cols)).astype(float)
@@ -801,12 +805,14 @@ def test_row_product_kernels_agree_on_any_entries(operands):
 def per_product_terms(A_terms, B_terms, X, residual):
     """⊕_k A_k ⊗ X ⊗ B_k composed from 2p products, each term maxed into one
     running array, or, with ``residual`` set, the same on the transposed
-    factors at −X, negated: the principal solution at C = X."""
+    factors at −X, negated: the principal solution at C = X.  The products
+    are the numpy kernel's, the bit reference, so no encoding the compiled
+    product shares with the compiled solve can agree with itself here."""
     if residual:
         A_terms, B_terms, X = [transpose(A) for A in A_terms], [transpose(B) for B in B_terms], negate(X)
     acc = np.full(X.shape, NEG_INF)
     for A_k, B_k in zip(A_terms, B_terms):
-        max_plus_matmul(max_plus_matmul(A_k, X), B_k, acc)
+        ckernel.NUMPY.product(ckernel.NUMPY.product(A_k.data, X.data), B_k.data, acc)
     return negate(M._wrap(acc)) if residual else M._wrap(acc)
 
 
@@ -866,9 +872,7 @@ def test_terms_match_the_per_product_composition(m, n, p, kernel):
     # negated residual terms, give the numpy kernel's per-product bits on
     # either kernel at every edge of the int16 tile
     A, B, X = terms_operands(np.random.default_rng(m * 1000 + n * 10 + p), m, n, p)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ckernel, "LIBRARY", ckernel.NUMPY)
-        want = {residual: per_product_terms(A, B, X, residual) for residual in (False, True)}
+    want = {residual: per_product_terms(A, B, X, residual) for residual in (False, True)}
     _assert_same_bits(sylvester_apply(A, B, X), want[False].data)
     _assert_same_bits(sylvester_principal_solution(SylvesterInstance(A=A, B=B, C=X)), want[True].data)
 
@@ -884,7 +888,7 @@ def _solve_cases(draw):
 
 
 def per_product_report(A_terms, B_terms, C):
-    """What ``solve`` gives, composed from products: the principal and its
+    """What ``solve`` gives, composed from numpy products: the principal and its
     substitution by ``per_product_terms``, and the numpy scan of the
     substitution against C at the tolerance of the data, as
     ``(principal, cells, residual)``."""

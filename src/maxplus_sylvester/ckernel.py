@@ -1,10 +1,11 @@
 """Build, cache, load and bind the package's compiled library.
 
 The library holds three C sources: ``maxplus_product.c``, the max-plus
-product that :mod:`.matrix` calls and the max-plus Kronecker product that
-:mod:`.oracle` builds its system with; ``solver_passes.c``, the tolerance pass
-and the mismatch scan that :mod:`.solver` calls; and ``matrix_text.c``,
-the matrix text scanner and formatter that :mod:`.instance_io` calls.
+product that :mod:`.matrix` calls, and the max-plus Kronecker product and
+the whole Kronecker solve that :mod:`.oracle` calls; ``solver_passes.c``,
+the tolerance pass and the mismatch scan that :mod:`.solver` calls; and
+``matrix_text.c``, the matrix text scanner and formatter that
+:mod:`.instance_io` calls.
 ``maxplus_product.c`` also holds the solver's fused call, which runs a whole
 Sylvester solve, principal, substitution and scan, on operands encoded once,
 and includes ``maxplus_tile.h``, its register tile written once and
@@ -20,14 +21,18 @@ library or none.  The library is loaded with ``ctypes`` and links against
 no Python.
 
 This module is the one handle on the library.  An import builds and loads
-it once and binds its seven functions once: ``LIBRARY`` is a
+it once and binds its eight functions once: ``LIBRARY`` is a
 :class:`Library`, or :data:`NUMPY` when no compiler could build it or the
-build could not be loaded.  :class:`Numpy` has the same seven methods: its
+build could not be loaded.  :class:`Numpy` has the same eight methods: its
 two products and its two solver passes are the numpy definitions, which
-serve the tests as the bit reference, and its scanner, formatter and solve
-call decline every input, so :mod:`.instance_io` reads and writes the text
-in Python and :mod:`.solver` composes each Sylvester solve from products
-and its passes.  :mod:`.matrix`, :mod:`.oracle`,
+serve the tests as the bit reference, and its scanner, formatter, solve
+call and Kronecker solve call decline every input, so :mod:`.instance_io`
+reads and writes the text in Python, :mod:`.solver` composes each
+Sylvester solve from products and its passes, and :mod:`.oracle` composes
+each Kronecker solve from the Kronecker product and products.
+:class:`Library`'s Kronecker solve serves every oracle solve in which no
+finite sum overflows, with the composition's bits, and never holds K.
+:mod:`.matrix`, :mod:`.oracle`,
 :mod:`.solver` and :mod:`.instance_io` make one call on ``LIBRARY`` on
 every use and never ask which it is, so setting it to ``NUMPY`` runs every
 product, solver pass, read and write in Python.  Both kernels raise FloatingPointError
@@ -96,7 +101,7 @@ def _output(shape: tuple[int, int], acc: np.ndarray | None) -> np.ndarray:
 
 
 class Library:
-    """The seven functions of one loaded build, with their argument types declared."""
+    """The eight functions of one loaded build, with their argument types declared."""
 
     def __init__(self, cdll: ctypes.CDLL):
         self._product = cdll.maxplus_product
@@ -122,6 +127,9 @@ class Library:
         self._solve = cdll.maxplus_solve
         self._solve.argtypes = [ctypes.c_void_p] * 5 + [ctypes.POINTER(ctypes.c_double)] + [ctypes.c_ssize_t] * 3
         self._solve.restype = ctypes.c_ssize_t
+        self._kron_solve = cdll.maxplus_kron_solve
+        self._kron_solve.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_ssize_t] * 3
+        self._kron_solve.restype = ctypes.c_int
 
     def product(self, p: np.ndarray, q: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
         """The max-plus product of float64 arrays m×k and k×n, or ``acc`` ⊕ it in ``acc``.
@@ -206,6 +214,34 @@ class Library:
             raise FloatingPointError("overflow encountered in max-plus Kronecker product")
         return out
 
+    def kron_solve(self, A_terms, B_terms, C: np.ndarray):
+        """The oracle's solve of ``K ⊗ vec(X) = vec(C)``, ``K = ⊕_k kron(B_kᵀ, A_k)``, in one
+        call that never holds K: ``(principal, achieved)``, or None.
+
+        For p ≥ 1 terms of m×m arrays ``A_terms`` and n×n ``B_terms`` beside
+        an m×n ``C``, the principal ``x̂ = −((−vec(C))ᵀ ⊗ K)ᵀ`` and its
+        substitution ``K ⊗ x̂``, each unvec'd to a fresh m×n float64 array,
+        with the bits of :meth:`kron` and two :meth:`product` calls.  K is
+        formed a few rows at a time, twice, so the call holds O(mn) memory
+        where the composition holds (mn)².  A call where a finite sum
+        overflows is declined, so the caller's composition raises what it
+        raises.
+        """
+        p, (m, n) = len(A_terms), C.shape
+        A = [np.ascontiguousarray(A_k, dtype=np.float64) for A_k in A_terms]
+        B = [np.ascontiguousarray(B_k, dtype=np.float64) for B_k in B_terms]
+        if p == 0 or len(B) != p:
+            return None
+        if any(A_k.shape != (m, m) for A_k in A) or any(B_k.shape != (n, n) for B_k in B):
+            return None
+        C = np.ascontiguousarray(C, dtype=np.float64)
+        pointers = ctypes.c_void_p * p
+        principal, achieved = np.empty((m, n)), np.empty((m, n))
+        if self._kron_solve(pointers(*(A_k.ctypes.data for A_k in A)), pointers(*(B_k.ctypes.data for B_k in B)),
+                            C.ctypes.data, principal.ctypes.data, achieved.ctypes.data, p, m, n):
+            return None
+        return principal, achieved
+
     def finite_scale(self, values: np.ndarray) -> tuple[float, bool]:
         """The largest finite |entry| of a float64 array (0.0 when none), and whether
         every finite entry is an integer."""
@@ -257,7 +293,7 @@ class Library:
 
 
 class Numpy:
-    """The numpy twins of :class:`Library`'s seven methods, with the same signatures.
+    """The numpy twins of :class:`Library`'s eight methods, with the same signatures.
 
     The product takes blocks of rows of P, forms every sum
     ``P[i, l] + Q[l, j]`` of a block in one reused buffer and reduces over
@@ -314,6 +350,10 @@ class Numpy:
         if acc is None:
             return s
         return np.maximum(acc, s, out=acc)
+
+    def kron_solve(self, A_terms, B_terms, C: np.ndarray):
+        """None for any input: the oracle composes its solve from :meth:`kron` and :meth:`product` calls."""
+        return None
 
     def finite_scale(self, values: np.ndarray) -> tuple[float, bool]:
         """As :meth:`Library.finite_scale`."""

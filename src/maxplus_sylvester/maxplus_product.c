@@ -1,9 +1,10 @@
 /* The compiled max-plus product: out = p ⊗ q for row-major float64 arrays,
  * out[i, j] = max_l (p[i, l] + q[l, j]), or in accumulate mode
  * out = out ⊕ (p ⊗ q); the max-plus Kronecker product the oracle builds its
- * system from, under the same rules; and, on small integer data,
- * maxplus_solve, a whole Sylvester solve in one call.  ckernel.py builds
- * and binds all three.
+ * system from, under the same rules, and maxplus_kron_solve, the oracle's
+ * whole solve in one call that never holds the system; and, on small
+ * integer data, maxplus_solve, a whole Sylvester solve in one call.
+ * ckernel.py builds and binds all four.
  *
  * Each cell starts at -inf, or at its own value in accumulate mode, and
  * takes a sum s only when s > cell.  A NaN sum, which only -inf + +inf
@@ -336,6 +337,102 @@ int maxplus_kron(const double *mm, const double *nn, double *kron, ptrdiff_t a, 
                     cell[s] = mp_max(x + row[s], accumulate ? cell[s] : -INFINITY);
             }
     return fetestexcept(FE_OVERFLOW) != 0;
+}
+
+#define KR 4 /* rows of K formed at a time by maxplus_kron_solve */
+
+/* Rows r0 .. r0 + KR - 1 of the oracle's N×N K = ⊕_k kron(b[k]ᵀ, a[k]),
+ * N = m·n, to buf, KR rows of N entries, as maxplus_kron forms and maxes
+ * them: K[i·m + r, j·m + s] = max_k (b[k][j, i] + a[k][r, s]), -inf where
+ * every sum is NaN.  Rows past N are all -inf. */
+static void kron_rows(const double *const *a, const double *const *b, ptrdiff_t p, ptrdiff_t m, ptrdiff_t n,
+                      ptrdiff_t r0, double *restrict buf)
+{
+    ptrdiff_t N = m * n;
+    for (ptrdiff_t t = 0; t < KR; t++) {
+        double *row = buf + t * N;
+        if (r0 + t >= N) {
+            for (ptrdiff_t s = 0; s < N; s++) row[s] = -INFINITY;
+            continue;
+        }
+        ptrdiff_t i = (r0 + t) / m, r = (r0 + t) % m;
+        for (ptrdiff_t k = 0; k < p; k++) {
+            const double *restrict ar = a[k] + r * m, *bi = b[k] + i;
+            for (ptrdiff_t j = 0; j < n; j++) {
+                const double x = bi[j * n];
+                double *restrict cell = row + j * m;
+                if (k == 0)
+                    for (ptrdiff_t s = 0; s < m; s++) cell[s] = mp_max(x + ar[s], -INFINITY);
+                else
+                    for (ptrdiff_t s = 0; s < m; s++) cell[s] = mp_max(x + ar[s], cell[s]);
+            }
+        }
+    }
+}
+
+/* The oracle's solve of K ⊗ vec(X) = vec(c) for the K of kron_rows, in
+ * one call that never holds K: for C-contiguous m×m a[k], n×n b[k] and m×n
+ * c, writes the principal solution x̂ = −((−vec(c))ᵀ ⊗ K)ᵀ, unvec'd, to
+ * the m×n principal and its substitution K ⊗ x̂, unvec'd, to the m×n
+ * achieved, and returns 0.  Returns -1 when a finite sum overflowed or no
+ * scratch could be had, with principal and achieved partly written, so
+ * the caller composes the solve from maxplus_kron and maxplus_product
+ * calls and raises their errors.
+ *
+ * It forms K twice, KR rows at a time in the thread's scratch: first to
+ * max −vec(c)[R] + K[R, ·] into the principal's running row, as vecmat
+ * does, and after negating that row to reduce K[R, ·] + x̂ for each row R,
+ * as matvec does.  The bits are the composition's.  Each entry of K is the
+ * max of the same sums b[k][j, i] + a[k][r, s], each term's NaN sum
+ * losing to -inf, and every sum of the principal and of the substitution
+ * is the composition's own sum of an entry of K and one of −vec(c) or
+ * x̂.  A max of such sums is order-free, as no -0.0 reaches it (the
+ * matrices fold -0.0 into 0.0, and 0.0 - v, as negation is formed, is
+ * never -0.0), so forming rows in blocks and reducing them in lanes
+ * changes no bit.  Every sum of the composition is formed, so a finite
+ * one overflows here exactly when one overflows there. */
+int maxplus_kron_solve(const double *const *a, const double *const *b, const double *c, double *principal,
+                       double *achieved, ptrdiff_t p, ptrdiff_t m, ptrdiff_t n)
+{
+    ptrdiff_t N = m * n;
+    double *buf = scratch((size_t)LINE((KR + 1) * N, double) * sizeof(double));
+    if (!buf) return -1;
+    double *x = buf + KR * N; /* the principal's running row, then x̂, in vec order */
+    feclearexcept(FE_OVERFLOW);
+    for (ptrdiff_t s = 0; s < N; s++) x[s] = -INFINITY;
+    for (ptrdiff_t r0 = 0; r0 < N; r0 += KR) {
+        kron_rows(a, b, p, m, n, r0, buf);
+        double nc[KR]; /* −vec(c) at the block's rows, -inf past N */
+        for (ptrdiff_t t = 0; t < KR; t++)
+            nc[t] = r0 + t < N ? 0.0 - c[(r0 + t) % m * n + (r0 + t) / m] : -INFINITY;
+        for (ptrdiff_t s = 0; s < N; s++) {
+            double o = x[s];
+            for (ptrdiff_t t = 0; t < KR; t++) o = mp_max(nc[t] + buf[t * N + s], o);
+            x[s] = o;
+        }
+    }
+    if (fetestexcept(FE_OVERFLOW)) return -1;
+    for (ptrdiff_t s = 0; s < N; s++) {
+        x[s] = 0.0 - x[s];
+        principal[s % m * n + s / m] = x[s];
+    }
+    for (ptrdiff_t r0 = 0; r0 < N; r0 += KR) {
+        kron_rows(a, b, p, m, n, r0, buf);
+        double acc[KR][LANES];
+        for (ptrdiff_t t = 0; t < KR; t++)
+            for (int l = 0; l < LANES; l++) acc[t][l] = -INFINITY;
+        ptrdiff_t s = 0;
+        for (; s + LANES <= N; s += LANES)
+            for (ptrdiff_t t = 0; t < KR; t++)
+                for (int l = 0; l < LANES; l++) acc[t][l] = mp_max(buf[t * N + s + l] + x[s + l], acc[t][l]);
+        for (ptrdiff_t t = 0; t < KR && r0 + t < N; t++) {
+            double o = -INFINITY;
+            for (ptrdiff_t u = s; u < N; u++) o = mp_max(buf[t * N + u] + x[u], o);
+            for (int l = 0; l < LANES; l++) o = mp_max(acc[t][l], o);
+            achieved[(r0 + t) % m * n + (r0 + t) / m] = o;
+        }
+    }
+    return fetestexcept(FE_OVERFLOW) ? -1 : 0;
 }
 
 /* Sets z's count entries, each the max of int16 sums of the operands the

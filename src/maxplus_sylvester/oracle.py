@@ -2,19 +2,29 @@
 
 Any p-term instance collapses into one max-plus linear system
 ``K ⊗ vec(X) = vec(C)`` with ``K = ⊕_k kron_max(transpose(B_k), A_k)``
-(mn×mn, right Kronecker orientation).  Materialising K costs
-O(p·m²n²) time and (mn)² memory, so this path exists to validate the
-fast solver and to anchor the benchmark's complexity separation, not for
-production solving; instances with mn above ``SIZE_CAP`` (a 128 MB K)
-are refused before K is allocated.  K is the one array of that size: the
-first term is built in it and every later term is maxed into it by
-``ckernel.LIBRARY.kron``, and the principal reads it by rows, so no
-transpose of K is ever made.  With the compiled library a solve's peak
-memory is one K; with ``ckernel.NUMPY`` a term in the making and the
-principal's row of sums each take one more.  The fast solvers need none
-of the helpers of this step, so they live here: :func:`kron_max`,
-:func:`vec`, :func:`unvec`, and :func:`two_sided_instance`, which writes
-the two-sided form with unit factors.
+(mn×mn, right Kronecker orientation).  Solving it costs O(p·m²n²) time,
+so this path exists to validate the fast solver and to anchor the
+benchmark's complexity separation, not for production solving; instances
+with mn above ``SIZE_CAP`` are refused before anything is allocated.
+
+:func:`oracle_solve` first offers the whole solve to
+``ckernel.LIBRARY.kron_solve``, the eighth function of the handle.  The
+compiled library's call forms K's entries a few rows at a time where the
+principal and the substitution use them, twice, so it never holds K and
+its peak memory grows with mn; it gives the composition's bits and the
+ops are counted by formula, as the composition would count them.
+``ckernel.NUMPY`` declines every call, and the compiled call declines one
+in which a finite sum overflows.  A declined solve is composed: K is built
+in one array (a 128 MB K at the cap), the first term in it and every later
+term maxed into it by ``ckernel.LIBRARY.kron``, and the principal reads it
+by rows, so no transpose of K is ever made.  A composed solve peaks at
+one K with the compiled library's Kronecker product and products; with
+``ckernel.NUMPY`` a term in the making and the principal's row of sums
+each take one more.  It raises the error of the step that overflows.
+The fast solvers need none of the helpers of this step, so they live
+here: :func:`kron_max`, :func:`vec`, :func:`unvec`, and
+:func:`two_sided_instance`, which writes the two-sided form with unit
+factors.
 """
 
 import numpy as np
@@ -89,6 +99,14 @@ def kron_max(M: TropicalMatrix, N: TropicalMatrix, acc: np.ndarray | None = None
         return TropicalMatrix._wrap(out)
 
 
+def _cells(inst: SylvesterInstance) -> int:
+    """mn, the size of the Kronecker system, or an OracleSizeError above ``SIZE_CAP``."""
+    cells = inst.m * inst.n
+    if cells > SIZE_CAP:
+        raise OracleSizeError(f"oracle refuses mn={cells} (> cap {SIZE_CAP})")
+    return cells
+
+
 def kron_reformulate(inst: SylvesterInstance):
     """Return (K, c) with K = ⊕_k kron_max(transpose(B_k), A_k), c = vec(C).
 
@@ -96,9 +114,7 @@ def kron_reformulate(inst: SylvesterInstance):
     is maxed by :func:`kron_max` itself.  Each term's ⊕ counts one op per
     cell, as if K started at the max-plus zero.
     """
-    cells = inst.m * inst.n
-    if cells > SIZE_CAP:
-        raise OracleSizeError(f"oracle refuses mn={cells} (> cap {SIZE_CAP})")
+    cells = _cells(inst)
     K = None
     for A_k, B_k in zip(inst.A, inst.B):
         if K is None:
@@ -123,11 +139,17 @@ def linear_principal_solution(K: TropicalMatrix, c: TropicalMatrix) -> TropicalM
 
 def oracle_solve(inst: SylvesterInstance) -> SolveReport:
     """Decide solvability on the Kronecker system, reported in C's coordinates."""
-    K, c = kron_reformulate(inst)
-    x = linear_principal_solution(K, c)
-    achieved = max_plus_matmul(K, x)
+    cells = _cells(inst)
+    served = ckernel.LIBRARY.kron_solve([A_k.data for A_k in inst.A], [B_k.data for B_k in inst.B], inst.C.data)
+    if served is None:
+        K, c = kron_reformulate(inst)
+        x = linear_principal_solution(K, c)
+        principal, achieved = unvec(x, inst.m, inst.n), unvec(max_plus_matmul(K, x), inst.m, inst.n)
+    else:
+        semiring_ops.add(2 * (inst.p + 1) * cells * cells)
+        principal, achieved = map(TropicalMatrix._wrap, served)
     eps = effective_tolerance((*inst.A, *inst.B, inst.C))
-    return _report(unvec(x, inst.m, inst.n), unvec(achieved, inst.m, inst.n), inst.C, eps)
+    return _report(principal, achieved, inst.C, eps)
 
 
 def oracle_agrees(inst: SylvesterInstance, fast: SolveReport, check: SolveReport) -> bool:

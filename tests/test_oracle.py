@@ -25,6 +25,7 @@ from maxplus_sylvester.oracle import (
     OracleSizeError,
     kron_max,
     kron_reformulate,
+    linear_principal_solution,
     max_plus_unit,
     oracle_agrees,
     oracle_solve,
@@ -168,7 +169,7 @@ def test_oracle_solve_examples():
 
 
 def test_size_cap():
-    # 65·64 = 4160 cells is refused before the 138 MB K is allocated; the
+    # 65·64 = 4160 cells is refused before anything is allocated; the
     # cap itself (64·64) is accepted in acceptance criterion 6
     inst, _ = generate_instance(GeneratorConfig(m=65, n=64, p=1, seed=34, mode="raw_random"))
     assert inst.m * inst.n > SIZE_CAP == 4096
@@ -218,9 +219,10 @@ def test_kron_reformulate_builds_k_in_one_buffer(monkeypatch):
         assert not K.data.flags.writeable
 
 
-def test_oracle_solve_holds_one_k(monkeypatch):
-    # the principal reads K by rows, so no transpose of K is made: the
-    # compiled path peaks at one K (2.13 K while it copied Kᵀ); the numpy
+def test_oracle_solve_holds_o_mn_served_and_one_k_composed(monkeypatch):
+    # the compiled call forms K a few rows at a time and never holds it, so
+    # its peak grows with mn, not (mn)² (one K is 8 MiB here); the numpy
+    # composition reads K by rows, so no transpose of K is made, and its
     # product forms a 1×N by N×N row's N² sums at once, one K-sized array
     inst, _ = generate_instance(GeneratorConfig(m=32, n=32, p=3, seed=39, mode="raw_random"))
     cells = inst.m * inst.n
@@ -228,22 +230,56 @@ def test_oracle_solve_holds_one_k(monkeypatch):
         monkeypatch.setattr(ckernel, "LIBRARY", library)
         report, peak = _peak_memory(oracle_solve, inst)
         if library is not ckernel.NUMPY:
-            assert peak <= 1.1 * 8 * cells**2
+            assert peak <= 64 * 8 * cells + 2**18
         assert peak <= _k_bound(cells)
         assert report == solve_sylvester(inst)
 
 
+def _terms(inst):
+    return [A_k.data for A_k in inst.A], [B_k.data for B_k in inst.B], inst.C.data
+
+
+_OVERFLOW = " overflows float64: a finite sum exceeds the largest double$"
+
+
 def test_principal_step_overflow_names_the_row_product(monkeypatch):
     # K = B_kᵀ ⊗ A_k holds 1e308 and 0, all finite, but its 1e308 entries
-    # meet the 1e308 of −c in the principal's (−c)ᵀ ⊗ K, which overflows
+    # meet the 1e308 of −c in the principal's (−c)ᵀ ⊗ K, which overflows;
+    # the compiled call declines it, so the composition raises
     A = M([[1e308, 0.0], [0.0, 0.0]])
     inst = SylvesterInstance(A=(A,), B=(M(np.zeros((3, 3))),), C=M(np.full((2, 3), -1e308)))
     for library in (ckernel.LIBRARY, ckernel.NUMPY):
         monkeypatch.setattr(ckernel, "LIBRARY", library)
+        assert library.kron_solve(*_terms(inst)) is None
         K, _ = kron_reformulate(inst)
         assert np.isfinite(K.data).all() and K.data.max() == 1e308
-        with pytest.raises(ValueError, match=r"^max-plus product of \(1, 6\) by \(6, 6\) overflows float64: "
-                                             r"a finite sum exceeds the largest double$"):
+        with pytest.raises(ValueError, match=r"^max-plus product of \(1, 6\) by \(6, 6\)" + _OVERFLOW):
+            oracle_solve(inst)
+
+
+def test_kron_entry_overflow_names_the_kronecker_product(monkeypatch):
+    # B_k[j, i] + A_k[r, s] = 2e308 in every entry of K: both handles leave
+    # it to the composition, whose first step is the Kronecker product
+    inst = SylvesterInstance(A=(M(np.full((2, 2), 1e308)),), B=(M(np.full((3, 3), 1e308)),),
+                             C=M(np.zeros((2, 3))))
+    for library in (ckernel.LIBRARY, ckernel.NUMPY):
+        monkeypatch.setattr(ckernel, "LIBRARY", library)
+        assert library.kron_solve(*_terms(inst)) is None
+        with pytest.raises(ValueError, match=r"^max-plus Kronecker product of \(3, 3\) and \(2, 2\)" + _OVERFLOW):
+            oracle_solve(inst)
+
+
+def test_substitution_overflow_names_the_column_product(monkeypatch):
+    # K = A (B = [[0]]) and every sum of K and of the principal is finite:
+    # −c + K reads −1e308 and −inf, so x̂[0] = 1e308, which C's +inf leaves
+    # unbounded; only the substitution's K[1, 0] + x̂[0] = 2e308 overflows
+    inst = SylvesterInstance(A=(M([[-1e308, 0.0], [1e308, 0.0]]),), B=(M([[0.0]]),), C=M([[0.0], [POS_INF]]))
+    for library in (ckernel.LIBRARY, ckernel.NUMPY):
+        monkeypatch.setattr(ckernel, "LIBRARY", library)
+        assert library.kron_solve(*_terms(inst)) is None
+        K, c = kron_reformulate(inst)
+        assert linear_principal_solution(K, c) == M([[1e308], [0.0]])
+        with pytest.raises(ValueError, match=r"^max-plus product of \(2, 2\) by \(2, 1\)" + _OVERFLOW):
             oracle_solve(inst)
 
 
@@ -304,6 +340,49 @@ def _instances(draw):
 @example(SylvesterInstance(A=(M([[-0.7]]),), B=(M([[-2.9, 1.3], [-2.4, 0.7]]),), C=M([[-2.0, 2.7]])))
 def test_fast_path_agrees_with_oracle_on_inexact_data(inst):
     assert oracle_agrees(inst, solve_sylvester(inst), oracle_solve(inst))
+
+
+_FRACTIONAL = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.sampled_from([NEG_INF, POS_INF]),
+    # no sum of three entries up to 1e300 overflows
+    st.builds(math.copysign, st.floats(1e290, 1e300), st.sampled_from([1.0, -1.0])),
+)
+
+
+@st.composite
+def _kron_instances(draw):
+    # m and n up to 9 cover the 4-row blocks' remainders and mn below 4
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    square = lambda side: M(draw(arrays(np.float64, (side, side), elements=_FRACTIONAL)))
+    C = M(draw(arrays(np.float64, (m, n), elements=_FRACTIONAL)))
+    if draw(st.booleans()):
+        return two_sided_instance(square(m), square(n), C)
+    p = draw(st.integers(1, 4))
+    return SylvesterInstance(A=tuple(square(m) for _ in range(p)), B=tuple(square(n) for _ in range(p)), C=C)
+
+
+def _oracle_outcome(inst):
+    """Principal bytes, cells, residual bits and op count of :func:`oracle_solve`."""
+    before = semiring_ops.total
+    report = oracle_solve(inst)
+    return (report.principal.data.tobytes(), report.cells.tolist(), report.residual_max_abs.hex(),
+            semiring_ops.total - before)
+
+
+@given(_kron_instances())
+def test_kron_solve_gives_the_composition_bits(inst):
+    # the compiled call serves every such instance, with the principal,
+    # cells, residual and op count of the numpy composition
+    served = ckernel.LIBRARY.kron_solve(*_terms(inst))
+    assert (served is None) == (ckernel.LIBRARY is ckernel.NUMPY)
+    outcome = _oracle_outcome(inst)
+    library = ckernel.LIBRARY
+    try:
+        ckernel.LIBRARY = ckernel.NUMPY
+        assert _oracle_outcome(inst) == outcome
+    finally:
+        ckernel.LIBRARY = library
 
 
 def test_oracle_op_count_is_exact():

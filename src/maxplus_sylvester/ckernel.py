@@ -7,11 +7,11 @@ the tolerance pass and the mismatch scan that :mod:`.solver` calls; and
 ``matrix_text.c``, the matrix text scanner and formatter that
 :mod:`.instance_io` calls.
 ``maxplus_product.c`` also holds the solver's fused call, which runs a whole
-Sylvester solve, principal, substitution and scan, on operands encoded once,
-and includes ``maxplus_tile.h``, its register tile written once and
-instantiated for double and int16 elements.  The first import on a
-machine runs the C compiler once on all three and writes one shared
-library into the package's ``__pycache__``; later imports load that file.
+solve of either form with terms, principal, substitution and scan, on
+operands encoded once, and includes ``maxplus_tile.h``, its register tile
+written once and instantiated for double and int16 elements.  The first
+import on a machine runs the C compiler once on all three and writes one
+shared library into the package's ``__pycache__``; later imports load it.
 The file name holds a hash of every source and of every header beside
 them, the compiler command and the host CPU's flags, so a cached build is
 never loaded from a different source or on a CPU that lacks what
@@ -28,7 +28,7 @@ two products and its two solver passes are the numpy definitions, which
 serve the tests as the bit reference, and its scanner, formatter, solve
 call and Kronecker solve call decline every input, so :mod:`.instance_io`
 reads and writes the text in Python, :mod:`.solver` composes each
-Sylvester solve from products and its passes, and :mod:`.oracle` composes
+solve with terms from products and its passes, and :mod:`.oracle` composes
 each Kronecker solve from the Kronecker product and products.
 :class:`Library`'s Kronecker solve serves every oracle solve in which no
 finite sum overflows, with the composition's bits, and never holds K.
@@ -100,6 +100,21 @@ def _output(shape: tuple[int, int], acc: np.ndarray | None) -> np.ndarray:
     raise ValueError(f"acc must be a writeable C-contiguous float64 {shape[0]}x{shape[1]} array")
 
 
+def _factors(A_terms, B_terms, m: int, n: int):
+    """Two ``ctypes`` arrays of the m×m ``A_terms`` and n×n ``B_terms`` as dense float64, None as
+    NULL, each keeping what it points to; None for no terms, unequal counts or a misshapen factor."""
+    if not len(A_terms) or len(B_terms) != len(A_terms):
+        return None
+    sides = []
+    for terms, size in ((A_terms, m), (B_terms, n)):
+        arrays = [None if F is None else np.ascontiguousarray(F, dtype=np.float64) for F in terms]
+        if any(F is not None and F.shape != (size, size) for F in arrays):
+            return None
+        sides.append((ctypes.c_void_p * len(arrays))(*(None if F is None else F.ctypes.data for F in arrays)))
+        sides[-1].arrays = arrays
+    return sides
+
+
 class Library:
     """The eight functions of one loaded build, with their argument types declared."""
 
@@ -163,37 +178,31 @@ class Library:
         It serves p ≥ 1 terms of m×m arrays ``A_terms`` and n×n ``B_terms``
         beside an m×n ``C`` of small integer data, at shapes that repay the
         encoding; the header of ``maxplus_product.c`` gives the codes, the
-        bounds and the rule.  Each product then runs 32 lanes per AVX-512
-        register on operands encoded once.  The principal is a fresh float64
-        array with the bits of the composition of :meth:`product` calls.
-        ``cells`` and ``residual`` are what :meth:`mismatches` gives for its
-        substitution against ``C`` at eps = 0.0, the tolerance such integer
-        data compares with: the k×2 intp array of the missed (row, col) pairs
-        in row-major order, and the largest |difference| there, +inf where
-        the infinity states differ.  No factor is transposed, and the
-        principal stays int16 for the substitution.  Any other call, a shape
-        that does not fit included, is declined, so the caller's own
-        composition raises what it raises.
+        bounds and the rule.  A factor None is the max-plus unit, whose
+        product is skipped; a term with neither is declined.  Each product
+        then runs 32 lanes per AVX-512 register on operands encoded once.
+        The principal is a fresh float64 array with the bits of the
+        composition of :meth:`product` calls.  ``cells`` and ``residual`` are
+        what :meth:`mismatches` gives for its substitution against ``C`` at
+        eps = 0.0, the tolerance such integer data compares with.  No factor
+        is transposed, and the principal stays int16 for the substitution.
+        Any other call, a shape that does not fit included, is declined, so
+        the caller's own composition raises what it raises.
 
         It first asks ``maxplus_solve`` whether the shape repays the tile
         and C's first entries qualify, before it gathers the factors
         (``.ctypes.data`` costs about 2 µs an array).
         """
         p, (m, n) = len(A_terms), C.shape
-        if p == 0 or len(B_terms) != p:
-            return None
         C = np.ascontiguousarray(C, dtype=np.float64)
         c = C.ctypes.data
         if self._solve(None, None, c, None, None, None, p, m, n) < 0:  # the shape or C's first entries decline
             return None
-        A = [np.ascontiguousarray(A_k, dtype=np.float64) for A_k in A_terms]
-        B = [np.ascontiguousarray(B_k, dtype=np.float64) for B_k in B_terms]
-        if any(A_k.shape != (m, m) for A_k in A) or any(B_k.shape != (n, n) for B_k in B):
+        factors = _factors(A_terms, B_terms, m, n)
+        if factors is None:
             return None
-        pointers = ctypes.c_void_p * p
         principal, cells, residual = np.empty((m, n)), np.empty((m * n, 2), dtype=np.intp), ctypes.c_double()
-        count = self._solve(pointers(*(A_k.ctypes.data for A_k in A)), pointers(*(B_k.ctypes.data for B_k in B)),
-                            c, principal.ctypes.data, cells.ctypes.data, residual, p, m, n)
+        count = self._solve(*factors, c, principal.ctypes.data, cells.ctypes.data, residual, p, m, n)
         if count < 0:
             return None
         cells.resize((count, 2), refcheck=False)  # as in mismatches
@@ -227,18 +236,12 @@ class Library:
         overflows is declined, so the caller's composition raises what it
         raises.
         """
-        p, (m, n) = len(A_terms), C.shape
-        A = [np.ascontiguousarray(A_k, dtype=np.float64) for A_k in A_terms]
-        B = [np.ascontiguousarray(B_k, dtype=np.float64) for B_k in B_terms]
-        if p == 0 or len(B) != p:
-            return None
-        if any(A_k.shape != (m, m) for A_k in A) or any(B_k.shape != (n, n) for B_k in B):
+        (m, n), factors = C.shape, _factors(A_terms, B_terms, *C.shape)
+        if factors is None:
             return None
         C = np.ascontiguousarray(C, dtype=np.float64)
-        pointers = ctypes.c_void_p * p
         principal, achieved = np.empty((m, n)), np.empty((m, n))
-        if self._kron_solve(pointers(*(A_k.ctypes.data for A_k in A)), pointers(*(B_k.ctypes.data for B_k in B)),
-                            C.ctypes.data, principal.ctypes.data, achieved.ctypes.data, p, m, n):
+        if self._kron_solve(*factors, C.ctypes.data, principal.ctypes.data, achieved.ctypes.data, len(A_terms), m, n):
             return None
         return principal, achieved
 

@@ -66,7 +66,11 @@
  * ≤ -2^12 ↦ -2^14 and ≥ 2^12 ↦ 2^13, before the second is maxed into the
  * running sum.  Negation clamps too: it takes ≤ -2^12 to 2^13, ≥ 2^12 to
  * -2^14 and changes the sign of any other entry.  X̂ is decoded once, for
- * the report.
+ * the report.  A NULL factor is the unit and skips its product, as
+ * E ⊗ Y = Y bit for bit, so A ⊗ X ⊕ X ⊗ B = C runs as the terms (A, NULL)
+ * and (NULL, B).  Each product formed still pairs a factor with C, a
+ * clamped T or X̂, and the running sum is still only maxed, so the bounds
+ * below hold unchanged.
  *
  * No factor is transposed.  The principal runs through its transpose,
  *   X̂ᵀ = −(⊕_k (B_k ⊗ (−Cᵀ)) ⊗ A_k),
@@ -496,52 +500,47 @@ static void transpose_i16(const int16_t *restrict x, int16_t *restrict z, ptrdif
         for (ptrdiff_t j = i < rw ? cw : 0; j < cols; j++) z[j * rows + i] = x[i * cols + j];
 }
 
-/* Whether a maxplus_solve call beats the 4p products the caller would make
- * instead for p terms at C of m×n.  It weighs one step of the solve, 2p
- * products of m rows, A_k ⊗ X over m inner indices and T ⊗ B_k over n,
- * against the same products on the int16 tile: each entry of the factors
- * and of two m×n arrays is encoded or decoded once, and each of the
- * caller's products is a call from Python with its checks.  On the
- * caller's path matvec and vecmat pad nothing, and both tiles pad m alike.
- * The other step has the same shapes.  For n up to 32 both tiles do the
- * same padded work, so the encoding pays only against the calls, which are
- * what weighs at small m. */
-static int solve_pays(ptrdiff_t p, ptrdiff_t m, ptrdiff_t n)
+/* Whether a maxplus_solve call beats the products the caller would make
+ * instead for p terms at C of m×n.  It weighs one step of the solve, the
+ * products of m rows it forms, A_k ⊗ X over m inner indices for each
+ * non-NULL a[k] and T ⊗ B_k over n for each non-NULL b[k] (every k in a
+ * query, where a is NULL), against the same products on the int16 tile:
+ * each entry of the factors and of two m×n arrays is encoded or decoded
+ * once, and each of the caller's products is a call from Python with its
+ * checks.  On the caller's path matvec and vecmat pad nothing, and both
+ * tiles pad m alike.  The other step has the same shapes.  For n up to 32
+ * both tiles do the same padded work, so the encoding pays only against
+ * the calls, which are what weighs at small m. */
+static int solve_pays(const double *const *a, const double *const *b, ptrdiff_t p, ptrdiff_t m, ptrdiff_t n)
 {
-    ptrdiff_t rows = pad(m, WR), k = m + n;
-    ptrdiff_t f64 = p * ((m == 1 || n == 1 ? m * k * n : work(rows, k, n, WJ_F64)) + 2 * SOLVE_CALL_COST);
-    ptrdiff_t i16 = p * (work(rows, k, n, WJ_I16) + I16_ENTRY_COST * (m * m + n * n));
-    return i16 + I16_ENTRY_COST * 2 * m * n < f64;
-}
-
-/* The thread's scratch, holding the p m×m a[k] and then the p n×n b[k],
- * encoded, each starting on a 64-byte line, followed by room for five m×n
- * arrays, each on its own line.  NULL when a factor entry does not
- * qualify or no scratch could be had. */
-static int16_t *encode_factors(const double *const *a, const double *const *b, ptrdiff_t p, ptrdiff_t m,
-                               ptrdiff_t n)
-{
-    ptrdiff_t sa = LINE(m * m, int16_t), sb = LINE(n * n, int16_t);
-    int16_t *z = scratch((size_t)(p * (sa + sb) + 5 * LINE(m * n, int16_t)) * sizeof(int16_t));
-    for (ptrdiff_t k = 0; z && k < p; k++)
-        if (!encode_i16(a[k], z + k * sa, m * m, I16_FACTOR) ||
-            !encode_i16(b[k], z + p * sa + k * sb, n * n, I16_FACTOR))
-            return NULL;
-    return z;
+    ptrdiff_t rows = pad(m, WR), gain = -I16_ENTRY_COST * 2 * m * n;
+    for (ptrdiff_t t = 0; t < 2 * p; t++) {
+        ptrdiff_t k = t < p ? m : n, f64 = m == 1 || n == 1 ? m * k * n : work(rows, k, n, WJ_F64);
+        if (!a || (t < p ? a[t] : b[t - p]))
+            gain += f64 + SOLVE_CALL_COST - work(rows, k, n, WJ_I16) - I16_ENTRY_COST * k * k;
+    }
+    return gain > 0;
 }
 
 /* zo = ⊕_k (zl[k] ⊗ zx) ⊗ zr[k] on the int16 tile, for p r×r zl[k], sl
  * entries apart, p c×c zr[k], sr apart, and r×c zx, zt and zo; each term's
  * first product goes to zt and is clamped before the second is maxed into
- * zo (see the header). */
-static void sum_i16(const int16_t *zl, ptrdiff_t sl, const int16_t *zr, ptrdiff_t sr, const int16_t *zx,
-                    int16_t *zt, int16_t *zo, ptrdiff_t p, ptrdiff_t r, ptrdiff_t c)
+ * zo (see the header).  A term whose left[k] or right[k] is NULL maxes its
+ * one product straight into zo. */
+static void sum_i16(const double *const *left, const int16_t *zl, ptrdiff_t sl, const double *const *right,
+                    const int16_t *zr, ptrdiff_t sr, const int16_t *zx, int16_t *zt, int16_t *zo, ptrdiff_t p,
+                    ptrdiff_t r, ptrdiff_t c)
 {
-    for (ptrdiff_t k = 0; k < p; k++) {
-        blocked_i16(zl + k * sl, zx, zt, r, r, c, 0);
-        clamp_i16(zt, r * c);
-        blocked_i16(zt, zr + k * sr, zo, r, c, c, k > 0);
-    }
+    for (ptrdiff_t k = 0; k < p; k++)
+        if (!right[k]) {
+            blocked_i16(zl + k * sl, zx, zo, r, r, c, k > 0);
+        } else if (!left[k]) {
+            blocked_i16(zx, zr + k * sr, zo, r, c, c, k > 0);
+        } else {
+            blocked_i16(zl + k * sl, zx, zt, r, r, c, 0);
+            clamp_i16(zt, r * c);
+            blocked_i16(zt, zr + k * sr, zo, r, c, c, k > 0);
+        }
 }
 
 /* The mismatch scan at eps = 0 on the encoded m×n zo, the substitution's
@@ -585,35 +584,43 @@ static ptrdiff_t scan_i16(const int16_t *zo, const int16_t *zc, ptrdiff_t m, ptr
  * C-contiguous m×m a[k], n×n b[k] and m×n c: writes the principal solution
  * X̂ = −(⊕_k a[k]ᵀ ⊗ (−c) ⊗ b[k]ᵀ) to the m×n principal and the scan of its
  * substitution against c at eps = 0 to cells and *residual, as mismatches
- * writes them, and returns the number of cells.  Returns -1, with nothing
- * written, when an entry does not qualify (see the header), the shape does
- * not repay the tile or no scratch could be had.  With a NULL a it is a
- * query: whether the shape repays the tile and c's first CHUNK entries
- * qualify, which is where most data that does not qualify shows it, so a
- * caller can decline before it gathers the factors; it returns 0 for yes
- * and -1 for no. */
+ * writes them, and returns the number of cells.  A NULL a[k] or b[k] is
+ * the unit, whose product is skipped.  Returns -1, with nothing written,
+ * when an entry does not qualify (see the header), a term has neither
+ * factor, the shape does not repay the tile or no scratch could be had.  With a NULL a it is a query:
+ * whether the shape, weighed with every factor, repays the tile and c's
+ * first CHUNK entries qualify, which is where most data that does not
+ * qualify shows it, so a caller can decline before it gathers the
+ * factors; it returns 0 for yes and -1 for no.  It weighs the two-sided
+ * terms' products twice, so it passes every shape the call serves. */
 ptrdiff_t maxplus_solve(const double *const *a, const double *const *b, const double *c, double *principal,
                         ptrdiff_t *cells, double *residual, ptrdiff_t p, ptrdiff_t m, ptrdiff_t n)
 {
-    if (!solve_pays(p, m, n)) return -1;
+    if (!solve_pays(a, b, p, m, n)) return -1;
     if (!a) {
         int16_t head[CHUNK];
         return encode_i16(c, head, m * n < CHUNK ? m * n : CHUNK, I16_C) ? 0 : -1;
     }
+    /* the thread's scratch: the p a[k], then the p b[k], each encoded on its
+     * own 64-byte line, a NULL one's left unwritten, then five m×n arrays */
     ptrdiff_t sa = LINE(m * m, int16_t), sb = LINE(n * n, int16_t), sx = LINE(m * n, int16_t);
-    int16_t *za = encode_factors(a, b, p, m, n);
+    int16_t *za = scratch((size_t)(p * (sa + sb) + 5 * sx) * sizeof(int16_t));
     if (!za) return -1;
     int16_t *zb = za + p * sa, *zc = zb + p * sb, *zx = zc + sx, *w = zx + sx;
+    for (ptrdiff_t k = 0; k < p; k++)
+        if ((!a[k] && !b[k]) || (a[k] && !encode_i16(a[k], za + k * sa, m * m, I16_FACTOR)) ||
+            (b[k] && !encode_i16(b[k], zb + k * sb, n * n, I16_FACTOR)))
+            return -1;
     if (!encode_i16(c, zc, m * n, I16_C)) return -1;
     /* X̂ᵀ = −(⊕_k (zb[k] ⊗ (−zcᵀ)) ⊗ za[k]) in three n×m arrays at w, then
      * X̂ in clamp form at zx */
     transpose_i16(zc, w, m, n);
     negate_i16(w, m * n);
-    sum_i16(zb, sb, za, sa, w, w + sx, w + 2 * sx, p, n, m);
+    sum_i16(b, zb, sb, a, za, sa, w, w + sx, w + 2 * sx, p, n, m);
     negate_i16(w + 2 * sx, m * n);
     transpose_i16(w + 2 * sx, zx, n, m);
     decode_i16(zx, principal, m * n);
-    sum_i16(za, sa, zb, sb, zx, w, w + sx, p, m, n);
+    sum_i16(a, za, sa, b, zb, sb, zx, w, w + sx, p, m, n);
     clamp_i16(w + sx, m * n);
     return scan_i16(w + sx, zc, m, n, cells, residual);
 }

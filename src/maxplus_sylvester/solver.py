@@ -9,7 +9,7 @@ Sylvester sums ``⊕_k A_k ⊗ X ⊗ B_k = C``: the greatest candidate is
 ``X̂ = −(⊕_k A_kᵀ ⊗ (−C) ⊗ B_kᵀ)``, the substitution routine
 :func:`sylvester_apply` run on the transposed factors at ``−C``, in
 O(p·(m²n + mn²)) scalar operations.  ``A ⊗ X ⊕ X ⊗ B = C`` is the case
-p = 2 with unit factors, which :func:`solve_two_sided_special` drops, as
+p = 2 with unit factors, passed as None, whose products are skipped, as
 ``E ⊗ Y = Y`` bit for bit.  No Kronecker or unit matrix is ever formed
 here; that brute-force route lives in :mod:`.oracle` as a cross-check.
 
@@ -24,23 +24,21 @@ the substituted candidate against C.  Both are calls on
 ``ckernel.LIBRARY``: the compiled library's (``solver_passes.c``), or,
 when there is none, ``ckernel.NUMPY``'s numpy passes, which are the
 definition and the tests' bit reference, as its product is for products.
-:func:`sylvester_apply` maxes each term into one running array with the
-products' accumulate mode.
 
-:func:`solve_sylvester` first offers the whole solve to
-``ckernel.LIBRARY.solve``, one compiled call that forms the principal, its
-substitution and the scan against C on the int16 tile, each operand
-encoded once, no factor transposed and the principal decoded only for
-the report.  It serves integer data small enough that every sum stays exact in
-int16 (factors up to 2**9 in magnitude, C up to 3·2**9) at shapes where
-that pays.  On such data :func:`effective_tolerance` is 0.0, so the call
-compares exactly and no tolerance pass runs; the report has the bits of
-the per-product steps, and the ops are counted by formula, as the products
-would count them.  A solve it declines runs :func:`sylvester_principal_solution`
-and :func:`sylvester_apply`, 4p products, with their errors.
+Both forms with terms run through one routine, which first offers the
+whole solve to ``ckernel.LIBRARY.solve``, one compiled call on the int16
+tile.  It serves integer data whose sums all stay exact in int16 (factors
+up to 2**9 in magnitude, C up to 3·2**9) at shapes where that pays.  Such
+data compares exactly, so no tolerance pass runs; the report has the bits
+of the per-product steps, and the ops are counted by formula, as the
+products would count them.  A solve it declines runs
+:func:`sylvester_principal_solution` and :func:`sylvester_apply`, one
+product per factor, with their errors.  The linear form keeps its own
+steps of one product each, with no running sum.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -201,38 +199,33 @@ def sylvester_principal_solution(inst: SylvesterInstance) -> TropicalMatrix:
 
     Each term is the min-plus residual (−A_kᵀ) ⊗' C ⊗' (−B_kᵀ) in the same
     association order, and the min over k is the negated max, so the
-    result is bit-identical to computing it in min-plus.
+    result is bit-identical to computing it in min-plus.  A factor may be None.
     """
-    A_t = tuple(transpose(A_k) for A_k in inst.A)
-    B_t = tuple(transpose(B_k) for B_k in inst.B)
+    A_t = tuple(None if A_k is None else transpose(A_k) for A_k in inst.A)
+    B_t = tuple(None if B_k is None else transpose(B_k) for B_k in inst.B)
     return negate(sylvester_apply(A_t, B_t, negate(inst.C)))
 
 
 def sylvester_apply(A_terms, B_terms, X: TropicalMatrix) -> TropicalMatrix:
     """Evaluate ⊕_k A_k ⊗ X ⊗ B_k at a given X.
 
-    Each term's outer product is maxed into one running array that starts
-    at the max-plus zero and that only this call holds; it becomes a matrix
-    once every term is in, so an overflow leaves no partial sum behind.
+    A factor None is the unit, whose product is skipped.  Each term's outer
+    product is maxed into one running array that starts at the max-plus
+    zero and that only this call holds; it becomes a matrix once every
+    term is in, so an overflow leaves no partial sum behind.
     """
     acc = np.full(X.shape, NEG_INF)
     for A_k, B_k in zip(A_terms, B_terms):
-        max_plus_matmul(max_plus_matmul(A_k, X), B_k, acc)
+        if B_k is None:
+            max_plus_matmul(A_k, X, acc)
+        else:
+            max_plus_matmul(X if A_k is None else max_plus_matmul(A_k, X), B_k, acc)
     return TropicalMatrix._wrap(acc)
 
 
 def solve_sylvester(inst: SylvesterInstance) -> SolveReport:
     """Decide ⊕_k A_k ⊗ X ⊗ B_k = C by substitution of the greatest candidate."""
-    served = ckernel.LIBRARY.solve([A_k.data for A_k in inst.A], [B_k.data for B_k in inst.B], inst.C.data)
-    if served is None:
-        X = sylvester_principal_solution(inst)
-        achieved = sylvester_apply(inst.A, inst.B, X)
-        eps = effective_tolerance((*inst.A, *inst.B, inst.C))
-        return _report(X, achieved, inst.C, eps)
-    principal, cells, residual = served
-    semiring_ops.add(2 * inst.p * (inst.m * inst.m * inst.n + inst.m * inst.n * inst.n + inst.m * inst.n))
-    cells.flags.writeable = False
-    return SolveReport(TropicalMatrix._wrap(principal), cells, residual)
+    return _solve(inst)
 
 
 def solve_two_sided_special(A: TropicalMatrix, B: TropicalMatrix, C: TropicalMatrix) -> SolveReport:
@@ -242,15 +235,21 @@ def solve_two_sided_special(A: TropicalMatrix, B: TropicalMatrix, C: TropicalMat
         raise ShapeError(f"A must be {m}x{m} to match C {C.shape}, got {A.shape}")
     if B.shape != (n, n):
         raise ShapeError(f"B must be {n}x{n} to match C {C.shape}, got {B.shape}")
-    X = negate(_two_sided_apply(transpose(A), transpose(B), negate(C)))
-    achieved = _two_sided_apply(A, B, X)
-    eps = effective_tolerance((A, B, C))
-    return _report(X, achieved, C, eps)
+    return _solve(SimpleNamespace(A=(A, None), B=(None, B), C=C))
 
 
-def _two_sided_apply(A: TropicalMatrix, B: TropicalMatrix, X: TropicalMatrix) -> TropicalMatrix:
-    """A ⊗ X ⊕ X ⊗ B, both products maxed into one running array as in :func:`sylvester_apply`."""
-    acc = np.full(X.shape, NEG_INF)
-    max_plus_matmul(A, X, acc)
-    max_plus_matmul(X, B, acc)
-    return TropicalMatrix._wrap(acc)
+def _solve(terms) -> SolveReport:
+    """:func:`solve_sylvester` on the ``A``, ``B`` and ``C`` of ``terms``, in which a factor may be None."""
+    A = [None if A_k is None else A_k.data for A_k in terms.A]
+    B = [None if B_k is None else B_k.data for B_k in terms.B]
+    factors = [F for F in (*terms.A, *terms.B) if F is not None]
+    served = ckernel.LIBRARY.solve(A, B, terms.C.data)
+    if served is None:
+        X = sylvester_principal_solution(terms)
+        achieved = sylvester_apply(terms.A, terms.B, X)
+        eps = effective_tolerance((*factors, terms.C))
+        return _report(X, achieved, terms.C, eps)
+    semiring_ops.add(2 * terms.C.rows * terms.C.cols * (sum(F.rows for F in factors) + len(terms.A)))
+    principal, cells, residual = served
+    cells.flags.writeable = False
+    return SolveReport(TropicalMatrix._wrap(principal), cells, residual)

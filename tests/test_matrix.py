@@ -803,17 +803,36 @@ def test_row_product_kernels_agree_on_any_entries(operands):
 
 
 def per_product_terms(A_terms, B_terms, X, residual):
-    """⊕_k A_k ⊗ X ⊗ B_k composed from 2p products, each term maxed into one
-    running array, or, with ``residual`` set, the same on the transposed
-    factors at −X, negated: the principal solution at C = X.  The products
-    are the numpy kernel's, the bit reference, so no encoding the compiled
-    product shares with the compiled solve can agree with itself here."""
+    """⊕_k A_k ⊗ X ⊗ B_k composed from one product per factor, each term maxed
+    into one running array, a factor None being the unit whose product is
+    skipped; or, with ``residual`` set, the same on the transposed factors at
+    −X, negated: the principal solution at C = X.  The products are the numpy
+    kernel's, the bit reference, so no encoding the compiled product shares
+    with the compiled solve can agree with itself here."""
     if residual:
-        A_terms, B_terms, X = [transpose(A) for A in A_terms], [transpose(B) for B in B_terms], negate(X)
+        A_terms, B_terms, X = [_unless_none(transpose, A) for A in A_terms], \
+            [_unless_none(transpose, B) for B in B_terms], negate(X)
     acc = np.full(X.shape, NEG_INF)
     for A_k, B_k in zip(A_terms, B_terms):
-        ckernel.NUMPY.product(ckernel.NUMPY.product(A_k.data, X.data), B_k.data, acc)
+        if B_k is None:
+            ckernel.NUMPY.product(A_k.data, X.data, acc)
+        else:
+            Y = X.data if A_k is None else ckernel.NUMPY.product(A_k.data, X.data)
+            ckernel.NUMPY.product(Y, B_k.data, acc)
     return negate(M._wrap(acc)) if residual else M._wrap(acc)
+
+
+def _unless_none(f, F):
+    return None if F is None else f(F)
+
+
+def _arrays(terms):
+    return [_unless_none(lambda F: F.data, F) for F in terms]
+
+
+def two_sided(A_terms, B_terms):
+    """The two-sided terms (A_1, None), (None, B_1) of A_1 ⊗ X ⊕ X ⊗ B_1."""
+    return [A_terms[0], None], [None, B_terms[0]]
 
 
 def terms_operands(rng, m, n, p, factor=2**9, x=3 * 2**9):
@@ -894,7 +913,8 @@ def per_product_report(A_terms, B_terms, C):
     ``(principal, cells, residual)``."""
     X = per_product_terms(A_terms, B_terms, C, True)
     achieved = per_product_terms(A_terms, B_terms, X, False)
-    cells, residual = ckernel.NUMPY.mismatches(achieved.data, C.data, effective_tolerance((*A_terms, *B_terms, C)))
+    factors = [F for F in (*A_terms, *B_terms) if F is not None]
+    cells, residual = ckernel.NUMPY.mismatches(achieved.data, C.data, effective_tolerance((*factors, C)))
     return X, cells, residual
 
 
@@ -921,32 +941,55 @@ def finite_operands(rng, m, n, p):
 
 
 def _solve(library, A_terms, B_terms, C):
-    return library.solve([A.data for A in A_terms], [B.data for B in B_terms], C.data)
+    return library.solve(_arrays(A_terms), _arrays(B_terms), C.data)
 
 
 @pytest.mark.parametrize("m,n,p", TERMS_EDGES)
 def test_solve_matches_the_per_product_report_at_every_edge(m, n, p, serves_every_shape):
-    # the ±inf lines give a residual of +inf, the finite data a finite one
+    # the ±inf lines give a residual of +inf, the finite data a finite one;
+    # each case runs as p terms and as the two-sided terms of its first factors
     rng = np.random.default_rng(m * 1000 + n * 10 + p)
     for A, B, C in (terms_operands(rng, m, n, p), finite_operands(rng, m, n, p)):
-        want = per_product_report(A, B, C)
-        assert_same_report(_solve(serves_every_shape, A, B, C), want)
+        for A_terms, B_terms in ((A, B), two_sided(A, B)):
+            want = per_product_report(A_terms, B_terms, C)
+            assert_same_report(_solve(serves_every_shape, A_terms, B_terms, C), want)
     assert want[2] < POS_INF
 
 
 @given(_solve_cases())
 def test_solve_property_matches_the_per_product_report(serves_every_shape, case):
     A, B, C = case
-    assert_same_report(_solve(serves_every_shape, A, B, C), per_product_report(A, B, C))
+    for A_terms, B_terms in ((A, B), two_sided(A, B)):
+        assert_same_report(_solve(serves_every_shape, A_terms, B_terms, C), per_product_report(A_terms, B_terms, C))
 
 
 def test_live_solve_serves_square_int16_data():
+    # p-term requests, and the two-sided requests of the cli_mixed benchmark
+    # workload at their shapes
     if ckernel.LIBRARY is ckernel.NUMPY:
         pytest.skip("no compiled library")
-    for m, n, p in ((16, 16, 1), (64, 64, 4), (128, 128, 2), (96, 40, 8)):
+    cases = [(16, 16, 1, False), (64, 64, 4, False), (128, 128, 2, False), (96, 40, 8, False),
+             (128, 128, 1, True), (32, 32, 1, True), (64, 100, 1, True), (16, 80, 1, True)]
+    for m, n, p, sides in cases:
         rng = np.random.default_rng(m + n + p)
         for A, B, C in (terms_operands(rng, m, n, p), finite_operands(rng, m, n, p)):
+            A, B = two_sided(A, B) if sides else (A, B)
             assert_same_report(_solve(ckernel.LIBRARY, A, B, C), per_product_report(A, B, C))
+
+
+def test_a_two_sided_solve_weighs_only_the_products_it_forms(serves_every_shape):
+    # at 6×152 the two products a step of the two-sided terms forms do not
+    # repay the encoding, though the query, which weighs every factor, and
+    # the same terms with explicit unit factors pass; a call with a term that
+    # has neither factor is declined
+    if ckernel.LIBRARY is ckernel.NUMPY:
+        pytest.skip("no compiled library")
+    A, B, C = terms_operands(np.random.default_rng(27), 6, 152, 1)
+    units = [A[0], max_plus_unit(6)], [max_plus_unit(152), B[0]]
+    assert _solve(ckernel.LIBRARY, *units, C) is not None
+    assert _solve(ckernel.LIBRARY, *two_sided(A, B), C) is None
+    assert _solve(serves_every_shape, *two_sided(A, B), C) is not None
+    assert _solve(serves_every_shape, [A[0], None], [B[0], None], C) is None
 
 
 def test_solve_negates_cells_whose_sums_are_all_minus_inf(serves_every_shape):
@@ -964,20 +1007,25 @@ def test_solve_negates_cells_whose_sums_are_all_minus_inf(serves_every_shape):
 
 
 # factors at ±2**9 and C at ±3·2**9 are served; one entry past them, a
-# fraction, -0.0, ±1e300 or the overflowing -1.7e308 declines the call
+# fraction, -0.0, ±1e300 or the overflowing -1.7e308 declines the call.  In
+# the two-sided terms a None factor declines no call by itself, and an A
+# entry past the bound still does.
 @pytest.mark.parametrize("where,value", [("A", 2**9 + 1), ("B", -(2**9 + 1)), ("A", 0.5), ("B", 1e300),
                                          ("A", -1e300), ("A", -1.7e308), ("C", 3 * 2**9 + 1),
                                          ("C", -(3 * 2**9 + 1)), ("C", 0.5), ("B", -0.0), ("C", -0.0),
-                                         ("C", 1e300)])
+                                         ("C", 1e300), ("two-sided A", 2**9 + 1)])
 def test_solve_declines_entries_past_the_bounds(where, value, serves_every_shape):
     A, B, C = terms_operands(np.random.default_rng(25), 9, 140, 2)
-    arrays = {"A": [a.data for a in A], "B": [b.data for b in B], "C": C.data}
+    if where == "two-sided A":
+        (A, B), where = two_sided(A, B), "A"
+    arrays = {"A": _arrays(A), "B": _arrays(B), "C": C.data}
     assert serves_every_shape.solve(arrays["A"], arrays["B"], arrays["C"]) is not None
-    factors = np.concatenate([a.ravel() for a in arrays["A"] + arrays["B"]])
+    factors = np.concatenate([F.ravel() for F in arrays["A"] + arrays["B"] if F is not None])
     assert np.abs(factors[np.isfinite(factors)]).max() == 2**9
     assert np.abs(C.data[np.isfinite(C.data)]).max() == 3 * 2**9
-    arrays = {"A": [a.copy() for a in arrays["A"]], "B": [b.copy() for b in arrays["B"]], "C": arrays["C"].copy()}
-    target = arrays[where][-1] if where != "C" else arrays["C"]
+    arrays = {"A": [_unless_none(np.copy, a) for a in arrays["A"]], "B": [_unless_none(np.copy, b) for b in arrays["B"]],
+              "C": arrays["C"].copy()}
+    target = [F for F in arrays[where] if F is not None][-1] if where != "C" else arrays["C"]
     target[-1, -1] = value
     for library in (serves_every_shape, ckernel.LIBRARY, ckernel.NUMPY):
         assert library.solve(arrays["A"], arrays["B"], arrays["C"]) is None

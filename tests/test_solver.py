@@ -319,7 +319,10 @@ def test_two_sided_shape_errors(A_shape, B_shape, message):
 
 def test_two_sided_solve_takes_four_products_and_no_unit(monkeypatch):
     # X̂ = −(Aᵀ ⊗ (−C) ⊕ (−C) ⊗ Bᵀ) and A ⊗ X̂ ⊕ X̂ ⊗ B: each side is two
-    # products maxed into one running array, so 2·(m²n + mn² + 2mn) ops
+    # products maxed into one running array, so 2·(m²n + mn² + 2mn) ops.
+    # The compiled solve call serves these small integers, so the products
+    # are counted on the numpy kernel.
+    monkeypatch.setattr(ckernel, "LIBRARY", ckernel.NUMPY)
     calls, product = [], solver.max_plus_matmul
 
     def counting(P, Q, acc=None):
@@ -398,6 +401,38 @@ def test_int16_data_takes_no_per_product_call(monkeypatch):
         calls.clear()
         with pytest.raises(ValueError) as caught:
             solve_sylvester(SylvesterInstance(A=(M(np.full((m, m), value)), A[1]), B=B, C=M(np.full((m, n), -value))))
+        assert str(caught.value) == (f"max-plus product of ({m}, {m}) by ({m}, {n}) overflows float64: "
+                                     "a finite sum exceeds the largest double")
+        assert calls.count("max_plus_matmul") == 1
+
+
+def test_two_sided_int16_data_takes_no_per_product_call(monkeypatch):
+    # the two-sided terms (A, None), (None, B) on int16-range data run in one
+    # compiled call and count 2·(m²n + mn² + 2mn) ops, as their four
+    # products would; one entry past the bounds sends the solve back to the
+    # four products, and an overflowing sum still stops the first of them
+    if ckernel.LIBRARY is ckernel.NUMPY:
+        pytest.skip("no compiled library")
+    calls = _count_per_product_calls(monkeypatch)
+    m, n = 8, 12
+    (A, _), (B, _), C = terms_operands(np.random.default_rng(34), m, n, 2)
+    before = semiring_ops.total
+    report = solve_two_sided_special(A, B, C)
+    assert semiring_ops.total - before == 2 * (m * m * n + m * n * n + 2 * m * n)
+    assert calls == []
+    with monkeypatch.context() as mp:
+        mp.setattr(ckernel, "LIBRARY", ckernel.NUMPY)
+        assert solve_two_sided_special(A, B, C) == report
+    for value in (513.0, -513.0, 0.5, 1e300, -1e300):
+        A_k = A.data.copy()
+        A_k[3, 4] = value
+        calls.clear()
+        solve_two_sided_special(M(A_k), B, C)
+        assert calls.count("max_plus_matmul") == 4, value
+    for value in (1.7e308, -1.7e308):
+        calls.clear()
+        with pytest.raises(ValueError) as caught:
+            solve_two_sided_special(M(np.full((m, m), value)), B, M(np.full((m, n), -value)))
         assert str(caught.value) == (f"max-plus product of ({m}, {m}) by ({m}, {n}) overflows float64: "
                                      "a finite sum exceeds the largest double")
         assert calls.count("max_plus_matmul") == 1

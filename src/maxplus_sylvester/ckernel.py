@@ -1,9 +1,9 @@
 """Build, cache, load and bind the package's compiled library.
 
 The library holds three C sources: ``maxplus_product.c``, the max-plus
-product that :mod:`.matrix` calls, and the max-plus Kronecker product and
-the whole Kronecker solve that :mod:`.oracle` calls; ``solver_passes.c``,
-the tolerance pass and the mismatch scan that :mod:`.solver` calls; and
+product that :mod:`.matrix` calls and the whole Kronecker solve that
+:mod:`.oracle` calls; ``solver_passes.c``, the tolerance pass and the
+mismatch scan that :mod:`.solver` calls; and
 ``matrix_text.c``, the matrix text scanner and formatter that
 :mod:`.instance_io` calls.
 ``maxplus_product.c`` also holds the solver's fused call, which runs a whole
@@ -21,22 +21,22 @@ library or none.  The library is loaded with ``ctypes`` and links against
 no Python.
 
 This module is the one handle on the library.  An import builds and loads
-it once and binds its eight functions once: ``LIBRARY`` is a
+it once and binds its seven functions once: ``LIBRARY`` is a
 :class:`Library`, or :data:`NUMPY` when no compiler could build it or the
-build could not be loaded.  :class:`Numpy` has the same eight methods: its
-two products and its two solver passes are the numpy definitions, which
+build could not be loaded.  :class:`Numpy` has the same seven methods: its
+product and its two solver passes are the numpy definitions, which
 serve the tests as the bit reference, and its scanner, formatter, solve
 call and Kronecker solve call decline every input, so :mod:`.instance_io`
 reads and writes the text in Python, :mod:`.solver` composes each
 solve with terms from products and its passes, and :mod:`.oracle` composes
-each Kronecker solve from the Kronecker product and products.
+each Kronecker solve from its own Kronecker product and products.
 :class:`Library`'s Kronecker solve serves every oracle solve in which no
 finite sum overflows, with the composition's bits, and never holds K.
 :mod:`.matrix`, :mod:`.oracle`,
 :mod:`.solver` and :mod:`.instance_io` make one call on ``LIBRARY`` on
 every use and never ask which it is, so setting it to ``NUMPY`` runs every
 product, solver pass, read and write in Python.  Both kernels raise FloatingPointError
-when a finite sum of either product overflows, with no ``np.errstate`` of
+when a finite sum of the product overflows, with no ``np.errstate`` of
 their caller's.
 """
 
@@ -91,15 +91,6 @@ def _library(compiler: str) -> Path:
     return path
 
 
-def _output(shape: tuple[int, int], acc: np.ndarray | None) -> np.ndarray:
-    """A fresh float64 array of ``shape``, or ``acc`` when it is one the C loops may write in place."""
-    if acc is None:
-        return np.empty(shape)
-    if acc.shape == shape and acc.dtype == np.float64 and acc.flags.c_contiguous and acc.flags.writeable:
-        return acc
-    raise ValueError(f"acc must be a writeable C-contiguous float64 {shape[0]}x{shape[1]} array")
-
-
 def _factors(A_terms, B_terms, m: int, n: int):
     """Two ``ctypes`` arrays of the m×m ``A_terms`` and n×n ``B_terms`` as dense float64, None as
     NULL, each keeping what it points to; None for no terms, unequal counts or a misshapen factor."""
@@ -116,15 +107,12 @@ def _factors(A_terms, B_terms, m: int, n: int):
 
 
 class Library:
-    """The eight functions of one loaded build, with their argument types declared."""
+    """The seven functions of one loaded build, with their argument types declared."""
 
     def __init__(self, cdll: ctypes.CDLL):
         self._product = cdll.maxplus_product
         self._product.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_ssize_t] * 3 + [ctypes.c_int]
         self._product.restype = ctypes.c_int
-        self._kron = cdll.maxplus_kron
-        self._kron.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_ssize_t] * 4 + [ctypes.c_int]
-        self._kron.restype = ctypes.c_int
         self._scale = cdll.finite_scale
         self._scale.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t, ctypes.POINTER(ctypes.c_double)]
         self._scale.restype = ctypes.c_int
@@ -166,7 +154,10 @@ class Library:
         (m, k), n = p.shape, q.shape[1]
         if q.shape[0] != k:
             raise ValueError(f"inner dimensions differ: {p.shape} by {q.shape}")
-        out = _output((m, n), acc)
+        if acc is not None and not (acc.shape == (m, n) and acc.dtype == np.float64
+                                    and acc.flags.c_contiguous and acc.flags.writeable):
+            raise ValueError(f"acc must be a writeable C-contiguous float64 {m}x{n} array")
+        out = np.empty((m, n)) if acc is None else acc
         if self._product(p.ctypes.data, q.ctypes.data, out.ctypes.data, m, k, n, acc is not None):
             raise FloatingPointError("overflow encountered in max-plus product")
         return out
@@ -208,21 +199,6 @@ class Library:
         cells.resize((count, 2), refcheck=False)  # as in mismatches
         return principal, cells, residual.value
 
-    def kron(self, m: np.ndarray, n: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
-        """The max-plus Kronecker product of float64 arrays a×b and c×d, or ``acc`` ⊕ it in ``acc``.
-
-        Cell ``(i·c + r, j·d + s)`` of the (a·c)×(b·d) result is
-        ``m[i, j] + n[r, s]``, or ``-inf`` for ``-inf + +inf``.  ``acc`` is
-        as for :meth:`product`, and so is the FloatingPointError.
-        """
-        m = np.ascontiguousarray(m, dtype=np.float64)
-        n = np.ascontiguousarray(n, dtype=np.float64)
-        (a, b), (c, d) = m.shape, n.shape
-        out = _output((a * c, b * d), acc)
-        if self._kron(m.ctypes.data, n.ctypes.data, out.ctypes.data, a, b, c, d, acc is not None):
-            raise FloatingPointError("overflow encountered in max-plus Kronecker product")
-        return out
-
     def kron_solve(self, A_terms, B_terms, C: np.ndarray):
         """The oracle's solve of ``K ⊗ vec(X) = vec(C)``, ``K = ⊕_k kron(B_kᵀ, A_k)``, in one
         call that never holds K: ``(principal, achieved)``, or None.
@@ -230,7 +206,7 @@ class Library:
         For p ≥ 1 terms of m×m arrays ``A_terms`` and n×n ``B_terms`` beside
         an m×n ``C``, the principal ``x̂ = −((−vec(C))ᵀ ⊗ K)ᵀ`` and its
         substitution ``K ⊗ x̂``, each unvec'd to a fresh m×n float64 array,
-        with the bits of :meth:`kron` and two :meth:`product` calls.  K is
+        with the bits of :func:`.oracle.kron_max` and two :meth:`product` calls.  K is
         formed a few rows at a time, twice, so the call holds O(mn) memory
         where the composition holds (mn)².  A call where a finite sum
         overflows is declined, so the caller's composition raises what it
@@ -296,7 +272,7 @@ class Library:
 
 
 class Numpy:
-    """The numpy twins of :class:`Library`'s eight methods, with the same signatures.
+    """The numpy twins of :class:`Library`'s seven methods, with the same signatures.
 
     The product takes blocks of rows of P, forms every sum
     ``P[i, l] + Q[l, j]`` of a block in one reused buffer and reduces over
@@ -343,19 +319,8 @@ class Numpy:
         """None for any input: the solver composes the solve from :meth:`product` calls and its passes."""
         return None
 
-    def kron(self, m: np.ndarray, n: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
-        """As :meth:`Library.kron`: every sum at once, then one pass that sets NaN cells to ``-inf``."""
-        (a, b), (c, d) = m.shape, n.shape
-        with np.errstate(invalid="ignore", over="raise"):  # -inf + +inf is NaN; overflow raises
-            s = m[:, None, :, None] + n[None, :, None, :]
-        s[np.isnan(s)] = -np.inf
-        s = s.reshape(a * c, b * d)
-        if acc is None:
-            return s
-        return np.maximum(acc, s, out=acc)
-
     def kron_solve(self, A_terms, B_terms, C: np.ndarray):
-        """None for any input: the oracle composes its solve from :meth:`kron` and :meth:`product` calls."""
+        """None for any input: the oracle composes its solve from :func:`.oracle.kron_max` and products."""
         return None
 
     def finite_scale(self, values: np.ndarray) -> tuple[float, bool]:

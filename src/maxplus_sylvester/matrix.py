@@ -30,8 +30,8 @@ the entries and the shape, which tile runs (the header of
 (the ``acc`` argument) the C loop starts each cell at the caller's running
 value instead, so ``acc ⊕ (P ⊗ Q)`` takes no second pass and no second
 array.  The library has no entrywise ⊕ of its own: the solvers fold each
-term into a running array this way, and the oracle maxes each Kronecker
-term into K in the same accumulate mode of ``ckernel.LIBRARY.kron``.
+term into a running array this way, and the oracle's :func:`.oracle.kron_max`
+maxes each Kronecker term into K in place, with the same check on K.
 
 A sum of finite entries that overflows float64 would read as an
 infinity state; the kernels refuse it with a ValueError instead.
@@ -107,6 +107,14 @@ class TropicalMatrix:
         return f"TropicalMatrix({self.tolist()!r})"
 
 
+def _check_running(acc: np.ndarray, shape: tuple[int, int]) -> None:
+    """Refuse a running array a product of ``shape`` cannot be maxed into in place."""
+    if acc.shape != shape:
+        raise ShapeError(f"cannot accumulate a {shape[0]}x{shape[1]} product into an array of shape {acc.shape}")
+    if not (acc.dtype == np.float64 and acc.flags.c_contiguous and acc.flags.writeable):
+        raise ValueError("the running array must be writeable, C-contiguous and float64")
+
+
 def max_plus_matmul(P: TropicalMatrix, Q: TropicalMatrix, acc: np.ndarray | None = None):
     """out[i, j] = max_l (P[i, l] + Q[l, j]).
 
@@ -121,10 +129,7 @@ def max_plus_matmul(P: TropicalMatrix, Q: TropicalMatrix, acc: np.ndarray | None
     m, k = P.shape
     n = Q.cols
     if acc is not None:
-        if acc.shape != (m, n):
-            raise ShapeError(f"cannot accumulate a {m}x{n} product into an array of shape {acc.shape}")
-        if not (acc.dtype == np.float64 and acc.flags.c_contiguous and acc.flags.writeable):
-            raise ValueError("the running array must be writeable, C-contiguous and float64")
+        _check_running(acc, (m, n))
     try:
         out = ckernel.LIBRARY.product(P.data, Q.data, acc)
     except FloatingPointError:

@@ -1,10 +1,9 @@
 /* The compiled max-plus product: out = p ⊗ q for row-major float64 arrays,
  * out[i, j] = max_l (p[i, l] + q[l, j]), or in accumulate mode
- * out = out ⊕ (p ⊗ q); the max-plus Kronecker product the oracle builds its
- * system from, under the same rules, and maxplus_kron_solve, the oracle's
- * whole solve in one call that never holds the system; and, on small
- * integer data, maxplus_solve, a whole Sylvester solve in one call.
- * ckernel.py builds and binds all four.
+ * out = out ⊕ (p ⊗ q); maxplus_kron_solve, the oracle's whole solve in one
+ * call that never holds its Kronecker system; and, on small integer data,
+ * maxplus_solve, a whole Sylvester solve in one call.  ckernel.py builds
+ * and binds all three.
  *
  * Each cell starts at -inf, or at its own value in accumulate mode, and
  * takes a sum s only when s > cell.  A NaN sum, which only -inf + +inf
@@ -322,33 +321,12 @@ int maxplus_product(const double *p, const double *q, double *out, ptrdiff_t m, 
     return fetestexcept(FE_OVERFLOW) != 0;
 }
 
-/* kron = mm ⊗ nn, the max-plus Kronecker product of the a×b mm and the
- * c×d nn: kron[i·c + r, j·d + s] = mm[i, j] + nn[r, s], an (a·c)×(b·d)
- * row-major array.  With accumulate set, each sum is maxed into kron's own
- * value instead of -inf.  A cell takes its sum as the product's cells do:
- * only when the sum is greater, so a NaN sum leaves -inf.  Returns 1 when
- * a finite sum overflowed, else 0; kron is then partly updated. */
-int maxplus_kron(const double *mm, const double *nn, double *kron, ptrdiff_t a, ptrdiff_t b,
-                 ptrdiff_t c, ptrdiff_t d, int accumulate)
-{
-    feclearexcept(FE_OVERFLOW);
-    for (ptrdiff_t i = 0; i < a; i++)
-        for (ptrdiff_t r = 0; r < c; r++)
-            for (ptrdiff_t j = 0; j < b; j++) {
-                const double x = mm[i * b + j], *row = nn + r * d;
-                double *cell = kron + ((i * c + r) * b + j) * d;
-                for (ptrdiff_t s = 0; s < d; s++)
-                    cell[s] = mp_max(x + row[s], accumulate ? cell[s] : -INFINITY);
-            }
-    return fetestexcept(FE_OVERFLOW) != 0;
-}
-
 #define KR 4 /* rows of K formed at a time by maxplus_kron_solve */
 
 /* Rows r0 .. r0 + KR - 1 of the oracle's N×N K = ⊕_k kron(b[k]ᵀ, a[k]),
- * N = m·n, to buf, KR rows of N entries, as maxplus_kron forms and maxes
- * them: K[i·m + r, j·m + s] = max_k (b[k][j, i] + a[k][r, s]), -inf where
- * every sum is NaN.  Rows past N are all -inf. */
+ * N = m·n, to buf, KR rows of N entries, as oracle.kron_max forms and
+ * maxes them: K[i·m + r, j·m + s] = max_k (b[k][j, i] + a[k][r, s]), -inf
+ * where every sum is NaN.  Rows past N are all -inf. */
 static void kron_rows(const double *const *a, const double *const *b, ptrdiff_t p, ptrdiff_t m, ptrdiff_t n,
                       ptrdiff_t r0, double *restrict buf)
 {
@@ -380,8 +358,8 @@ static void kron_rows(const double *const *a, const double *const *b, ptrdiff_t 
  * the m×n principal and its substitution K ⊗ x̂, unvec'd, to the m×n
  * achieved, and returns 0.  Returns -1 when a finite sum overflowed or no
  * scratch could be had, with principal and achieved partly written, so
- * the caller composes the solve from maxplus_kron and maxplus_product
- * calls and raises their errors.
+ * the caller composes the solve from its own Kronecker product and
+ * maxplus_product calls and raises their errors.
  *
  * It forms K twice, KR rows at a time in the thread's scratch: first to
  * max −vec(c)[R] + K[R, ·] into the principal's running row, as vecmat

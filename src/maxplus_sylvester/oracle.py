@@ -8,19 +8,19 @@ benchmark's complexity separation, not for production solving; instances
 with mn above ``SIZE_CAP`` are refused before anything is allocated.
 
 :func:`oracle_solve` first offers the whole solve to
-``ckernel.LIBRARY.kron_solve``, the eighth function of the handle.  The
-compiled library's call forms K's entries a few rows at a time where the
-principal and the substitution use them, twice, so it never holds K and
-its peak memory grows with mn; it gives the composition's bits and the
-ops are counted by formula, as the composition would count them.
-``ckernel.NUMPY`` declines every call, and the compiled call declines one
-in which a finite sum overflows.  A declined solve is composed: K is built
-in one array (a 128 MB K at the cap), the first term in it and every later
-term maxed into it by ``ckernel.LIBRARY.kron``, and the principal reads it
-by rows, so no transpose of K is ever made.  A composed solve peaks at
-one K with the compiled library's Kronecker product and products; with
-``ckernel.NUMPY`` a term in the making and the principal's row of sums
-each take one more.  It raises the error of the step that overflows.
+``ckernel.LIBRARY.kron_solve``.  The compiled library's call forms K's
+entries a few rows at a time where the principal and the substitution use
+them, twice, so it never holds K and its peak memory grows with mn; it
+gives the composition's bits and the ops are counted by formula, as the
+composition would count them.  ``ckernel.NUMPY`` declines every call, and
+the compiled call declines one in which a finite sum overflows.  A
+declined solve is composed: :func:`kron_max` builds K in numpy, in one
+array (a 128 MB K at the cap), the first term in it and every later term
+maxed into it a row at a time, and :func:`.solver.linear_principal_solution`
+reads it by rows, so no transpose of K is ever made.  A composed solve
+peaks at one K and one row of sums with the compiled library's products;
+with ``ckernel.NUMPY`` the principal's row of sums takes one more K.  It
+raises the error of the step that overflows.
 The fast solvers need none of the helpers of this step, so they live
 here: :func:`kron_max`, :func:`vec`, :func:`unvec`, and
 :func:`two_sided_instance`, which writes the two-sided form with unit
@@ -35,8 +35,8 @@ from .matrix import (
     NEG_INF,
     ShapeError,
     TropicalMatrix,
+    _check_running,
     max_plus_matmul,
-    negate,
     transpose,
 )
 from .opcount import semiring_ops
@@ -45,6 +45,7 @@ from .solver import (
     SylvesterInstance,
     _report,
     effective_tolerance,
+    linear_principal_solution,
 )
 
 SIZE_CAP = 4096
@@ -81,16 +82,29 @@ def unvec(v: TropicalMatrix, rows: int, cols: int) -> TropicalMatrix:
 def kron_max(M: TropicalMatrix, N: TropicalMatrix, acc: np.ndarray | None = None):
     """Max-plus Kronecker product: block (i, j) is M[i, j] ⊗ N.
 
+    Cell ``(i·c + r, j·d + s)`` of the product of an a×b M and a c×d N is
+    ``M[i, j] + N[r, s]``, or ``-inf`` for ``-inf + +inf``: ``fmax`` turns
+    the NaN of that sum into ``-inf``, or lets the running value win over it.
     With ``acc``, a writeable C-contiguous float64 array of the product's
-    shape that the caller owns, the product is maxed into ``acc`` in place
-    and None is returned.  Either way it counts one op per cell of the
-    product.  When a finite sum overflows, the ValueError leaves ``acc``
-    partly updated.
+    shape that the caller owns, the product is maxed into ``acc`` in place,
+    one row of M by one row of N at a time, and None is returned.  Either
+    way it counts one op per cell of the product.  When a finite sum
+    overflows, the ValueError leaves ``acc`` partly updated.
     """
     a, b = M.shape
     c, d = N.shape
+    if acc is not None:
+        _check_running(acc, (a * c, b * d))
     try:
-        out = ckernel.LIBRARY.kron(M.data, N.data, acc)
+        with np.errstate(invalid="ignore", over="raise"):  # -inf + +inf is NaN; overflow raises
+            if acc is None:
+                out = (M.data[:, None, :, None] + N.data[:, None, :]).reshape(a * c, b * d)
+                np.fmax(out, NEG_INF, out=out)
+            else:
+                for i in range(a):
+                    for r in range(c):
+                        row = acc[i * c + r].reshape(b, d)
+                        np.fmax(row, np.add.outer(M.data[i], N.data[r]), out=row)
     except FloatingPointError:
         raise ValueError(f"max-plus Kronecker product of {M.shape} and {N.shape} overflows float64: "
                          "a finite sum exceeds the largest double") from None
@@ -124,17 +138,6 @@ def kron_reformulate(inst: SylvesterInstance):
             kron_max(transpose(B_k), A_k, K)
         semiring_ops.add(cells * cells)
     return TropicalMatrix._wrap(K), vec(inst.C)
-
-
-def linear_principal_solution(K: TropicalMatrix, c: TropicalMatrix) -> TropicalMatrix:
-    """Greatest x with K ⊗ x ≤ c, as −((−c)ᵀ ⊗ K)ᵀ.
-
-    :func:`.solver.linear_principal_solution` forms −(Kᵀ ⊗ (−c)), whose
-    sums are these with their two operands swapped, so the bits are the
-    same; this form reads K by rows and copies no transpose of it.
-    """
-    row = max_plus_matmul(TropicalMatrix._wrap(negate(c).data.reshape(1, -1)), K)
-    return negate(TropicalMatrix._wrap(row.data.reshape(-1, 1)))
 
 
 def oracle_solve(inst: SylvesterInstance) -> SolveReport:

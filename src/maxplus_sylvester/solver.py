@@ -34,7 +34,8 @@ of the per-product steps, and the ops are counted by formula, as the
 products would count them.  A solve it declines runs
 :func:`sylvester_principal_solution` and :func:`sylvester_apply`, one
 product per factor, with their errors.  The linear form keeps its own
-steps of one product each, with no running sum.
+steps of one product each, with no running sum; its principal is the row
+product −((−b)ᵀ ⊗ A)ᵀ.
 """
 
 from dataclasses import dataclass
@@ -178,12 +179,18 @@ def _report(principal, achieved, target, eps) -> SolveReport:
 
 
 def linear_principal_solution(A: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
-    """Greatest x with A ⊗ x ≤ b, namely −(Aᵀ ⊗ (−b))."""
+    """Greatest x with A ⊗ x ≤ b, namely −(Aᵀ ⊗ (−b)), formed as −((−b)ᵀ ⊗ A)ᵀ.
+
+    The row form's sums are those of −(Aᵀ ⊗ (−b)) with their two operands
+    swapped, so it has that form's bits and ops; it reads A by rows and
+    copies no transpose of it.  The oracle solves its Kronecker system with it.
+    """
     if b.cols != 1:
         raise ShapeError(f"right-hand side must be a column vector, got {b.shape}")
     if A.rows != b.rows:
         raise ShapeError(f"system {A.shape} does not match right-hand side {b.shape}")
-    return negate(max_plus_matmul(transpose(A), negate(b)))
+    row = max_plus_matmul(TropicalMatrix._wrap(negate(b).data.reshape(1, -1)), A)
+    return negate(TropicalMatrix._wrap(row.data.reshape(-1, 1)))
 
 
 def solve_linear(A: TropicalMatrix, b: TropicalMatrix) -> SolveReport:

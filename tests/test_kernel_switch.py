@@ -58,4 +58,4 @@ def test_both_kernels_define_the_same_methods():
 
     library, numpy = methods(ckernel.Library), methods(ckernel.Numpy)
     assert library == numpy
-    assert set(library) == {"product", "kron", "finite_scale", "mismatches", "scan", "write", "solve", "kron_solve"}
+    assert set(library) == {"product", "finite_scale", "mismatches", "scan", "write", "solve", "kron_solve"}

@@ -677,37 +677,55 @@ def _running_array(rng, shape):
 KRON_SHAPES = [(1, 1, 1, 1), (2, 3, 4, 9), (5, 3, 7, 17), (3, 3, 24, 24), (4, 3, 5, 33), (3, 2, 2, 257)]
 
 
+_KRON_OVERFLOW = r" overflows float64: a finite sum exceeds the largest double$"
+
+
+def _assert_kron_max_bits(P, Q, acc):
+    """kron_max of the arrays P and Q has the brute force's bits, and maxed
+    into ``acc`` it leaves the bits of ``np.maximum(acc, ·)``; when a finite
+    sum overflows, both modes raise and the brute force does too."""
+    P, Q = M(P), M(Q)
+    try:
+        fresh = kron_max(P, Q)
+    except ValueError:
+        with pytest.raises(OverflowError):
+            bf.kron_max(P.tolist(), Q.tolist())
+        with pytest.raises(ValueError, match=_KRON_OVERFLOW):
+            kron_max(P, Q, acc)
+        return
+    _assert_same_bits(fresh, bf.kron_max(P.tolist(), Q.tolist()))
+    want = np.maximum(acc, fresh.data)
+    assert kron_max(P, Q, acc) is None
+    # a tie of 0.0 and -0.0 may keep either zero: no -0.0 reaches a kernel
+    assert np.array_equal((acc + 0.0).view(np.int64), (want + 0.0).view(np.int64))
+
+
 @pytest.mark.parametrize("a,b,c,d", KRON_SHAPES)
 def test_compiled_and_numpy_kron_agree_bit_for_bit(a, b, c, d):
+    # one numpy product serves both handles; the blocks of row 0 hold
+    # -inf + +inf sums, which it makes -inf
     rng = np.random.default_rng(19)
     P, Q = _kron_operands(rng, a, b, c, d)
-    acc = _running_array(rng, (a * c, b * d))
-    assert not _same_bits_or_both_raise(lambda kernel: kernel.kron(P, Q))
-    assert not _same_bits_or_both_raise(lambda kernel: kernel.kron(P, Q, acc.copy()))
-    want = ckernel.NUMPY.kron(P, Q)
-    assert want.tolist() == bf.kron_max(P.tolist(), Q.tolist())
-    assert (want[:c] == NEG_INF).all()
+    _assert_kron_max_bits(P, Q, _running_array(rng, (a * c, b * d)))
+    assert (kron_max(M(P), M(Q)).data[:c] == NEG_INF).all()
 
 
 def test_both_kernels_refuse_an_overflowing_kron():
-    # ±1.7e308 sums overflow in either sign, beside ±inf entries, which are
-    # states and no overflow; without the overflowing row both agree
+    # ±1.7e308 sums overflow in either sign, fresh and accumulating, beside
+    # ±inf entries, which are states and no overflow; without the
+    # overflowing row the product has its bits
     for sign in (1.0, -1.0):
         P = np.array([[sign * 1.7e308, POS_INF], [0.0, NEG_INF]])
         Q = np.array([[0.0, sign * 1.7e308], [NEG_INF, POS_INF]])
-        for kernel in (ckernel.LIBRARY, ckernel.NUMPY):
-            with pytest.raises(FloatingPointError):
-                kernel.kron(P, Q)
-            with pytest.raises(FloatingPointError):
-                kernel.kron(P, Q, np.zeros((4, 4)))
-        assert not _same_bits_or_both_raise(lambda kernel: kernel.kron(P[1:], Q))
-        with pytest.raises(ValueError, match=r"^max-plus Kronecker product of \(2, 2\) and \(2, 2\) overflows "
-                                             r"float64: a finite sum exceeds the largest double$"):
-            kron_max(M(P), M(Q))
+        for acc in (None, np.zeros((4, 4))):
+            with pytest.raises(ValueError, match=r"^max-plus Kronecker product of \(2, 2\) and \(2, 2\)"
+                                                 + _KRON_OVERFLOW):
+                kron_max(M(P), M(Q), acc)
+        _assert_kron_max_bits(P[1:], Q, np.zeros((2, 4)))
 
 
-@on_both_kernels("a,b,c,d", [(2, 3, 4, 9), (3, 2, 2, 257)])
-def test_kron_max_accumulates_into_the_running_array(a, b, c, d, kernel):
+@pytest.mark.parametrize("a,b,c,d", [(2, 3, 4, 9), (3, 2, 2, 257)])
+def test_kron_max_accumulates_into_the_running_array(a, b, c, d):
     rng = np.random.default_rng(20)
     P, Q = _kron_operands(rng, a, b, c, d)
     acc = _running_array(rng, (a * c, b * d))
@@ -718,15 +736,16 @@ def test_kron_max_accumulates_into_the_running_array(a, b, c, d, kernel):
     assert np.array_equal(acc.view(np.int64), want.view(np.int64))
 
 
-def test_compiled_kron_refuses_an_array_it_cannot_write_in_place():
-    if ckernel.LIBRARY is ckernel.NUMPY:
-        pytest.skip("no C compiler")
-    P, Q = np.zeros((2, 3)), np.zeros((4, 5))
-    frozen = np.zeros((8, 15))
-    frozen.flags.writeable = False
-    for acc in (np.zeros((8, 16)), np.zeros((8, 15), dtype=np.float32), np.zeros((8, 30))[:, ::2], frozen):
-        with pytest.raises(ValueError, match="writeable C-contiguous float64 8x15 array"):
-            ckernel.LIBRARY.kron(P, Q, acc)
+def test_kron_max_refuses_an_array_it_cannot_write_in_place():
+    # as max_plus_matmul: a copy made to write in would lose the max
+    P, Q = full(2, 3, 0.0), full(4, 5, 1.0)
+    frozen = full(8, 15, 0.0).data  # a matrix's own array is read-only
+    with pytest.raises(ShapeError, match=r"into an array of shape \(8, 16\)"):
+        kron_max(P, Q, np.zeros((8, 16)))
+    for acc in (frozen, np.zeros((8, 15), dtype=np.float32), np.zeros((8, 30))[:, ::2]):
+        with pytest.raises(ValueError, match="writeable, C-contiguous and float64"):
+            kron_max(P, Q, acc)
+    assert (frozen == 0.0).all()
 
 
 # k and n cross the tile's 32 columns, the 256 inner indices of a pass and
@@ -783,9 +802,7 @@ def _kron_pairs(draw):
 
 @given(_kron_pairs())
 def test_kron_kernels_agree_on_any_entries(pair):
-    P, Q, acc = pair
-    if not _same_bits_or_both_raise(lambda kernel: kernel.kron(P, Q)):
-        assert not _same_bits_or_both_raise(lambda kernel: kernel.kron(P, Q, acc.copy()))
+    _assert_kron_max_bits(*pair)
 
 
 @st.composite

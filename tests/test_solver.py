@@ -1,3 +1,4 @@
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -22,7 +23,9 @@ from maxplus_sylvester.matrix import (
     POS_INF,
     ShapeError,
     TropicalMatrix,
+    max_plus_matmul,
     negate,
+    transpose,
 )
 from maxplus_sylvester.opcount import semiring_ops
 from maxplus_sylvester.oracle import max_plus_unit, oracle_solve
@@ -81,6 +84,24 @@ def test_solve_linear_shape_errors():
         solve_linear(M([[0, 1]]), M([[1], [2]]))
     with pytest.raises(ShapeError):
         solve_linear(M([[0], [1]]), M([[1, 2]]))
+
+
+def test_linear_principal_solution_copies_no_transpose_of_a():
+    # the row form −((−b)ᵀ ⊗ A)ᵀ reads A by rows, so beside the compiled
+    # product it holds no 2 MiB copy of Aᵀ, and its sums are those of
+    # −(Aᵀ ⊗ (−b)) with the operands swapped, so it has that form's bits
+    if ckernel.LIBRARY is ckernel.NUMPY:
+        pytest.skip("no C compiler")
+    rng = np.random.default_rng(41)
+    A, b = rand(rng, 512, 512, 0.1, 0.05), rand(rng, 512, 1, 0.1, 0.05)
+    tracemalloc.start()
+    try:
+        x = linear_principal_solution(A, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 512**2
+    assert x == negate(max_plus_matmul(transpose(A), negate(b)))
 
 
 def axb_principal_solution(A, B, C):

@@ -724,8 +724,9 @@ def test_both_kernels_refuse_an_overflowing_kron():
         _assert_kron_max_bits(P[1:], Q, np.zeros((2, 4)))
 
 
-@pytest.mark.parametrize("a,b,c,d", [(2, 3, 4, 9), (3, 2, 2, 257)])
-def test_kron_max_accumulates_into_the_running_array(a, b, c, d):
+@on_both_kernels("a,b,c,d", [(2, 3, 4, 9), (3, 2, 2, 257)])
+def test_kron_max_accumulates_into_the_running_array(a, b, c, d, kernel):
+    # kron_max calls no kernel: on either handle it has the same bits
     rng = np.random.default_rng(20)
     P, Q = _kron_operands(rng, a, b, c, d)
     acc = _running_array(rng, (a * c, b * d))

@@ -131,9 +131,7 @@
 #define I16_FACTOR 0x1p9       /* finite factor entries up to this magnitude are encoded */
 #define I16_C 0x1.8p10         /* finite entries of C up to this magnitude, 3·2^9, are encoded */
 #define I16_ENTRY_COST 11      /* double multiply-adds that encoding or decoding one int16 entry costs */
-#ifndef SOLVE_CALL_COST        /* the tests build one that serves every shape */
 #define SOLVE_CALL_COST 90000  /* double multiply-adds one product's call from Python costs, about 4.5 µs */
-#endif
 
 #define MAGIC 0x1.8p52 /* v + MAGIC holds an integer v, |v| < 2^51, in its low mantissa bits */
 #define CHUNK 128      /* entries encoded between checks for one that does not qualify */

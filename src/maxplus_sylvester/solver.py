@@ -25,13 +25,13 @@ the substituted candidate against C.  Both are calls on
 when there is none, ``ckernel.NUMPY``'s numpy passes, which are the
 definition and the tests' bit reference, as its product is for products.
 
-Both forms with terms run through one routine, which first offers the
-whole solve to ``ckernel.LIBRARY.solve``, one compiled call on the int16
-tile.  It serves integer data whose sums all stay exact in int16 (factors
-up to 2**9 in magnitude, C up to 3·2**9) at shapes where that pays.  Such
-data compares exactly, so no tolerance pass runs; the report has the bits
-of the per-product steps, and the ops are counted by formula, as the
-products would count them.  A solve it declines runs
+Both forms with terms enter through :func:`solve_sylvester`, which first
+offers the whole solve to ``ckernel.LIBRARY.solve``, one compiled call on
+the int16 tile.  It serves integer data whose sums all stay exact in
+int16 (factors up to 2**9 in magnitude, C up to 3·2**9) at shapes where
+that pays.  Such data compares exactly, so no tolerance pass runs; the
+report has the bits of the per-product steps, and the ops are counted by
+formula, as the products would count them.  A solve it declines runs
 :func:`sylvester_principal_solution` and :func:`sylvester_apply`, one
 product per factor, with their errors.  The linear form keeps its own
 steps of one product each, with no running sum; its principal is the row
@@ -231,8 +231,23 @@ def sylvester_apply(A_terms, B_terms, X: TropicalMatrix) -> TropicalMatrix:
 
 
 def solve_sylvester(inst: SylvesterInstance) -> SolveReport:
-    """Decide ⊕_k A_k ⊗ X ⊗ B_k = C by substitution of the greatest candidate."""
-    return _solve(inst)
+    """Decide ⊕_k A_k ⊗ X ⊗ B_k = C by substitution of the greatest candidate.
+
+    ``inst`` may also be the terms of :func:`solve_two_sided_special`, whose factor None is the unit.
+    """
+    A = [None if A_k is None else A_k.data for A_k in inst.A]
+    B = [None if B_k is None else B_k.data for B_k in inst.B]
+    factors = [F for F in (*inst.A, *inst.B) if F is not None]
+    served = ckernel.LIBRARY.solve(A, B, inst.C.data)
+    if served is None:
+        X = sylvester_principal_solution(inst)
+        achieved = sylvester_apply(inst.A, inst.B, X)
+        eps = effective_tolerance((*factors, inst.C))
+        return _report(X, achieved, inst.C, eps)
+    semiring_ops.add(2 * inst.C.rows * inst.C.cols * (sum(F.rows for F in factors) + len(inst.A)))
+    principal, cells, residual = served
+    cells.flags.writeable = False
+    return SolveReport(TropicalMatrix._wrap(principal), cells, residual)
 
 
 def solve_two_sided_special(A: TropicalMatrix, B: TropicalMatrix, C: TropicalMatrix) -> SolveReport:
@@ -242,21 +257,4 @@ def solve_two_sided_special(A: TropicalMatrix, B: TropicalMatrix, C: TropicalMat
         raise ShapeError(f"A must be {m}x{m} to match C {C.shape}, got {A.shape}")
     if B.shape != (n, n):
         raise ShapeError(f"B must be {n}x{n} to match C {C.shape}, got {B.shape}")
-    return _solve(SimpleNamespace(A=(A, None), B=(None, B), C=C))
-
-
-def _solve(terms) -> SolveReport:
-    """:func:`solve_sylvester` on the ``A``, ``B`` and ``C`` of ``terms``, in which a factor may be None."""
-    A = [None if A_k is None else A_k.data for A_k in terms.A]
-    B = [None if B_k is None else B_k.data for B_k in terms.B]
-    factors = [F for F in (*terms.A, *terms.B) if F is not None]
-    served = ckernel.LIBRARY.solve(A, B, terms.C.data)
-    if served is None:
-        X = sylvester_principal_solution(terms)
-        achieved = sylvester_apply(terms.A, terms.B, X)
-        eps = effective_tolerance((*factors, terms.C))
-        return _report(X, achieved, terms.C, eps)
-    semiring_ops.add(2 * terms.C.rows * terms.C.cols * (sum(F.rows for F in factors) + len(terms.A)))
-    principal, cells, residual = served
-    cells.flags.writeable = False
-    return SolveReport(TropicalMatrix._wrap(principal), cells, residual)
+    return solve_sylvester(SimpleNamespace(A=(A, None), B=(None, B), C=C))

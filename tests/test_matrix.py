@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from maxplus_sylvester.solver import (
     SylvesterInstance,
     effective_tolerance,
     linear_principal_solution,
+    solve_sylvester,
     sylvester_apply,
     sylvester_principal_solution,
 )
@@ -870,37 +872,19 @@ def terms_operands(rng, m, n, p, factor=2**9, x=3 * 2**9):
     return [draw(m, m, factor) for _ in range(p)], [draw(n, n, factor) for _ in range(p)], draw(m, n, x)
 
 
-@pytest.fixture(scope="module")
-def serves_every_shape(tmp_path_factory):
-    """A build whose maxplus_solve takes every shape its rule would decline,
-    n == 1 and large m at small n among them, so the int16 tile is checked
-    where the live build sends the solve to the per-product path."""
-    if shutil.which("gcc") is None:
-        pytest.skip("no C compiler")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ckernel, "FLAGS", (*ckernel.FLAGS, "-DSOLVE_CALL_COST=0x10000000000"))
-        mp.setattr(ckernel, "CACHE", tmp_path_factory.mktemp("every_shape"))
-        library = ckernel.load()
-    assert library is not None
-    # a -D that is renamed or ignored leaves the live rule, which declines
-    # edge shapes such as (257, 5, 2), and every test here would pass while
-    # checking less
-    rng, declined = np.random.default_rng(26), 0
-    for m, n, p in TERMS_EDGES:
-        A, B, C = terms_operands(rng, m, n, p)
-        args = [A_k.data for A_k in A], [B_k.data for B_k in B], C.data
-        assert library.solve(*args) is not None
-        declined += ckernel.LIBRARY.solve(*args) is None
-    assert declined
-    return library
-
-
 # (m, n, p) on the int16 tile, 6×128 cells over passes of 256 inner
 # indices: m of 5, 6 and 7 ends short of, at and past a row block, n of
 # 127, 128, 129 and 257 the same for a column block, and m or n of 257
 # runs a second pass (A_k ⊗ X has m inner indices, T ⊗ B_k has n)
 TERMS_EDGES = [(1, 2, 1), (2, 1, 2), (5, 6, 3), (6, 7, 4), (7, 5, 1), (6, 127, 2), (7, 128, 1), (5, 129, 3),
                (127, 2, 2), (128, 6, 1), (129, 7, 4), (2, 257, 1), (257, 5, 2), (129, 129, 1), (257, 128, 1)]
+# the edges the compiled solve serves: TERMS_EDGES with 33 columns, or 7
+# rows, in place of the five where the cost rule declines, large m beside
+# small n and n = 257 beside m = 2 (DECLINED_EDGES); they reach the same
+# row blocks past 128 rows and the second pass of 256 inner indices
+SOLVE_EDGES = [(1, 2, 1), (2, 1, 2), (5, 6, 3), (6, 7, 4), (7, 5, 1), (6, 127, 2), (7, 128, 1), (5, 129, 3),
+               (127, 33, 2), (128, 33, 1), (129, 33, 4), (7, 257, 1), (257, 33, 2), (129, 129, 1), (257, 128, 1)]
+DECLINED_EDGES = [(127, 2, 2), (128, 6, 1), (129, 7, 4), (2, 257, 1), (257, 5, 2)]
 
 
 @on_both_kernels("m,n,p", TERMS_EDGES)
@@ -917,8 +901,9 @@ def test_terms_match_the_per_product_composition(m, n, p, kernel):
 @st.composite
 def _solve_cases(draw):
     # shapes across the row blocks and the 128 columns of the int16 tile,
-    # and seeded entries at the tile's edges, or at small integers
-    m, n, p = draw(st.integers(1, 14)), draw(st.integers(1, 140)), draw(st.integers(1, 4))
+    # and seeded entries at the tile's edges, or at small integers; the
+    # cost rule declines one row beside 124 columns or more, so m ≥ 2
+    m, n, p = draw(st.integers(2, 14)), draw(st.integers(1, 140)), draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     factor, x = draw(st.sampled_from([(2**9, 3 * 2**9), (10, 30)]))
     return terms_operands(rng, m, n, p, factor, x)
@@ -962,23 +947,45 @@ def _solve(library, A_terms, B_terms, C):
     return library.solve(_arrays(A_terms), _arrays(B_terms), C.data)
 
 
-@pytest.mark.parametrize("m,n,p", TERMS_EDGES)
-def test_solve_matches_the_per_product_report_at_every_edge(m, n, p, serves_every_shape):
+def _served(A_terms, B_terms, C):
+    """The live library's solve, which must serve the call."""
+    if ckernel.LIBRARY is ckernel.NUMPY:
+        pytest.skip("no compiled library")
+    served = _solve(ckernel.LIBRARY, A_terms, B_terms, C)
+    assert served is not None
+    return served
+
+
+@pytest.mark.parametrize("m,n,p", SOLVE_EDGES)
+def test_solve_matches_the_per_product_report_at_every_edge(m, n, p):
     # the ±inf lines give a residual of +inf, the finite data a finite one;
     # each case runs as p terms and as the two-sided terms of its first factors
     rng = np.random.default_rng(m * 1000 + n * 10 + p)
     for A, B, C in (terms_operands(rng, m, n, p), finite_operands(rng, m, n, p)):
         for A_terms, B_terms in ((A, B), two_sided(A, B)):
             want = per_product_report(A_terms, B_terms, C)
-            assert_same_report(_solve(serves_every_shape, A_terms, B_terms, C), want)
+            assert_same_report(_served(A_terms, B_terms, C), want)
     assert want[2] < POS_INF
 
 
+@pytest.mark.parametrize("m,n,p", DECLINED_EDGES)
+def test_solve_declines_the_edges_its_rule_declines(m, n, p):
+    # the live library declines these shapes as p terms and as two-sided
+    # terms, and solve_sylvester's per-product path gives the same report
+    rng = np.random.default_rng(m * 1000 + n * 10 + p)
+    A, B, C = terms_operands(rng, m, n, p)
+    for A_terms, B_terms in ((A, B), two_sided(A, B)):
+        assert _solve(ckernel.LIBRARY, A_terms, B_terms, C) is None
+        report = solve_sylvester(SimpleNamespace(A=A_terms, B=B_terms, C=C))
+        want = per_product_report(A_terms, B_terms, C)
+        assert_same_report((report.principal.data, report.cells, report.residual_max_abs), want)
+
+
 @given(_solve_cases())
-def test_solve_property_matches_the_per_product_report(serves_every_shape, case):
+def test_solve_property_matches_the_per_product_report(case):
     A, B, C = case
     for A_terms, B_terms in ((A, B), two_sided(A, B)):
-        assert_same_report(_solve(serves_every_shape, A_terms, B_terms, C), per_product_report(A_terms, B_terms, C))
+        assert_same_report(_served(A_terms, B_terms, C), per_product_report(A_terms, B_terms, C))
 
 
 def test_live_solve_serves_square_int16_data():
@@ -995,22 +1002,24 @@ def test_live_solve_serves_square_int16_data():
             assert_same_report(_solve(ckernel.LIBRARY, A, B, C), per_product_report(A, B, C))
 
 
-def test_a_two_sided_solve_weighs_only_the_products_it_forms(serves_every_shape):
+def test_a_two_sided_solve_weighs_only_the_products_it_forms():
     # at 6×152 the two products a step of the two-sided terms forms do not
     # repay the encoding, though the query, which weighs every factor, and
-    # the same terms with explicit unit factors pass; a call with a term that
-    # has neither factor is declined
+    # the same terms with explicit unit factors pass; at 8×12, which the
+    # two-sided terms pass, a call with a term that has neither factor is
+    # declined
     if ckernel.LIBRARY is ckernel.NUMPY:
         pytest.skip("no compiled library")
     A, B, C = terms_operands(np.random.default_rng(27), 6, 152, 1)
     units = [A[0], max_plus_unit(6)], [max_plus_unit(152), B[0]]
     assert _solve(ckernel.LIBRARY, *units, C) is not None
     assert _solve(ckernel.LIBRARY, *two_sided(A, B), C) is None
-    assert _solve(serves_every_shape, *two_sided(A, B), C) is not None
-    assert _solve(serves_every_shape, [A[0], None], [B[0], None], C) is None
+    A, B, C = terms_operands(np.random.default_rng(27), 8, 12, 1)
+    assert _solve(ckernel.LIBRARY, *two_sided(A, B), C) is not None
+    assert _solve(ckernel.LIBRARY, [A[0], None], [B[0], None], C) is None
 
 
-def test_solve_negates_cells_whose_sums_are_all_minus_inf(serves_every_shape):
+def test_solve_negates_cells_whose_sums_are_all_minus_inf():
     # column 2 of each A_k and row 3 of each B_k are -inf, so every sum of
     # cell (2, 3) of the principal's inner max is -inf + -inf, which the
     # int16 tile holds as -2**15 until the clamp before the negation; the
@@ -1020,8 +1029,7 @@ def test_solve_negates_cells_whose_sums_are_all_minus_inf(serves_every_shape):
     B = [M(np.where(np.arange(12)[:, None] == 3, NEG_INF, B_k.data)) for B_k in B]
     want = per_product_report(A, B, C)
     assert want[0].data[2, 3] == POS_INF
-    for library in {serves_every_shape, ckernel.LIBRARY} - {ckernel.NUMPY}:
-        assert_same_report(_solve(library, A, B, C), want)
+    assert_same_report(_served(A, B, C), want)
 
 
 # factors at ±2**9 and C at ±3·2**9 are served; one entry past them, a
@@ -1032,12 +1040,12 @@ def test_solve_negates_cells_whose_sums_are_all_minus_inf(serves_every_shape):
                                          ("A", -1e300), ("A", -1.7e308), ("C", 3 * 2**9 + 1),
                                          ("C", -(3 * 2**9 + 1)), ("C", 0.5), ("B", -0.0), ("C", -0.0),
                                          ("C", 1e300), ("two-sided A", 2**9 + 1)])
-def test_solve_declines_entries_past_the_bounds(where, value, serves_every_shape):
+def test_solve_declines_entries_past_the_bounds(where, value):
     A, B, C = terms_operands(np.random.default_rng(25), 9, 140, 2)
     if where == "two-sided A":
         (A, B), where = two_sided(A, B), "A"
+    _served(A, B, C)
     arrays = {"A": _arrays(A), "B": _arrays(B), "C": C.data}
-    assert serves_every_shape.solve(arrays["A"], arrays["B"], arrays["C"]) is not None
     factors = np.concatenate([F.ravel() for F in arrays["A"] + arrays["B"] if F is not None])
     assert np.abs(factors[np.isfinite(factors)]).max() == 2**9
     assert np.abs(C.data[np.isfinite(C.data)]).max() == 3 * 2**9
@@ -1045,5 +1053,5 @@ def test_solve_declines_entries_past_the_bounds(where, value, serves_every_shape
               "C": arrays["C"].copy()}
     target = [F for F in arrays[where] if F is not None][-1] if where != "C" else arrays["C"]
     target[-1, -1] = value
-    for library in (serves_every_shape, ckernel.LIBRARY, ckernel.NUMPY):
+    for library in (ckernel.LIBRARY, ckernel.NUMPY):
         assert library.solve(arrays["A"], arrays["B"], arrays["C"]) is None

@@ -366,6 +366,26 @@ def test_two_sided_solve_takes_four_products_and_no_unit(monkeypatch):
         assert not any(is_unit(P) or is_unit(Q) for P, Q, _ in calls)
 
 
+@pytest.mark.parametrize("kernel", ["live", "numpy"])
+def test_two_sided_solve_enters_through_solve_sylvester(kernel, monkeypatch):
+    # the two-sided form is one call of solve_sylvester on the terms
+    # (A, None), (None, B), whose report it returns as it is
+    if kernel == "numpy":
+        monkeypatch.setattr(ckernel, "LIBRARY", ckernel.NUMPY)
+    (A, _), (B, _), C = terms_operands(np.random.default_rng(35), 8, 12, 2)
+    want = solve_two_sided_special(A, B, C)
+    calls = []
+
+    def counting(inst, original=solver.solve_sylvester):
+        calls.append(inst)
+        return original(inst)
+
+    monkeypatch.setattr(solver, "solve_sylvester", counting)
+    assert solve_two_sided_special(A, B, C) == want
+    [inst] = calls
+    assert (inst.A, inst.B, inst.C) == ((A, None), (None, B), C)
+
+
 # the solver steps, called on their own, compose products on either
 # kernel, and at int16-range data they give the reference composition's
 # bits (see test_matrix.py for the compiled solve call)

@@ -68,12 +68,12 @@ def _cpu_flags() -> str:
     return f"{platform.machine()} {platform.processor()}"
 
 
-def _library(compiler: str) -> Path:
-    """The built library for ``compiler``, compiling it first when no cached build matches."""
+def _library() -> Path:
+    """The library built with ``gcc``, compiling it first when no cached build matches."""
     # the headers beside the sources are compiled with them
     files = [*SOURCES, *sorted(SOURCES[0].parent.glob("*.h"))]
     key = hashlib.sha256(b"\0".join([*(file.read_bytes() for file in files),
-                                     " ".join([compiler, *FLAGS]).encode(),
+                                     " ".join(["gcc", *FLAGS]).encode(),
                                      _cpu_flags().encode()])).hexdigest()[:16]
     path = CACHE / f"maxplus-{key}.so"
     if path.exists():
@@ -82,7 +82,7 @@ def _library(compiler: str) -> Path:
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=CACHE)
     os.close(fd)
     try:
-        subprocess.run([compiler, *map(str, SOURCES), *FLAGS, "-o", tmp],
+        subprocess.run(["gcc", *map(str, SOURCES), *FLAGS, "-o", tmp],
                        check=True, capture_output=True, timeout=120)
         os.replace(tmp, path)
     finally:
@@ -349,10 +349,10 @@ class Numpy:
 NUMPY = Numpy()
 
 
-def load(compiler: str = "gcc"):
-    """The :class:`Library` built with ``compiler``, or None when it cannot build or load it."""
+def load():
+    """The :class:`Library` built with ``gcc``, or None when it cannot build or load it."""
     try:
-        return Library(ctypes.CDLL(str(_library(compiler))))
+        return Library(ctypes.CDLL(str(_library())))
     except (OSError, subprocess.SubprocessError):
         return None
 

@@ -72,12 +72,12 @@
  * below hold unchanged.
  *
  * No factor is transposed.  The principal runs through its transpose,
- *   X̂ᵀ = −(⊕_k (B_k ⊗ (−Cᵀ)) ⊗ A_k),
- * on C encoded, transposed and negated in int16, and X̂ᵀ, negated, is
- * transposed back in int16.  Its first products are the transposes of
- * (−C) ⊗ B_kᵀ, so they are formed from operands of the same bounds as
- * the per-product path's first products A_kᵀ ⊗ (−C), and the bounds below
- * hold for them unchanged.
+ *   X̂ᵀ = −(⊕_k (B_k ⊗ (−Cᵀ)) ⊗ A_k):
+ * −Cᵀ is formed from C as encoded, and X̂ from the running sum, each in one
+ * pass that transposes and negates in int16.  Its first products are the
+ * transposes of (−C) ⊗ B_kᵀ, so they are formed from operands of the same
+ * bounds as the per-product path's first products A_kᵀ ⊗ (−C), and the
+ * bounds below hold for them unchanged.
  * The values are the per-product composition's: every sum below is exact,
  * and with -inf absorbing, as -inf + +inf = -inf makes it, the max-plus
  * product is associative and (P ⊗ Q)ᵀ = Qᵀ ⊗ Pᵀ, so each cell is the same
@@ -426,54 +426,25 @@ static void clamp_i16(int16_t *z, ptrdiff_t count)
     }
 }
 
-/* Negates z's count entries, each at least -2^14, to clamp form: at or
- * below -I16_EDGE to I16_POS, at or above I16_EDGE to I16_NEG, and any
- * other changes sign. */
-static void negate_i16(int16_t *z, ptrdiff_t count)
-{
-    for (ptrdiff_t c = 0; c < count; c++) {
-        int16_t v = z[c];
-        z[c] = v <= -I16_EDGE ? I16_POS : v >= I16_EDGE ? I16_NEG : -v;
-    }
-}
+/* v, at least -2^14, negated in clamp form (see the header) */
+static inline int16_t negated_i16(int16_t v) { return v <= -I16_EDGE ? I16_POS : v >= I16_EDGE ? I16_NEG : -v; }
 
-/* Eight int16 lanes, for the transpose's 8×8 blocks.  gcc before 12 has
- * __builtin_shuffle where gcc 12 and clang have __builtin_shufflevector. */
-typedef int16_t v8_i16 __attribute__((vector_size(16)));
-#if defined(__clang__) || __GNUC__ >= 12
-#define SHUFFLE(x, y, ...) __builtin_shufflevector(x, y, __VA_ARGS__)
-#else
-#define SHUFFLE(x, y, ...) __builtin_shuffle(x, y, (v8_i16){__VA_ARGS__})
-#endif
-
-/* z = xᵀ for the rows×cols x.  Each whole 8×8 block is 8 row loads, three
- * rounds of interleaving pairs of rows (by 1, 2 and 4 lanes) and 8 row
- * stores, about 4 times faster than a scalar loop over blocks; the rows
- * and columns past the last multiple of 8 are copied one by one. */
-static void transpose_i16(const int16_t *restrict x, int16_t *restrict z, ptrdiff_t rows, ptrdiff_t cols)
+/* z = −xᵀ for the rows×cols x, in clamp form.  Whole 8×8 blocks go through
+ * b, so gcc loads x by rows and transposes in registers, about 3 times as
+ * fast as storing straight to z and faster than 16×16 blocks; rows and
+ * columns past the last multiple of 8 go one by one. */
+static void transpose_negate_i16(const int16_t *restrict x, int16_t *restrict z, ptrdiff_t rows, ptrdiff_t cols)
 {
     ptrdiff_t rw = rows - rows % 8, cw = cols - cols % 8;
     for (ptrdiff_t j0 = 0; j0 < cw; j0 += 8)
         for (ptrdiff_t i0 = 0; i0 < rw; i0 += 8) {
-            v8_i16 a[8], b[8];
-            for (int r = 0; r < 8; r++) memcpy(&a[r], x + (i0 + r) * cols + j0, sizeof a[r]);
-            for (int r = 0; r < 8; r += 2) {
-                b[r] = SHUFFLE(a[r], a[r + 1], 0, 8, 1, 9, 2, 10, 3, 11);
-                b[r + 1] = SHUFFLE(a[r], a[r + 1], 4, 12, 5, 13, 6, 14, 7, 15);
-            }
-            for (int r = 0; r < 8; r += 4)
-                for (int s = 0; s < 2; s++) {
-                    a[r + 2 * s] = SHUFFLE(b[r + s], b[r + s + 2], 0, 1, 8, 9, 2, 3, 10, 11);
-                    a[r + 2 * s + 1] = SHUFFLE(b[r + s], b[r + s + 2], 4, 5, 12, 13, 6, 7, 14, 15);
-                }
-            for (int s = 0; s < 4; s++) { /* column j0 + 2s, then j0 + 2s + 1 */
-                b[2 * s] = SHUFFLE(a[s], a[s + 4], 0, 1, 2, 3, 8, 9, 10, 11);
-                b[2 * s + 1] = SHUFFLE(a[s], a[s + 4], 4, 5, 6, 7, 12, 13, 14, 15);
-            }
-            for (int c = 0; c < 8; c++) memcpy(z + (j0 + c) * rows + i0, &b[c], sizeof b[c]);
+            int16_t b[8][8]; /* rows j0 .. j0 + 7 of z, at columns i0 .. i0 + 7 */
+            for (int j = 0; j < 8; j++)
+                for (int i = 0; i < 8; i++) b[j][i] = negated_i16(x[(i0 + i) * cols + j0 + j]);
+            for (int j = 0; j < 8; j++) memcpy(z + (j0 + j) * rows + i0, b[j], sizeof b[j]);
         }
     for (ptrdiff_t i = 0; i < rows; i++)
-        for (ptrdiff_t j = i < rw ? cw : 0; j < cols; j++) z[j * rows + i] = x[i * cols + j];
+        for (ptrdiff_t j = i < rw ? cw : 0; j < cols; j++) z[j * rows + i] = negated_i16(x[i * cols + j]);
 }
 
 /* Whether a maxplus_solve call beats the products the caller would make
@@ -590,11 +561,9 @@ ptrdiff_t maxplus_solve(const double *const *a, const double *const *b, const do
     if (!encode_i16(c, zc, m * n, I16_C)) return -1;
     /* X̂ᵀ = −(⊕_k (zb[k] ⊗ (−zcᵀ)) ⊗ za[k]) in three n×m arrays at w, then
      * X̂ in clamp form at zx */
-    transpose_i16(zc, w, m, n);
-    negate_i16(w, m * n);
+    transpose_negate_i16(zc, w, m, n);
     sum_i16(b, zb, sb, a, za, sa, w, w + sx, w + 2 * sx, p, n, m);
-    negate_i16(w + 2 * sx, m * n);
-    transpose_i16(w + 2 * sx, zx, n, m);
+    transpose_negate_i16(w + 2 * sx, zx, n, m);
     decode_i16(zx, principal, m * n);
     sum_i16(a, za, sa, b, zb, sb, zx, w, w + sx, p, m, n);
     clamp_i16(w + sx, m * n);

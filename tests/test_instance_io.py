@@ -324,7 +324,10 @@ def test_format_matrix_matches_the_format_scalar_join(values):
 
 
 def test_text_without_a_compiler_runs_in_python(tmp_path, monkeypatch):
-    assert ckernel.load(str(tmp_path / "no-such-gcc")) is None
+    # no cached build and no gcc on PATH, as on a machine without a compiler
+    monkeypatch.setattr(ckernel, "CACHE", tmp_path)
+    monkeypatch.setenv("PATH", str(tmp_path))
+    assert ckernel.load() is None
     monkeypatch.setattr(ckernel, "LIBRARY", ckernel.NUMPY)
     test_parse_matrix_matches_the_python_grammar()
     test_format_matrix_matches_the_format_scalar_join()

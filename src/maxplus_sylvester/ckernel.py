@@ -9,7 +9,12 @@ mismatch scan that :mod:`.solver` calls; and
 ``maxplus_product.c`` also holds the solver's fused call, which runs a whole
 solve of either form with terms, principal, substitution and scan, on
 operands encoded once, and includes ``maxplus_tile.h``, its register tile
-written once and instantiated for double and int16 elements.  The first
+written once and instantiated for double and int16 elements.  Its 24
+accumulators need AVX-512's 32 vector registers, 32 int16 or 8 doubles each,
+and gcc's tuning for recent AVX-512 cores prefers 256-bit vectors, at which
+they spill and every product runs at about half speed; so that file fixes
+the width at 512 bits with a pragma where the target has AVX-512, and
+``FLAGS`` is the same on every host.  The first
 import on a machine runs the C compiler once on all three and writes one
 shared library into the package's ``__pycache__``; later imports load it.
 The file name holds a hash of every source and of every header beside
@@ -106,6 +111,15 @@ def _factors(A_terms, B_terms, m: int, n: int):
     return sides
 
 
+_NULL, _MARK = bytes(ctypes.sizeof(ctypes.c_void_p)), b"\1" * ctypes.sizeof(ctypes.c_void_p)
+
+
+def _marks(terms) -> bytes:
+    """One pointer-sized entry per factor, NULL for None and not NULL for an array: what
+    ``maxplus_solve``'s query reads in place of the factors, which it only asks whether they are NULL."""
+    return b"".join([_NULL if F is None else _MARK for F in terms])
+
+
 class Library:
     """The seven functions of one loaded build, with their argument types declared."""
 
@@ -145,8 +159,9 @@ class Library:
         The C loop picks its register tile by itself, and the bits are the
         same either way: small integer data, at shapes that repay the
         encoding, runs in int16 with 32 lanes per AVX-512 register instead
-        of 8 doubles.  The header of ``maxplus_product.c`` gives the codes,
-        the bounds and the rule.
+        of 8 doubles, as the build keeps the tiles at 512 bits on AVX-512
+        hardware.  The header of ``maxplus_product.c`` gives the codes, the
+        bounds, the rule and how the width is fixed.
         """
         # the C loop reads both operands as dense row-major float64
         p = np.ascontiguousarray(p, dtype=np.float64)
@@ -171,7 +186,8 @@ class Library:
         encoding; the header of ``maxplus_product.c`` gives the codes, the
         bounds and the rule.  A factor None is the max-plus unit, whose
         product is skipped; a term with neither is declined.  Each product
-        then runs 32 lanes per AVX-512 register on operands encoded once.
+        then runs 32 lanes per AVX-512 register, the width the build keeps
+        on AVX-512 hardware, on operands encoded once.
         The principal is a fresh float64 array with the bits of the
         composition of :meth:`product` calls.  ``cells`` and ``residual`` are
         what :meth:`mismatches` gives for its substitution against ``C`` at
@@ -180,15 +196,19 @@ class Library:
         Any other call, a shape that does not fit included, is declined, so
         the caller's own composition raises what it raises.
 
-        It first asks ``maxplus_solve`` whether the shape repays the tile
-        and C's first entries qualify, before it gathers the factors
-        (``.ctypes.data`` costs about 2 µs an array).
+        It first asks ``maxplus_solve`` whether the terms and the shape
+        repay the tile and C's first entries qualify, before it gathers the
+        factors (``.ctypes.data`` costs about 2 µs an array).  The query is
+        told which factors are None, so it weighs the products the call
+        forms, and on data that qualifies the two give one verdict.
         """
         p, (m, n) = len(A_terms), C.shape
+        if len(B_terms) != p:
+            return None
         C = np.ascontiguousarray(C, dtype=np.float64)
         c = C.ctypes.data
-        if self._solve(None, None, c, None, None, None, p, m, n) < 0:  # the shape or C's first entries decline
-            return None
+        if self._solve(_marks(A_terms), _marks(B_terms), c, None, None, None, p, m, n) < 0:
+            return None  # the terms, the shape or C's first entries decline
         factors = _factors(A_terms, B_terms, m, n)
         if factors is None:
             return None

@@ -19,6 +19,13 @@
  * with I16_NEG.  Each way its 24 accumulator vectors (8 doubles or 32
  * int16 each) keep enough add-max chains in flight and fit AVX-512's 32
  * vector registers (BENCH_10.json; built for AVX2, gcc keeps them in L1).
+ * The pragma below makes gcc vectorise this file at 512 bits where the
+ * target has AVX-512: gcc's tuning for recent AVX-512 cores, the one
+ * -march=native picks on them, prefers 256-bit vectors, and at that width
+ * the 24 accumulators would need 48 of 32 registers and spill to the
+ * stack, which halves every product and solve (BENCH_31.json).  Without
+ * AVX-512 the pragma changes nothing, and it is x86-64's alone, so other
+ * targets build this file as they would without it.
  * Each block of out takes the tile over passes of KB inner indices.
  * Blocks past the last multiple of 6 rows or of WJ columns run the tile on
  * stack copies padded with the bottom element, about 78 KiB: the pass's
@@ -116,6 +123,10 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+
+#if defined(__x86_64__)
+#pragma GCC target("prefer-vector-width=512")
+#endif
 
 #define WR 6     /* rows of p per register tile */
 #define KB 256   /* inner indices per pass, so a pass's rows of q stay in cache */
@@ -450,8 +461,8 @@ static void transpose_negate_i16(const int16_t *restrict x, int16_t *restrict z,
 /* Whether a maxplus_solve call beats the products the caller would make
  * instead for p terms at C of m×n.  It weighs one step of the solve, the
  * products of m rows it forms, A_k ⊗ X over m inner indices for each
- * non-NULL a[k] and T ⊗ B_k over n for each non-NULL b[k] (every k in a
- * query, where a is NULL), against the same products on the int16 tile:
+ * non-NULL a[k] and T ⊗ B_k over n for each non-NULL b[k], against the
+ * same products on the int16 tile:
  * each entry of the factors and of two m×n arrays is encoded or decoded
  * once, and each of the caller's products is a call from Python with its
  * checks.  On the caller's path matvec and vecmat pad nothing, and both
@@ -463,7 +474,7 @@ static int solve_pays(const double *const *a, const double *const *b, ptrdiff_t 
     ptrdiff_t rows = pad(m, WR), gain = -I16_ENTRY_COST * 2 * m * n;
     for (ptrdiff_t t = 0; t < 2 * p; t++) {
         ptrdiff_t k = t < p ? m : n, f64 = m == 1 || n == 1 ? m * k * n : work(rows, k, n, WJ_F64);
-        if (!a || (t < p ? a[t] : b[t - p]))
+        if (t < p ? a[t] : b[t - p])
             gain += f64 + SOLVE_CALL_COST - work(rows, k, n, WJ_I16) - I16_ENTRY_COST * k * k;
     }
     return gain > 0;
@@ -534,17 +545,20 @@ static ptrdiff_t scan_i16(const int16_t *zo, const int16_t *zc, ptrdiff_t m, ptr
  * writes them, and returns the number of cells.  A NULL a[k] or b[k] is
  * the unit, whose product is skipped.  Returns -1, with nothing written,
  * when an entry does not qualify (see the header), a term has neither
- * factor, the shape does not repay the tile or no scratch could be had.  With a NULL a it is a query:
- * whether the shape, weighed with every factor, repays the tile and c's
+ * factor, the shape does not repay the tile or no scratch could be had.
+ * With a NULL principal it is a query, which asks of a[k] and b[k] only
+ * whether they are NULL: whether the terms and the shape pass and c's
  * first CHUNK entries qualify, which is where most data that does not
  * qualify shows it, so a caller can decline before it gathers the
- * factors; it returns 0 for yes and -1 for no.  It weighs the two-sided
- * terms' products twice, so it passes every shape the call serves. */
+ * factors; it returns 0 for yes and -1 for no.  Query and call weigh the
+ * same products, so on data that qualifies they give one verdict. */
 ptrdiff_t maxplus_solve(const double *const *a, const double *const *b, const double *c, double *principal,
                         ptrdiff_t *cells, double *residual, ptrdiff_t p, ptrdiff_t m, ptrdiff_t n)
 {
     if (!solve_pays(a, b, p, m, n)) return -1;
-    if (!a) {
+    for (ptrdiff_t k = 0; k < p; k++)
+        if (!a[k] && !b[k]) return -1;
+    if (!principal) {
         int16_t head[CHUNK];
         return encode_i16(c, head, m * n < CHUNK ? m * n : CHUNK, I16_C) ? 0 : -1;
     }
@@ -555,7 +569,7 @@ ptrdiff_t maxplus_solve(const double *const *a, const double *const *b, const do
     if (!za) return -1;
     int16_t *zb = za + p * sa, *zc = zb + p * sb, *zx = zc + sx, *w = zx + sx;
     for (ptrdiff_t k = 0; k < p; k++)
-        if ((!a[k] && !b[k]) || (a[k] && !encode_i16(a[k], za + k * sa, m * m, I16_FACTOR)) ||
+        if ((a[k] && !encode_i16(a[k], za + k * sa, m * m, I16_FACTOR)) ||
             (b[k] && !encode_i16(b[k], zb + k * sb, n * n, I16_FACTOR)))
             return -1;
     if (!encode_i16(c, zc, m * n, I16_C)) return -1;

@@ -1,6 +1,7 @@
 /* The blocked max-plus product over one element type, included by
  * maxplus_product.c once per type: double (6×32 cells, BOTTOM -inf) and
- * int16 (6×128, -2^14), each tile 24 AVX-512 registers of accumulators.
+ * int16 (6×128, -2^14), each tile 24 AVX-512 registers of accumulators,
+ * which the includer's pragma keeps at 512 bits.
  * The includer defines T, the element type; WJ, the columns of q per
  * register tile; BOTTOM, the value that pads a block and starts a cell;
  * and NAME(f), which gives each function the type's suffix.  WR and KB are

@@ -1,5 +1,7 @@
+import ctypes
 import functools
 import math
+import re
 import shutil
 import subprocess
 import tracemalloc
@@ -366,6 +368,33 @@ def test_avx2_build_matches_bruteforce(tmp_path, monkeypatch):
     for m, k, n in INT_EDGES:
         P, Q = _edge_operands(m, k, n, integers=True)
         _assert_same_bits(TropicalMatrix._wrap(library.product(P, Q)), _int_edge_product(m, k, n))
+
+
+def _assembly(flags, tmp_path) -> str:
+    """The assembly of maxplus_product.c built with ``flags``, with every warning an error."""
+    out = tmp_path / "maxplus_product.s"
+    subprocess.run(["gcc", str(ckernel.SOURCES[0]), *flags, "-Werror", "-S", "-o", str(out)],
+                   check=True, capture_output=True, timeout=120)
+    return out.read_text()
+
+
+def test_tiles_are_built_at_512_bits(tmp_path):
+    # the tiles' 24 accumulators fit AVX-512's 32 registers as 512-bit
+    # vectors; gcc's tuning for recent AVX-512 cores prefers 256 bits, at
+    # which they spill and every product runs at about half speed.  So
+    # every max in each tile, its clones included, is on zmm registers, and
+    # an AVX2 build of the same source is warning-free and has no zmm.
+    if "avx512f" not in ckernel._cpu_flags().split():
+        pytest.skip("the CPU has no AVX-512")
+    if shutil.which("gcc") is None:
+        pytest.skip("no C compiler")
+    text = _assembly(ckernel.FLAGS, tmp_path)
+    for name, op in (("tile_f64", "vmaxpd"), ("tile_i16", "vpmaxsw")):
+        bodies = re.findall(rf"^{name}(?:\.\w+)*:$(.*?)^\s*\.size\s+{name}\b", text, re.M | re.S)
+        maxes = [line for body in bodies for line in body.splitlines() if line.split()[:1] == [op]]
+        assert bodies and maxes and all("%zmm" in line for line in maxes), name
+    avx2 = tuple("-march=x86-64-v3" if f == "-march=native" else f for f in ckernel.FLAGS)
+    assert "%zmm" not in _assembly(avx2, tmp_path)
 
 
 @on_both_kernels("m,k,n", INT_EDGES)
@@ -1012,10 +1041,9 @@ def test_live_solve_serves_square_int16_data():
 
 def test_a_two_sided_solve_weighs_only_the_products_it_forms():
     # at 6×152 the two products a step of the two-sided terms forms do not
-    # repay the encoding, though the query, which weighs every factor, and
-    # the same terms with explicit unit factors pass; at 8×12, which the
-    # two-sided terms pass, a call with a term that has neither factor is
-    # declined
+    # repay the encoding, though the same terms with explicit unit factors
+    # pass; at 8×12, which the two-sided terms pass, a call with a term
+    # that has neither factor is declined
     if ckernel.LIBRARY is ckernel.NUMPY:
         pytest.skip("no compiled library")
     A, B, C = terms_operands(np.random.default_rng(27), 6, 152, 1)
@@ -1025,6 +1053,40 @@ def test_a_two_sided_solve_weighs_only_the_products_it_forms():
     A, B, C = terms_operands(np.random.default_rng(27), 8, 12, 1)
     assert _solve(ckernel.LIBRARY, *two_sided(A, B), C) is not None
     assert _solve(ckernel.LIBRARY, [A[0], None], [B[0], None], C) is None
+
+
+def _query_and_call(A_terms, B_terms, C):
+    """Whether the live library's query passes the terms, and whether its call,
+    made whatever the query says, serves them."""
+    A, B, c = _arrays(A_terms), _arrays(B_terms), C.data
+    (m, n), p, solve = c.shape, len(A), ckernel.LIBRARY._solve
+    query = solve(ckernel._marks(A), ckernel._marks(B), c.ctypes.data, None, None, None, p, m, n)
+    principal, cells, residual = np.empty((m, n)), np.empty((m * n, 2), dtype=np.intp), ctypes.c_double()
+    call = solve(*ckernel._factors(A, B, m, n), c.ctypes.data, principal.ctypes.data, cells.ctypes.data,
+                 residual, p, m, n)
+    return query >= 0, call >= 0
+
+
+def test_the_solve_query_gives_the_calls_verdict():
+    # on data in the int16 bounds the query, which is told which factors
+    # are None, passes exactly the terms the call serves: as 1 and 2 terms
+    # and as two-sided terms, at 6×152, 5×164 and 7×268, where the
+    # two-sided terms' products do not repay the tile though the same
+    # shape weighed with every factor would, at 124×6, and over a grid
+    # across the cost rule's boundary
+    if ckernel.LIBRARY is ckernel.NUMPY:
+        pytest.skip("no compiled library")
+    rng = np.random.default_rng(31)
+    shapes = [(6, 152), (5, 164), (7, 268), (124, 6),
+              *((m, n) for m in (1, 2, 5, 6, 7, 24, 124, 126) for n in (1, 2, 6, 32, 33, 152, 164, 268))]
+    for form in ("one term", "two terms", "two-sided"):
+        verdicts = set()
+        for m, n in shapes:
+            A, B, C = terms_operands(rng, m, n, 1 if form == "one term" else 2)
+            query, call = _query_and_call(*(two_sided(A, B) if form == "two-sided" else (A, B)), C)
+            assert query == call, (form, m, n)
+            verdicts.add(call)
+        assert verdicts == {True, False}, form
 
 
 def test_solve_negates_cells_whose_sums_are_all_minus_inf():

@@ -765,12 +765,12 @@ def test_a_served_solve_makes_no_other_call(monkeypatch):
     calls = _count_kernel_calls(monkeypatch)
 
     def native_solve(*args, original=ckernel.LIBRARY._solve):
-        calls.append("query" if args[0] is None else "solve")
+        calls.append("query" if args[3] is None else "solve")  # a query has no principal to write
         return original(*args)
 
     monkeypatch.setattr(ckernel.LIBRARY, "_solve", native_solve)
     report = solve_sylvester(SylvesterInstance(A=A, B=B, C=C))
-    assert calls == ["query", "solve"]  # the shape and C's first entries, then the solve
+    assert calls == ["query", "solve"]  # the terms, the shape and C's first entries, then the solve
     assert_same_report((report.principal.data, report.cells, report.residual_max_abs), want)
 
 

@@ -98,7 +98,8 @@ def _library() -> Path:
 
 def _factors(A_terms, B_terms, m: int, n: int):
     """Two ``ctypes`` arrays of the m×m ``A_terms`` and n×n ``B_terms`` as dense float64, None as
-    NULL, each keeping what it points to; None for no terms, unequal counts or a misshapen factor."""
+    NULL, each keeping what it points to; None for no terms, unequal counts or a misshapen factor.
+    Only ``maxplus_solve`` reads a NULL, as the unit; :meth:`Library.kron_solve` passes none."""
     if not len(A_terms) or len(B_terms) != len(A_terms):
         return None
     sides = []
@@ -214,10 +215,7 @@ class Library:
             return None
         principal, cells, residual = np.empty((m, n)), np.empty((m * n, 2), dtype=np.intp), ctypes.c_double()
         count = self._solve(*factors, c, principal.ctypes.data, cells.ctypes.data, residual, p, m, n)
-        if count < 0:
-            return None
-        cells.resize((count, 2), refcheck=False)  # as in mismatches
-        return principal, cells, residual.value
+        return None if count < 0 else (principal, cells[:count], residual.value)
 
     def kron_solve(self, A_terms, B_terms, C: np.ndarray):
         """The oracle's solve of ``K ⊗ vec(X) = vec(C)``, ``K = ⊕_k kron(B_kᵀ, A_k)``, in one
@@ -230,10 +228,10 @@ class Library:
         formed a few rows at a time, twice, so the call holds O(mn) memory
         where the composition holds (mn)².  A call where a finite sum
         overflows is declined, so the caller's composition raises what it
-        raises.
+        raises, and so is one with a factor None, as the C reads every factor.
         """
         (m, n), factors = C.shape, _factors(A_terms, B_terms, *C.shape)
-        if factors is None:
+        if factors is None or None in (*factors[0], *factors[1]):  # a NULL reads as None
             return None
         C = np.ascontiguousarray(C, dtype=np.float64)
         principal, achieved = np.empty((m, n)), np.empty((m, n))
@@ -263,10 +261,7 @@ class Library:
         residual = ctypes.c_double()
         count = self._mismatches(left.ctypes.data, right.ctypes.data, rows, cols, eps, cells.ctypes.data,
                                  residual)
-        # shrinks the buffer where it lies: nothing else refers to it, and a
-        # copy into a fresh array faults in its pages again
-        cells.resize((count, 2), refcheck=False)
-        return cells, residual.value
+        return cells[:count], residual.value  # a view: shrunk in place, the next call mapped fresh pages
 
     def scan(self, data: bytes):
         """The entries of the matrix text ``data``, any bytes, as a fresh float64 array, or None

@@ -22,13 +22,8 @@ from .instance_io import (
     load_matrix,
     write_instance,
 )
-from .oracle import SIZE_CAP, OracleSizeError, oracle_agrees, oracle_solve, two_sided_instance
-from .solver import (
-    SylvesterInstance,
-    solve_linear,
-    solve_sylvester,
-    solve_two_sided_special,
-)
+from .oracle import SIZE_CAP, OracleSizeError, oracle_agrees, oracle_solve
+from .solver import SylvesterInstance, solve_linear, solve_sylvester, two_sided_instance
 
 EXIT_SOLVABLE = 0
 EXIT_UNSOLVABLE = 1
@@ -148,9 +143,8 @@ def _cmd_solve(args) -> int:
         if len(args.a) != 1 or len(args.b) != 1:
             print("solve --form two-sided takes exactly one --a and one --b", file=sys.stderr)
             return EXIT_ERROR
-        A, B, C = load_matrix(args.a[0]), load_matrix(args.b[0]), load_matrix(args.c)
-        report = solve_two_sided_special(A, B, C)
-        inst = two_sided_instance(A, B, C) if args.oracle else None
+        inst = two_sided_instance(load_matrix(args.a[0]), load_matrix(args.b[0]), load_matrix(args.c))
+        report = solve_sylvester(inst)
     else:
         if not args.a or len(args.a) != len(args.b):
             print("solve needs the same positive number of --a and --b files", file=sys.stderr)

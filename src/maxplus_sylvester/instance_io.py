@@ -255,7 +255,10 @@ def generate_instance(cfg: GeneratorConfig):
 
 
 def write_instance(directory, inst: SylvesterInstance, witness=None) -> list[Path]:
-    """Write A1..Ap, B1..Bp, C (and X0 when given) under ``directory``."""
+    """Write A1..Ap, B1..Bp, C (and X0 when given) under ``directory``; a None factor is refused."""
+    for k, (A_k, B_k) in enumerate(zip(inst.A, inst.B)):
+        if A_k is None or B_k is None:
+            raise ValueError(f"cannot write term {k + 1}: {'A' if A_k is None else 'B'}{k + 1} is None, the unit")
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     written = []

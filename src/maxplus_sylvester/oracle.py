@@ -21,10 +21,11 @@ reads it by rows, so no transpose of K is ever made.  A composed solve
 peaks at one K and one row of sums with the compiled library's products;
 with ``ckernel.NUMPY`` the principal's row of sums takes one more K.  It
 raises the error of the step that overflows.
-The fast solvers need none of the helpers of this step, so they live
-here: :func:`kron_max`, :func:`vec`, :func:`unvec`, and
-:func:`two_sided_instance`, which writes the two-sided form with unit
-factors.
+K needs every factor, so the oracle first writes a None factor, the unit
+the solver skips, as :func:`max_plus_unit` of its size: the two-sided
+terms (A, None), (None, B) give the K, bits, tolerance and ops of
+explicit units.  The fast solvers need none of the helpers of this step,
+so they live here: :func:`kron_max`, :func:`vec` and :func:`unvec`.
 """
 
 import numpy as np
@@ -62,9 +63,10 @@ def max_plus_unit(size: int) -> TropicalMatrix:
     return TropicalMatrix(arr)
 
 
-def two_sided_instance(A: TropicalMatrix, B: TropicalMatrix, C: TropicalMatrix) -> SylvesterInstance:
-    """A ⊗ X ⊕ X ⊗ B = C rewritten as a two-term instance with unit factors."""
-    return SylvesterInstance(A=(A, max_plus_unit(C.rows)), B=(max_plus_unit(C.cols), B), C=C)
+def _with_units(inst: SylvesterInstance) -> SylvesterInstance:
+    """``inst`` with each None factor written as the unit of its size."""
+    return SylvesterInstance(A=[max_plus_unit(inst.m) if A_k is None else A_k for A_k in inst.A],
+                             B=[max_plus_unit(inst.n) if B_k is None else B_k for B_k in inst.B], C=inst.C)
 
 
 def vec(X: TropicalMatrix) -> TropicalMatrix:
@@ -126,9 +128,9 @@ def kron_reformulate(inst: SylvesterInstance):
 
     K is one buffer: the first term's own array, into which each later term
     is maxed by :func:`kron_max` itself.  Each term's ⊕ counts one op per
-    cell, as if K started at the max-plus zero.
+    cell, as if K started at the max-plus zero.  A None factor is the unit.
     """
-    cells = _cells(inst)
+    cells, inst = _cells(inst), _with_units(inst)
     K = None
     for A_k, B_k in zip(inst.A, inst.B):
         if K is None:
@@ -142,7 +144,7 @@ def kron_reformulate(inst: SylvesterInstance):
 
 def oracle_solve(inst: SylvesterInstance) -> SolveReport:
     """Decide solvability on the Kronecker system, reported in C's coordinates."""
-    cells = _cells(inst)
+    cells, inst = _cells(inst), _with_units(inst)
     served = ckernel.LIBRARY.kron_solve([A_k.data for A_k in inst.A], [B_k.data for B_k in inst.B], inst.C.data)
     if served is None:
         K, c = kron_reformulate(inst)
@@ -162,6 +164,7 @@ def oracle_agrees(inst: SylvesterInstance, fast: SolveReport, check: SolveReport
     under the tolerance the verdict compared with: the two paths add their
     sums in different orders, so fractional data need not agree bit for bit.
     """
+    inst = _with_units(inst)
     eps = effective_tolerance((*inst.A, *inst.B, inst.C))
     return (np.array_equal(check.cells, fast.cells)
             and not len(solver.matrix_mismatches(check.principal, fast.principal, eps)[0]))

@@ -8,10 +8,11 @@ decided by direct substitution.  The same recipe covers p-term
 Sylvester sums ``⊕_k A_k ⊗ X ⊗ B_k = C``: the greatest candidate is
 ``X̂ = −(⊕_k A_kᵀ ⊗ (−C) ⊗ B_kᵀ)``, the substitution routine
 :func:`sylvester_apply` run on the transposed factors at ``−C``, in
-O(p·(m²n + mn²)) scalar operations.  ``A ⊗ X ⊕ X ⊗ B = C`` is the case
-p = 2 with unit factors, passed as None, whose products are skipped, as
-``E ⊗ Y = Y`` bit for bit.  No Kronecker or unit matrix is ever formed
-here; that brute-force route lives in :mod:`.oracle` as a cross-check.
+O(p·(m²n + mn²)) scalar operations.  A factor None is the unit, whose
+product is skipped, as ``E ⊗ Y = Y`` bit for bit: :func:`two_sided_instance`
+writes ``A ⊗ X ⊕ X ⊗ B = C`` as the terms (A, None), (None, B), which the
+solver, the oracle and the CLI all read.  No Kronecker or unit matrix is
+ever formed here; that brute-force route lives in :mod:`.oracle`.
 
 No preconditions are imposed on the inputs.  Where no finite bound
 meets a cell the candidate keeps ``+inf`` (the cell is unconstrained
@@ -39,7 +40,6 @@ product −((−b)ᵀ ⊗ A)ᵀ.
 """
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -71,11 +71,12 @@ ROUNDING_EPS_FACTOR = 8
 class SylvesterInstance:
     """Data of a p-term equation ⊕_k A_k ⊗ X ⊗ B_k = C.
 
-    All A_k are m×m, all B_k are n×n, C is m×n, p ≥ 1.
+    All A_k are m×m, all B_k are n×n, C is m×n, p ≥ 1.  A factor may be
+    None, the unit of its size, whose product is skipped, but not both of a term's.
     """
 
-    A: tuple[TropicalMatrix, ...]
-    B: tuple[TropicalMatrix, ...]
+    A: tuple[TropicalMatrix | None, ...]
+    B: tuple[TropicalMatrix | None, ...]
     C: TropicalMatrix
 
     def __post_init__(self):
@@ -85,13 +86,13 @@ class SylvesterInstance:
             raise ShapeError(f"need as many left factors as right factors, got {len(self.A)} and {len(self.B)}")
         if not self.A:
             raise ShapeError("need at least one term")
-        m, n = self.C.shape
-        for k, A_k in enumerate(self.A):
-            if A_k.shape != (m, m):
-                raise ShapeError(f"left factor {k} must be {m}x{m} to match C {self.C.shape}, got {A_k.shape}")
-        for k, B_k in enumerate(self.B):
-            if B_k.shape != (n, n):
-                raise ShapeError(f"right factor {k} must be {n}x{n} to match C {self.C.shape}, got {B_k.shape}")
+        for side, terms, d in (("left", self.A, self.m), ("right", self.B, self.n)):
+            for k, F in enumerate(terms):
+                if F is not None and F.shape != (d, d):
+                    raise ShapeError(f"{side} factor {k} must be {d}x{d} to match C {self.C.shape}, got {F.shape}")
+        for k, (A_k, B_k) in enumerate(zip(self.A, self.B)):
+            if A_k is None and B_k is None:
+                raise ShapeError(f"term {k} has neither a left nor a right factor")
 
     @property
     def p(self) -> int:
@@ -231,10 +232,7 @@ def sylvester_apply(A_terms, B_terms, X: TropicalMatrix) -> TropicalMatrix:
 
 
 def solve_sylvester(inst: SylvesterInstance) -> SolveReport:
-    """Decide ⊕_k A_k ⊗ X ⊗ B_k = C by substitution of the greatest candidate.
-
-    ``inst`` may also be the terms of :func:`solve_two_sided_special`, whose factor None is the unit.
-    """
+    """Decide ⊕_k A_k ⊗ X ⊗ B_k = C by substitution of the greatest candidate."""
     A = [None if A_k is None else A_k.data for A_k in inst.A]
     B = [None if B_k is None else B_k.data for B_k in inst.B]
     factors = [F for F in (*inst.A, *inst.B) if F is not None]
@@ -250,11 +248,16 @@ def solve_sylvester(inst: SylvesterInstance) -> SolveReport:
     return SolveReport(TropicalMatrix._wrap(principal), cells, residual)
 
 
-def solve_two_sided_special(A: TropicalMatrix, B: TropicalMatrix, C: TropicalMatrix) -> SolveReport:
-    """Decide A ⊗ X ⊕ X ⊗ B = C by substitution of X̂ = −(Aᵀ ⊗ (−C) ⊕ (−C) ⊗ Bᵀ)."""
+def two_sided_instance(A: TropicalMatrix, B: TropicalMatrix, C: TropicalMatrix) -> SylvesterInstance:
+    """A ⊗ X ⊕ X ⊗ B = C as the two-term instance (A, None), (None, B), whose None is the unit."""
     m, n = C.shape
     if A.shape != (m, m):
         raise ShapeError(f"A must be {m}x{m} to match C {C.shape}, got {A.shape}")
     if B.shape != (n, n):
         raise ShapeError(f"B must be {n}x{n} to match C {C.shape}, got {B.shape}")
-    return solve_sylvester(SimpleNamespace(A=(A, None), B=(None, B), C=C))
+    return SylvesterInstance(A=(A, None), B=(None, B), C=C)
+
+
+def solve_two_sided_special(A: TropicalMatrix, B: TropicalMatrix, C: TropicalMatrix) -> SolveReport:
+    """Decide A ⊗ X ⊕ X ⊗ B = C by substitution of X̂ = −(Aᵀ ⊗ (−C) ⊕ (−C) ⊗ Bᵀ)."""
+    return solve_sylvester(two_sided_instance(A, B, C))

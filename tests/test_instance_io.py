@@ -23,7 +23,7 @@ from maxplus_sylvester.instance_io import (
 )
 from maxplus_sylvester.matrix import NEG_INF, POS_INF, TropicalMatrix, max_plus_matmul
 from maxplus_sylvester.oracle import oracle_solve
-from maxplus_sylvester.solver import solve_sylvester
+from maxplus_sylvester.solver import solve_sylvester, two_sided_instance
 
 M = TropicalMatrix
 
@@ -174,6 +174,15 @@ def test_file_set_round_trip(tmp_path):
         assert load_matrix(tmp_path / f"B{k + 1}.txt") == inst.B[k]
     assert load_matrix(tmp_path / "C.txt") == inst.C
     assert load_matrix(tmp_path / "X0.txt") == witness
+
+
+def test_write_instance_refuses_a_none_factor(tmp_path):
+    # None stands for the unit, which has no file; nothing is written
+    inst, _ = generate_instance(GeneratorConfig(m=3, n=2, p=1, seed=99))
+    two_sided = two_sided_instance(inst.A[0], inst.B[0], inst.C)
+    with pytest.raises(ValueError, match=r"^cannot write term 1: B1 is None, the unit$"):
+        write_instance(tmp_path / "two", two_sided)
+    assert not (tmp_path / "two").exists()
 
 
 # Matrix texts drawn from fragments of the grammar.  Half of them stay inside

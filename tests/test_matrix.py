@@ -6,7 +6,6 @@ import shutil
 import subprocess
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1013,7 +1012,7 @@ def test_solve_declines_the_edges_its_rule_declines(m, n, p):
     A, B, C = terms_operands(rng, m, n, p)
     for A_terms, B_terms in ((A, B), two_sided(A, B)):
         assert _solve(ckernel.LIBRARY, A_terms, B_terms, C) is None
-        report = solve_sylvester(SimpleNamespace(A=A_terms, B=B_terms, C=C))
+        report = solve_sylvester(SylvesterInstance(A=A_terms, B=B_terms, C=C))
         want = per_product_report(A_terms, B_terms, C)
         assert_same_report((report.principal.data, report.cells, report.residual_max_abs), want)
 

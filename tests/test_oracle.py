@@ -29,7 +29,6 @@ from maxplus_sylvester.oracle import (
     max_plus_unit,
     oracle_agrees,
     oracle_solve,
-    two_sided_instance,
     unvec,
     vec,
 )
@@ -39,6 +38,7 @@ from maxplus_sylvester.solver import (
     solve_two_sided_special,
     sylvester_apply,
     sylvester_principal_solution,
+    two_sided_instance,
 )
 
 M = TropicalMatrix
@@ -124,10 +124,10 @@ def _outcome(solve, *args):
 
 
 def test_two_sided_matches_manual_instance(monkeypatch):
-    # the unit-factor instance the oracle reads is the two-sided solver's bit
-    # reference: the direct form must give the same principal bytes, cells,
-    # residual bits and overflow text, on the corpus's five data kinds with
-    # ±inf mixed in and on both kernels
+    # the instance with explicit unit factors is the two-sided solver's bit
+    # reference: the terms (A, None), (None, B) must give the same principal
+    # bytes, cells, residual bits and overflow text, on the corpus's five
+    # data kinds with ±inf mixed in and on both kernels
     kinds = list(same_bits.KINDS)
     seen = set()
     for library in (ckernel.LIBRARY, ckernel.NUMPY):
@@ -139,18 +139,51 @@ def test_two_sided_matches_manual_instance(monkeypatch):
             A, B = same_bits.entries(rng, kind, (m, m)), same_bits.entries(rng, kind, (n, n))
             C = same_bits.entries(rng, kind, (m, n), infinities=trial % 2 == 0)
             inst = two_sided_instance(A, B, C)
-            assert inst.p == 2 and inst.A[0] is A and inst.B[1] is B and inst.C is C
-            assert inst.A[1] == max_plus_unit(m) and inst.B[0] == max_plus_unit(n)
+            assert inst.A == (A, None) and inst.B == (None, B) and inst.C is C
+            manual = SylvesterInstance(A=(A, max_plus_unit(m)), B=(max_plus_unit(n), B), C=C)
             if trial % 2:
                 try:  # the left side at a witness: solvable unless it overflows
-                    C = sylvester_apply(inst.A, inst.B, C)
+                    C = sylvester_apply(manual.A, manual.B, C)
                 except ValueError:
                     pass
-                inst = two_sided_instance(A, B, C)
+                manual = SylvesterInstance(A=manual.A, B=manual.B, C=C)
             special = _outcome(solve_two_sided_special, A, B, C)
-            assert special == _outcome(solve_sylvester, inst), (kind, m, n)
+            assert special == _outcome(solve_sylvester, manual), (kind, m, n)
             seen.add("error" if isinstance(special, str) else "solvable" if not special[1] else "unsolvable")
     assert seen == {"error", "solvable", "unsolvable"}
+
+
+@pytest.mark.parametrize("kernel", ["live", "numpy"])
+def test_oracle_writes_a_none_factor_as_the_unit(kernel, monkeypatch):
+    # the two-sided terms give the explicit unit factors' K, principal bytes,
+    # cells, residual bits or overflow text, and op count
+    if kernel == "numpy":
+        monkeypatch.setattr(ckernel, "LIBRARY", ckernel.NUMPY)
+    rng = np.random.default_rng(41)
+    for trial in range(20):
+        kind = list(same_bits.KINDS)[trial % len(same_bits.KINDS)]
+        m, n = int(rng.integers(1, 17)), int(rng.integers(1, 17))
+        A, B = same_bits.entries(rng, kind, (m, m)), same_bits.entries(rng, kind, (n, n))
+        C = same_bits.entries(rng, kind, (m, n), infinities=trial % 2 == 0)
+        inst = two_sided_instance(A, B, C)
+        manual = SylvesterInstance(A=(A, max_plus_unit(m)), B=(max_plus_unit(n), B), C=C)
+        outcomes = []
+        for instance in (inst, manual):
+            before = semiring_ops.total
+            try:
+                K = kron_reformulate(instance)[0].data.tobytes()
+            except ValueError as exc:
+                K = str(exc)
+            outcomes.append((K, _outcome(oracle_solve, instance), semiring_ops.total - before))
+        assert outcomes[0] == outcomes[1], (kind, m, n)
+
+
+def test_kron_solve_declines_a_none_factor():
+    # the compiled call reads every factor, so a None never reaches it
+    A, B, C = M(np.zeros((2, 2))), M(np.zeros((3, 3))), M(np.zeros((2, 3)))
+    for A_terms, B_terms in (([None], [B.data]), ([A.data], [None]), ([A.data, None], [None, B.data])):
+        assert ckernel.LIBRARY.kron_solve(A_terms, B_terms, C.data) is None
+    assert (ckernel.LIBRARY.kron_solve([A.data], [B.data], C.data) is None) == (ckernel.LIBRARY is ckernel.NUMPY)
 
 
 def test_oracle_solve_examples():
@@ -236,7 +269,9 @@ def test_oracle_solve_holds_o_mn_served_and_one_k_composed(monkeypatch):
 
 
 def _terms(inst):
-    return [A_k.data for A_k in inst.A], [B_k.data for B_k in inst.B], inst.C.data
+    """The arrays the oracle hands ``kron_solve``: a None factor is written as the unit."""
+    unit = lambda F, size: (max_plus_unit(size) if F is None else F).data
+    return [unit(A_k, inst.m) for A_k in inst.A], [unit(B_k, inst.n) for B_k in inst.B], inst.C.data
 
 
 _OVERFLOW = " overflows float64: a finite sum exceeds the largest double$"

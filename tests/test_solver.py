@@ -505,6 +505,18 @@ def test_instance_validation():
         SylvesterInstance(A=(M([[0]]),), B=(M([[0]]),), C=M([[0], [1]]))
 
 
+def test_instance_takes_none_as_the_unit_but_not_a_term_with_neither():
+    # shape checks skip a None factor, and name the term with no factor
+    A, B, C = M(np.zeros((2, 2))), M(np.zeros((3, 3))), M(np.zeros((2, 3)))
+    inst = SylvesterInstance(A=[A, None], B=[None, B], C=C)
+    assert (inst.A, inst.B, inst.p) == ((A, None), (None, B), 2)
+    assert solver.two_sided_instance(A, B, C) == inst
+    with pytest.raises(ShapeError, match=r"^right factor 0 must be 3x3 to match C \(2, 3\), got \(2, 2\)$"):
+        SylvesterInstance(A=(None,), B=(A,), C=C)
+    with pytest.raises(ShapeError, match=r"^term 1 has neither a left nor a right factor$"):
+        SylvesterInstance(A=(A, None), B=(B, None), C=C)
+
+
 def test_tolerance_policy():
     # a 1e-12 near-miss passes the default float tolerance; integer data
     # always compares exactly

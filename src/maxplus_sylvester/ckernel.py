@@ -9,8 +9,9 @@ mismatch scan that :mod:`.solver` calls; and
 ``maxplus_product.c`` also holds the solver's fused call, which runs a whole
 solve of either form with terms, principal, substitution and scan, on
 operands encoded once, and includes ``maxplus_tile.h``, its register tile
-written once and instantiated for double and int16 elements.  Its 24
-accumulators need AVX-512's 32 vector registers, 32 int16 or 8 doubles each,
+written once and instantiated for double elements and for int16 in two
+shapes.  Its 24 accumulators need AVX-512's 32 vector registers, 32 int16 or
+8 doubles each,
 and gcc's tuning for recent AVX-512 cores prefers 256-bit vectors, at which
 they spill and every product runs at about half speed; so that file fixes
 the width at 512 bits with a pragma where the target has AVX-512, and

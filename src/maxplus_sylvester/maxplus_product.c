@@ -14,11 +14,14 @@
  * and a finite one that overflows raises FE_OVERFLOW.
  * -ffast-math would break both rules; build without it.
  *
- * The register tile comes in two element types, from one source,
- * maxplus_tile.h: 6×32 doubles padded with -inf and 6×128 int16 padded
- * with I16_NEG.  Each way its 24 accumulator vectors (8 doubles or 32
- * int16 each) keep enough add-max chains in flight and fit AVX-512's 32
- * vector registers (BENCH_10.json; built for AVX2, gcc keeps them in L1).
+ * The register tile comes in three instances of one source,
+ * maxplus_tile.h: 6×32 doubles padded with -inf, and 6×128 and 12×64
+ * int16 padded with I16_NEG.  Each has 24 accumulator vectors (8 doubles
+ * or 32 int16 each), which keep enough add-max chains in flight and fit
+ * AVX-512's 32 vector registers (BENCH_10.json; built for AVX2, gcc keeps
+ * them in L1).  An int16 product runs on the instance whose padded work,
+ * weighted by its measured speed, is least (i16_work): 12×64 pads narrow
+ * outputs to 64 columns where 6×128 pads them to 128 (BENCH_33.json).
  * The pragma below makes gcc vectorise this file at 512 bits where the
  * target has AVX-512: gcc's tuning for recent AVX-512 cores, the one
  * -march=native picks on them, prefers 256-bit vectors, and at that width
@@ -27,10 +30,11 @@
  * AVX-512 the pragma changes nothing, and it is x86-64's alone, so other
  * targets build this file as they would without it.
  * Each block of out takes the tile over passes of KB inner indices.
- * Blocks past the last multiple of 6 rows or of WJ columns run the tile on
- * stack copies padded with the bottom element, about 78 KiB: the pass's
- * slice of the last rows of p and of the last columns of q, and the block
- * of out, whose real cells alone are copied back.  A padded double sum is
+ * Blocks past the last multiple of WR rows or of WJ columns run the tile on
+ * stack copies padded with the bottom element, about 78 KiB for the double
+ * tile, 69 and 40 KiB for the int16 ones: the pass's slice of the last
+ * rows of p and of the last columns of q, and the block of out, whose real
+ * cells alone are copied back.  A padded double sum is
  * -inf or NaN, which never raises FE_OVERFLOW, and each real cell still
  * takes exactly its own sums.  Products of 2 to 5 rows cost up to 6 times
  * the work; the solvers form such products only when C has fewer than 6
@@ -49,7 +53,9 @@
  * product to the double tile, and makes maxplus_solve decline, so the
  * caller composes its solve from maxplus_product calls.  Each call serves
  * only where its rule says the lanes repay the encoding: int_tile_pays
- * for a product, solve_pays for a whole solve, in double multiply-adds.
+ * for a product, solve_pays for a whole solve, in double multiply-adds,
+ * each weighing the int16 instance that runs.  tools/cost_sweep.py times
+ * both sides of both rules over a shape grid and fits their constants.
  * A product's codes give the double tile's bits:
  *   - every operand, out in accumulate mode among them, is a code or
  *     finite with magnitude at most 2^11 - 1, so a finite sum has
@@ -128,12 +134,8 @@
 #pragma GCC target("prefer-vector-width=512")
 #endif
 
-#define WR 6     /* rows of p per register tile */
 #define KB 256   /* inner indices per pass, so a pass's rows of q stay in cache */
 #define LANES 16 /* independent maxima per row when n == 1 */
-
-#define WJ_F64 32              /* columns of q per double tile: 4 vectors of 8 */
-#define WJ_I16 128             /* columns of q per int16 tile: 4 vectors of 32 */
 
 #define I16_NEG (-(1 << 14))   /* -inf in the int16 tile */
 #define I16_POS (1 << 13)      /* +inf in the int16 tile */
@@ -141,8 +143,12 @@
 #define I16_PRODUCT (0x1p11 - 1) /* finite entries of a product's operands up to this magnitude are encoded */
 #define I16_FACTOR 0x1p9       /* finite factor entries up to this magnitude are encoded */
 #define I16_C 0x1.8p10         /* finite entries of C up to this magnitude, 3·2^9, are encoded */
-#define I16_ENTRY_COST 11      /* double multiply-adds that encoding or decoding one int16 entry costs */
-#define SOLVE_CALL_COST 90000  /* double multiply-adds one product's call from Python costs, about 4.5 µs */
+/* The cost rules' constants, in double multiply-adds, fitted by tools/cost_sweep.py (BENCH_33.json) */
+#define I16_ENTRY_COST 10       /* encoding or decoding one int16 entry of a product */
+#define SOLVE_CALL_COST 331000  /* one of the composed solve's products beyond its multiply-adds: its call from
+                                 * Python with its checks and its share of the caller's passes, about 20 µs */
+#define WEIGHT_6X128 28         /* hundredths of a double multiply-add one int16 one costs on the 6×128 tile */
+#define WEIGHT_12X64 29         /* the same on the 12×64 tile */
 
 #define MAGIC 0x1.8p52 /* v + MAGIC holds an integer v, |v| < 2^51, in its low mantissa bits */
 #define CHUNK 128      /* entries encoded between checks for one that does not qualify */
@@ -155,15 +161,24 @@ static inline uint64_t bits(double x)
 }
 
 #define T double
-#define WJ WJ_F64
+#define WR 6
+#define WJ 32
 #define BOTTOM (-INFINITY)
 #define NAME(f) f##_f64
 #include "maxplus_tile.h"
 
 #define T int16_t
-#define WJ WJ_I16
+#define WR 6
+#define WJ 128
 #define BOTTOM I16_NEG
-#define NAME(f) f##_i16
+#define NAME(f) f##_i16_6x128
+#include "maxplus_tile.h"
+
+#define T int16_t
+#define WR 12
+#define WJ 64
+#define BOTTOM I16_NEG
+#define NAME(f) f##_i16_12x64
 #include "maxplus_tile.h"
 
 /* Writes x's count entries to z as the int16 tile reads them: -inf as
@@ -276,6 +291,32 @@ static inline ptrdiff_t pad(ptrdiff_t n, ptrdiff_t w) { return (n + w - 1) / w *
 
 #define LINE(count, type) pad(count, 64 / sizeof(type)) /* entries of type rounded up to 64-byte lines */
 
+/* Double multiply-adds a rows×k by k×cols product costs on the double
+ * tile, which pads rows to a multiple of 6 and cols to one of 32. */
+static ptrdiff_t f64_work(ptrdiff_t rows, ptrdiff_t k, ptrdiff_t cols) { return pad(rows, 6) * k * pad(cols, 32); }
+
+typedef void blocked_i16_fn(const int16_t *, const int16_t *, int16_t *, ptrdiff_t, ptrdiff_t, ptrdiff_t, int);
+
+/* Double multiply-adds a rows×k by k×cols product costs on the int16
+ * instance whose padded work, weighted, is least, which *blocked is set to
+ * when it is not NULL.  Ties go to 6×128. */
+static ptrdiff_t i16_work(ptrdiff_t rows, ptrdiff_t k, ptrdiff_t cols, blocked_i16_fn **blocked)
+{
+    ptrdiff_t wide = pad(rows, 6) * k * pad(cols, 128) * WEIGHT_6X128,
+              narrow = pad(rows, 12) * k * pad(cols, 64) * WEIGHT_12X64;
+    if (blocked) *blocked = wide <= narrow ? blocked_i16_6x128 : blocked_i16_12x64;
+    return (wide <= narrow ? wide : narrow) / 100;
+}
+
+/* out = p ⊗ q, or out ⊕ (p ⊗ q), on the int16 instance i16_work picks */
+static void blocked_i16(const int16_t *p, const int16_t *q, int16_t *out, ptrdiff_t m, ptrdiff_t k, ptrdiff_t n,
+                        int accumulate)
+{
+    blocked_i16_fn *blocked;
+    i16_work(m, k, n, &blocked);
+    blocked(p, q, out, m, k, n, accumulate);
+}
+
 /* The int16 tile on encoded copies of p, q and, in accumulate mode, out,
  * each starting on a 64-byte line: 0 when an entry does not qualify or no
  * scratch could be had, with out untouched; else 1, with out holding the
@@ -296,22 +337,11 @@ static int product_i16(const double *p, const double *q, double *out, ptrdiff_t 
     return ok;
 }
 
-/* Double multiply-adds a rows×k by k×cols product costs on the tile wj
- * columns wide: it pads cols to a multiple of wj, and its wj / WJ_F64
- * times as many lanes do that many multiply-adds where the double tile
- * does one. */
-static ptrdiff_t work(ptrdiff_t rows, ptrdiff_t k, ptrdiff_t cols, ptrdiff_t wj)
-{
-    return rows * k * pad(cols, wj) / (wj / WJ_F64);
-}
-
 /* Whether the int16 tile beats the double one on an m×k by k×n product,
- * where each entry of p, q and out is encoded or decoded once.  Both tiles
- * pad m alike.  Up to 32 columns both do the same padded work, so the
- * int16 tile never pays there. */
+ * where each entry of p, q and out is encoded or decoded once. */
 static int int_tile_pays(ptrdiff_t m, ptrdiff_t k, ptrdiff_t n)
 {
-    return work(m, k, n, WJ_F64) - work(m, k, n, WJ_I16) >= I16_ENTRY_COST * (m * k + k * n + m * n);
+    return f64_work(m, k, n) - i16_work(m, k, n, NULL) >= I16_ENTRY_COST * (m * k + k * n + m * n);
 }
 
 /* p is m×k, q is k×n, out is m×n, all C-contiguous.  With accumulate set,
@@ -458,24 +488,32 @@ static void transpose_negate_i16(const int16_t *restrict x, int16_t *restrict z,
         for (ptrdiff_t j = i < rw ? cw : 0; j < cols; j++) z[j * rows + i] = negated_i16(x[i * cols + j]);
 }
 
+/* Double multiply-adds maxplus_product takes for a rows×k by k×cols
+ * product: matvec and vecmat pad nothing, and a tile product takes the
+ * way int_tile_pays picks on data that qualifies. */
+static ptrdiff_t product_work(ptrdiff_t rows, ptrdiff_t k, ptrdiff_t cols)
+{
+    if (rows == 1 || cols == 1) return rows * k * cols;
+    if (!int_tile_pays(rows, k, cols)) return f64_work(rows, k, cols);
+    return i16_work(rows, k, cols, NULL) + I16_ENTRY_COST * (rows * k + k * cols + rows * cols);
+}
+
 /* Whether a maxplus_solve call beats the products the caller would make
- * instead for p terms at C of m×n.  It weighs one step of the solve, the
- * products of m rows it forms, A_k ⊗ X over m inner indices for each
- * non-NULL a[k] and T ⊗ B_k over n for each non-NULL b[k], against the
- * same products on the int16 tile:
- * each entry of the factors and of two m×n arrays is encoded or decoded
- * once, and each of the caller's products is a call from Python with its
- * checks.  On the caller's path matvec and vecmat pad nothing, and both
- * tiles pad m alike.  The other step has the same shapes.  For n up to 32
- * both tiles do the same padded work, so the encoding pays only against
- * the calls, which are what weighs at small m. */
+ * instead for p terms at C of m×n.  For each non-NULL factor, m×m a[k] or
+ * n×n b[k] (k inner indices), the caller makes two m×k by k×n products,
+ * each a call from Python with its checks, while the call forms one such
+ * product for the substitution and one n×k by k×m for the principal, which
+ * runs through its transpose, on the int16 instance i16_work picks.  The
+ * call's encoding and decoding are left out: they cost less than the
+ * caller's own passes over the same entries, its transposes, tolerance
+ * pass and scan (BENCH_33.json). */
 static int solve_pays(const double *const *a, const double *const *b, ptrdiff_t p, ptrdiff_t m, ptrdiff_t n)
 {
-    ptrdiff_t rows = pad(m, WR), gain = -I16_ENTRY_COST * 2 * m * n;
+    ptrdiff_t gain = 0;
     for (ptrdiff_t t = 0; t < 2 * p; t++) {
-        ptrdiff_t k = t < p ? m : n, f64 = m == 1 || n == 1 ? m * k * n : work(rows, k, n, WJ_F64);
+        ptrdiff_t k = t < p ? m : n;
         if (t < p ? a[t] : b[t - p])
-            gain += f64 + SOLVE_CALL_COST - work(rows, k, n, WJ_I16) - I16_ENTRY_COST * k * k;
+            gain += 2 * (SOLVE_CALL_COST + product_work(m, k, n)) - i16_work(m, k, n, NULL) - i16_work(n, k, m, NULL);
     }
     return gain > 0;
 }

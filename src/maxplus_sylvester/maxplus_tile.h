@@ -1,15 +1,15 @@
-/* The blocked max-plus product over one element type, included by
- * maxplus_product.c once per type: double (6×32 cells, BOTTOM -inf) and
- * int16 (6×128, -2^14), each tile 24 AVX-512 registers of accumulators,
- * which the includer's pragma keeps at 512 bits.
- * The includer defines T, the element type; WJ, the columns of q per
- * register tile; BOTTOM, the value that pads a block and starts a cell;
- * and NAME(f), which gives each function the type's suffix.  WR and KB are
- * the includer's, shared by both types.  An integer sum is formed in int
- * and stored as T, so the includer must keep every sum of two operands,
- * BOTTOM among them, within T: for int16 the sentinels -2^14 and 2^13 give
- * sums in [-2^15, 2^14].  See maxplus_product.c for the tile, the padding,
- * the two instances, the int16 codes and their proofs.
+/* The blocked max-plus product over one element type and tile shape,
+ * included by maxplus_product.c once per instance: double (6×32 cells,
+ * BOTTOM -inf) and int16 (6×128 and 12×64, -2^14), each tile 24 AVX-512
+ * registers of accumulators, which the includer's pragma keeps at 512 bits.
+ * The includer defines T, the element type; WR and WJ, the rows of p and
+ * columns of q per register tile; BOTTOM, the value that pads a block and
+ * starts a cell; and NAME(f), which gives each function the instance's
+ * suffix.  KB is the includer's, shared by every instance.  An integer sum
+ * is formed in int and stored as T, so the includer must keep every sum of
+ * two operands, BOTTOM among them, within T: for int16 the sentinels -2^14
+ * and 2^13 give sums in [-2^15, 2^14].  See maxplus_product.c for the
+ * tiles, the padding, the instances, the int16 codes and their proofs.
  */
 
 /* One WR×WJ block of out, held in registers over kl inner indices; p, q
@@ -77,6 +77,7 @@ static void NAME(blocked)(const T *p, const T *q, T *out, ptrdiff_t m, ptrdiff_t
 }
 
 #undef T
+#undef WR
 #undef WJ
 #undef BOTTOM
 #undef NAME

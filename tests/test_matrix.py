@@ -381,19 +381,52 @@ def test_tiles_are_built_at_512_bits(tmp_path):
     # the tiles' 24 accumulators fit AVX-512's 32 registers as 512-bit
     # vectors; gcc's tuning for recent AVX-512 cores prefers 256 bits, at
     # which they spill and every product runs at about half speed.  So
-    # every max in each tile, its clones included, is on zmm registers, and
-    # an AVX2 build of the same source is warning-free and has no zmm.
+    # every max in each tile, found by name prefix with its clones (such as
+    # tile_i16_12x64.constprop.0), is on zmm registers, every instance the
+    # source includes is found, and an AVX2 build of the same source is
+    # warning-free and has no zmm.
     if "avx512f" not in ckernel._cpu_flags().split():
         pytest.skip("the CPU has no AVX-512")
     if shutil.which("gcc") is None:
         pytest.skip("no C compiler")
     text = _assembly(ckernel.FLAGS, tmp_path)
-    for name, op in (("tile_f64", "vmaxpd"), ("tile_i16", "vpmaxsw")):
-        bodies = re.findall(rf"^{name}(?:\.\w+)*:$(.*?)^\s*\.size\s+{name}\b", text, re.M | re.S)
-        maxes = [line for body in bodies for line in body.splitlines() if line.split()[:1] == [op]]
-        assert bodies and maxes and all("%zmm" in line for line in maxes), name
+    bodies = re.findall(r"^((tile_f64|tile_i16\w*)(?:\.\w+)*):$(.*?)^\s*\.size\s+\1,", text, re.M | re.S)
+    instances = re.findall(r"^#define NAME\(f\) f##_(\w+)$", ckernel.SOURCES[0].read_text(), re.M)
+    names = {f"tile_{suffix}" for suffix in instances}
+    assert {name for _, name, _ in bodies} == names >= {"tile_f64", "tile_i16_6x128"}
+    for label, name, body in bodies:
+        op = "vmaxpd" if name == "tile_f64" else "vpmaxsw"
+        maxes = [line for line in body.splitlines() if line.split()[:1] == [op]]
+        assert maxes and all("%zmm" in line for line in maxes), label
     avx2 = tuple("-march=x86-64-v3" if f == "-march=native" else f for f in ckernel.FLAGS)
     assert "%zmm" not in _assembly(avx2, tmp_path)
+
+
+# Products the compiled C loop gives each int16 instance, the one whose
+# weighted padded work is least, on integer data up to the product bound.
+# 6×128: 23×300·127 is one row short of a 6-row block and one column short
+# of 128; 13×300·191 is one row past two blocks and one column short of 256;
+# 24×256·128 is whole blocks.  12×64: 25×300·63 is one row past two 12-row
+# blocks and one column short of 64; 35×300·64 is one row short of three;
+# 36×300·129 is one column past two 64-column blocks; 36×300·64 is whole
+# blocks
+INSTANCE_EDGES = [(23, 300, 127), (13, 300, 191), (24, 256, 128), (25, 300, 63), (35, 300, 64), (36, 300, 129),
+                  (36, 300, 64)]
+
+
+@pytest.mark.parametrize("m,k,n", INSTANCE_EDGES)
+def test_both_int16_instances_match_bruteforce_at_their_edges(m, k, n):
+    if ckernel.LIBRARY is ckernel.NUMPY:
+        pytest.skip("no compiled library")
+    rng = np.random.default_rng(33)
+    P, Q = rng.integers(-2047, 2048, (m, k)).astype(float), rng.integers(-2047, 2048, (k, n)).astype(float)
+    P[rng.random(P.shape) < 0.2], Q[rng.random(Q.shape) < 0.2] = NEG_INF, POS_INF
+    P[-1, :], Q[:, -1] = 2047, -2047  # the last row and column, which padding neighbours, at the bounds
+    want = np.array(bf.max_plus_matmul(P.tolist(), Q.tolist()))
+    assert np.array_equal(ckernel.LIBRARY.product(P, Q).view(np.int64), want.view(np.int64))
+    acc = rng.integers(-2047, 2048, (m, n)).astype(float)
+    want = np.maximum(acc, want)
+    assert np.array_equal(ckernel.LIBRARY.product(P, Q, acc).view(np.int64), want.view(np.int64))
 
 
 @on_both_kernels("m,k,n", INT_EDGES)
@@ -908,19 +941,23 @@ def terms_operands(rng, m, n, p, factor=2**9, x=3 * 2**9):
     return [draw(m, m, factor) for _ in range(p)], [draw(n, n, factor) for _ in range(p)], draw(m, n, x)
 
 
-# (m, n, p) on the int16 tile, 6×128 cells over passes of 256 inner
-# indices: m of 5, 6 and 7 ends short of, at and past a row block, n of
-# 127, 128, 129 and 257 the same for a column block, and m or n of 257
+# (m, n, p) on the int16 tiles, 6×128 and 12×64 cells over passes of 256
+# inner indices: m of 5, 6 and 7 ends short of, at and past a 6-row block,
+# 11, 12 and 13 the same for a 12-row block, n of 63, 64 and 65 for a
+# 64-column block, 127, 128 and 129 for a 128-column one, and 25×127 is one
+# row past two 12-row blocks beside one column short of 128; m or n of 257
 # runs a second pass (A_k ⊗ X has m inner indices, T ⊗ B_k has n)
 TERMS_EDGES = [(1, 2, 1), (2, 1, 2), (5, 6, 3), (6, 7, 4), (7, 5, 1), (6, 127, 2), (7, 128, 1), (5, 129, 3),
-               (127, 2, 2), (128, 6, 1), (129, 7, 4), (2, 257, 1), (257, 5, 2), (129, 129, 1), (257, 128, 1)]
-# the edges the compiled solve serves: TERMS_EDGES with 33 columns, or 7
-# rows, in place of the five where the cost rule declines, large m beside
-# small n and n = 257 beside m = 2 (DECLINED_EDGES); they reach the same
+               (127, 2, 2), (128, 6, 1), (129, 7, 4), (2, 257, 1), (257, 5, 2), (129, 129, 1), (257, 128, 1),
+               (11, 63, 2), (12, 64, 1), (13, 65, 3), (25, 127, 1)]
+# the edges the compiled solve serves: TERMS_EDGES, 33 columns or 7 rows
+# beside large m or n, and three shapes the cost rule once declined: 128×24,
+# p = 1, and the two-sided 124×6 and 126×2 (each edge also runs two-sided)
+SOLVE_EDGES = [*TERMS_EDGES, (127, 33, 2), (128, 33, 1), (129, 33, 4), (7, 257, 1), (257, 33, 2), (128, 24, 1),
+               (124, 6, 1), (126, 2, 1)]
+# the rule declines a single row or column beside 263 or more; these reach
 # row blocks past 128 rows and the second pass of 256 inner indices
-SOLVE_EDGES = [(1, 2, 1), (2, 1, 2), (5, 6, 3), (6, 7, 4), (7, 5, 1), (6, 127, 2), (7, 128, 1), (5, 129, 3),
-               (127, 33, 2), (128, 33, 1), (129, 33, 4), (7, 257, 1), (257, 33, 2), (129, 129, 1), (257, 128, 1)]
-DECLINED_EDGES = [(127, 2, 2), (128, 6, 1), (129, 7, 4), (2, 257, 1), (257, 5, 2)]
+DECLINED_EDGES = [(1, 268, 2), (268, 1, 1), (1, 300, 4), (300, 1, 2), (1, 269, 1)]
 
 
 @on_both_kernels("m,n,p", TERMS_EDGES)
@@ -936,10 +973,11 @@ def test_terms_match_the_per_product_composition(m, n, p, kernel):
 
 @st.composite
 def _solve_cases(draw):
-    # shapes across the row blocks and the 128 columns of the int16 tile,
-    # and seeded entries at the tile's edges, or at small integers; the
-    # cost rule declines one row beside 124 columns or more, so m ≥ 2
-    m, n, p = draw(st.integers(2, 14)), draw(st.integers(1, 140)), draw(st.integers(1, 4))
+    # shapes across the row blocks and the 64 and 128 columns of the int16
+    # tiles, and seeded entries at the tiles' edges, or at small integers;
+    # the cost rule declines none of them: only one row or column beside
+    # 263 or more, and two to six rows beside 397 or more columns
+    m, n, p = draw(st.integers(1, 14)), draw(st.integers(1, 140)), draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     factor, x = draw(st.sampled_from([(2**9, 3 * 2**9), (10, 30)]))
     return terms_operands(rng, m, n, p, factor, x)
@@ -1039,16 +1077,22 @@ def test_live_solve_serves_square_int16_data():
 
 
 def test_a_two_sided_solve_weighs_only_the_products_it_forms():
-    # at 6×152 the two products a step of the two-sided terms forms do not
-    # repay the encoding, though the same terms with explicit unit factors
-    # pass; at 8×12, which the two-sided terms pass, a call with a term
-    # that has neither factor is declined
+    # at 1×300 the rule declines the two-sided terms, as the call's products
+    # over 300 inner indices pad 1 to 64 columns; the left term alone, whose
+    # None right factor forms no product, is served, though the same term
+    # with an explicit unit right factor is declined, and likewise the right
+    # term alone at 300×1; at 8×12, which the two-sided terms pass, a call
+    # with a term that has neither factor is declined
     if ckernel.LIBRARY is ckernel.NUMPY:
         pytest.skip("no compiled library")
-    A, B, C = terms_operands(np.random.default_rng(27), 6, 152, 1)
-    units = [A[0], max_plus_unit(6)], [max_plus_unit(152), B[0]]
-    assert _solve(ckernel.LIBRARY, *units, C) is not None
+    A, B, C = terms_operands(np.random.default_rng(27), 1, 300, 1)
     assert _solve(ckernel.LIBRARY, *two_sided(A, B), C) is None
+    assert _solve(ckernel.LIBRARY, [A[0]], [None], C) is not None
+    assert _solve(ckernel.LIBRARY, [A[0]], [max_plus_unit(300)], C) is None
+    A, B, C = terms_operands(np.random.default_rng(27), 300, 1, 1)
+    assert _solve(ckernel.LIBRARY, *two_sided(A, B), C) is None
+    assert _solve(ckernel.LIBRARY, [None], [B[0]], C) is not None
+    assert _solve(ckernel.LIBRARY, [max_plus_unit(300)], [B[0]], C) is None
     A, B, C = terms_operands(np.random.default_rng(27), 8, 12, 1)
     assert _solve(ckernel.LIBRARY, *two_sided(A, B), C) is not None
     assert _solve(ckernel.LIBRARY, [A[0], None], [B[0], None], C) is None

@@ -118,6 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--methods", type=_method_list, default=list(METHODS),
                        help="comma-separated subset of fast,oracle (default both)")
 
+    # main parses a known command with its own parser, as this one would
+    parser.commands = sub.choices
     return parser
 
 
@@ -213,10 +215,26 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """``parser.parse_args(argv)``, in one pass where it can be.
+
+    The top parser hands everything after a command to that command's parser
+    and fails only on what it leaves over, so a known command whose parser
+    leaves nothing is parsed by that parser alone.  Anything else (no
+    command, an unknown one, ``-h``, a leftover argument) is parsed by the
+    top parser, whose usage and messages it then prints.
+    """
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(_parser(), sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:  # argparse exits 2 on usage errors
         return exc.code if isinstance(exc.code, int) else EXIT_ERROR
     try:

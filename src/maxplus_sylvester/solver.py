@@ -34,9 +34,11 @@ that pays.  Such data compares exactly, so no tolerance pass runs; the
 report has the bits of the per-product steps, and the ops are counted by
 formula, as the products would count them.  A solve it declines runs
 :func:`sylvester_principal_solution` and :func:`sylvester_apply`, one
-product per factor, with their errors.  The linear form keeps its own
-steps of one product each, with no running sum; its principal is the row
-product −((−b)ᵀ ⊗ A)ᵀ.
+product per factor, with their errors.  :func:`solve_linear` offers a
+square ``A ⊗ x = b`` to the same call as the one term (A, None) at C = b.
+A rectangular A, or a call declined, keeps the linear form's own steps of
+one product each, with no running sum; its principal is the row product
+−((−b)ᵀ ⊗ A)ᵀ.
 """
 
 from dataclasses import dataclass
@@ -179,6 +181,13 @@ def _report(principal, achieved, target, eps) -> SolveReport:
     return SolveReport(principal, *matrix_mismatches(achieved, target, eps))
 
 
+def _check_linear(A: TropicalMatrix, b: TropicalMatrix) -> None:
+    if b.cols != 1:
+        raise ShapeError(f"right-hand side must be a column vector, got {b.shape}")
+    if A.rows != b.rows:
+        raise ShapeError(f"system {A.shape} does not match right-hand side {b.shape}")
+
+
 def linear_principal_solution(A: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
     """Greatest x with A ⊗ x ≤ b, namely −(Aᵀ ⊗ (−b)), formed as −((−b)ᵀ ⊗ A)ᵀ.
 
@@ -186,20 +195,29 @@ def linear_principal_solution(A: TropicalMatrix, b: TropicalMatrix) -> TropicalM
     swapped, so it has that form's bits and ops; it reads A by rows and
     copies no transpose of it.  The oracle solves its Kronecker system with it.
     """
-    if b.cols != 1:
-        raise ShapeError(f"right-hand side must be a column vector, got {b.shape}")
-    if A.rows != b.rows:
-        raise ShapeError(f"system {A.shape} does not match right-hand side {b.shape}")
+    _check_linear(A, b)
     row = max_plus_matmul(TropicalMatrix._wrap(negate(b).data.reshape(1, -1)), A)
     return negate(TropicalMatrix._wrap(row.data.reshape(-1, 1)))
 
 
 def solve_linear(A: TropicalMatrix, b: TropicalMatrix) -> SolveReport:
-    """Decide A ⊗ x = b by substituting the greatest candidate back."""
-    x = linear_principal_solution(A, b)
-    achieved = max_plus_matmul(A, x)
-    eps = effective_tolerance((A, b))
-    return _report(x, achieved, b, eps)
+    """Decide A ⊗ x = b by substituting the greatest candidate back.
+
+    A square system is first offered to ``ckernel.LIBRARY.solve`` as the
+    one-term instance (A, None) at C = b, which it serves as it serves
+    :func:`solve_sylvester`'s terms, counted as the composition's 2·r·c ops.
+    A rectangular A, or a call declined, runs the principal, its product
+    with A and the two passes.
+    """
+    _check_linear(A, b)
+    served = ckernel.LIBRARY.solve([A.data], [None], b.data) if A.rows == A.cols else None
+    if served is None:
+        x = linear_principal_solution(A, b)
+        achieved = max_plus_matmul(A, x)
+        eps = effective_tolerance((A, b))
+        return _report(x, achieved, b, eps)
+    semiring_ops.add(2 * A.rows * A.cols)
+    return _served_report(served)
 
 
 def sylvester_principal_solution(inst: SylvesterInstance) -> TropicalMatrix:
@@ -243,6 +261,10 @@ def solve_sylvester(inst: SylvesterInstance) -> SolveReport:
         eps = effective_tolerance((*factors, inst.C))
         return _report(X, achieved, inst.C, eps)
     semiring_ops.add(2 * inst.C.rows * inst.C.cols * (sum(F.rows for F in factors) + len(inst.A)))
+    return _served_report(served)
+
+
+def _served_report(served) -> SolveReport:
     principal, cells, residual = served
     cells.flags.writeable = False
     return SolveReport(TropicalMatrix._wrap(principal), cells, residual)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -223,6 +224,35 @@ def test_one_parser_serves_every_call(scalar_two_term, tmp_path, capsys, monkeyp
     monkeypatch.setattr(cli, "_parser", cli.build_parser)
     for argv, cached in zip(calls, outputs):
         assert (main(argv), *capsys.readouterr()) == cached
+
+
+def test_a_command_parsed_alone_reads_as_the_top_parser(scalar_two_term, tmp_path, capsys, monkeypatch):
+    # main parses a known command with that command's parser and falls back
+    # to the top parser on anything else; exit code, stdout and stderr must
+    # be the top parser's alone, which a parser with no commands to hand
+    # gives, as main then takes the top parser for every argv
+    linear = ["solve", "--form", "linear", "--a", scalar_two_term["a1"], "--c", scalar_two_term["c"]]
+    generate = ["generate", "--m", "2", "--n", "2", "--p", "1", "--seed", "3", "--out", str(tmp_path / "g")]
+    calls = [solve_args(scalar_two_term), solve_args(scalar_two_term, "--oracle", "--mismatches"), linear,
+             generate, ["bench", "--m", "2", "--n", "2", "--p", "1", "--methods", "fast"],
+             ["solve", "--a", scalar_two_term["a1"], "--b", scalar_two_term["b1"]],
+             solve_args(scalar_two_term, "--bogus"), ["solve", "--bogus"], ["solve", "--help"],
+             solve_args(scalar_two_term, "stray"), ["generate", "--m", "x"], ["frobnicate", "--c", "x"],
+             [], ["-h"], ["--help"], ["-h", "solve"], ["sol"]]
+
+    def run(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        if argv[:1] == ["bench"]:  # the wall_seconds column differs from run to run
+            out = re.sub(r"^((?:[^,\n]*,){5})[^,\n]*", r"\1", out, flags=re.M)
+        return code, out, err
+
+    outputs = [run(argv) for argv in calls]
+    top = cli.build_parser()
+    top.commands = {}
+    monkeypatch.setattr(cli, "_parser", lambda: top)
+    assert [run(argv) for argv in calls] == outputs
+    assert [code for code, _, _ in outputs] == [0, 0, 0, 0, 0, 2, 2, 2, 0, 2, 2, 2, 2, 0, 0, 0, 2]
 
 
 def test_generate_is_deterministic(tmp_path, capsys):

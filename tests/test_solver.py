@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 import bruteforce as bf
 from test_matrix import (
     TERMS_EDGES,
+    _query_and_call,
     assert_same_report,
     finite_operands,
     per_product_report,
@@ -800,6 +801,81 @@ def test_a_declined_solve_runs_its_products(value, monkeypatch):
     assert calls.count("max_plus_matmul") == 8
     assert_same_report((report.principal.data, report.cells, report.residual_max_abs), want)
 
+
+
+def _linear_operands(rng, rows, cols):
+    """An integer rows×cols A in the int16 bounds, and two b: a drawn one,
+    which mostly misses, and A ⊗ x for an x in the bounds, which solves."""
+    A, b = terms_operands(rng, rows, cols, 1, x=2**9)[2], terms_operands(rng, rows, 1, 1)[2]
+    x = M(rng.integers(-2**9, 2**9 + 1, (cols, 1)).astype(float))
+    return A, (b, max_plus_matmul(A, x))
+
+
+# a square A ⊗ x = b is offered to the compiled solve call as the term
+# (A, None), which serves it through m = 160 and declines m = 192; served,
+# declined or rectangular, the report and the op count are the composition's
+@pytest.mark.parametrize("rows,cols", [(1, 1), (2, 2), (16, 16), (64, 64), (128, 128), (160, 160), (192, 192),
+                                       (16, 24)])
+def test_solve_linear_matches_the_composed_report(rows, cols, monkeypatch):
+    A, bs = _linear_operands(np.random.default_rng(rows * 100 + cols), rows, cols)
+    for b in bs:
+        before = semiring_ops.total
+        got = solve_linear(A, b)
+        got_ops = semiring_ops.total - before
+        with monkeypatch.context() as mp:
+            mp.setattr(ckernel, "LIBRARY", ckernel.NUMPY)
+            before = semiring_ops.total
+            want = solve_linear(A, b)
+            want_ops = semiring_ops.total - before
+        assert got.principal.data.tobytes() == want.principal.data.tobytes()
+        assert got.cells.dtype == np.intp and np.array_equal(got.cells, want.cells)
+        assert got.residual_max_abs == want.residual_max_abs
+        assert got_ops == want_ops == 2 * rows * cols
+        assert not got.cells.flags.writeable
+    assert solve_linear(A, bs[1]).solvable
+    if ckernel.LIBRARY is not ckernel.NUMPY:
+        served = ckernel.LIBRARY.solve([A.data], [None], bs[0].data) is not None
+        assert served == (rows == cols <= 160)
+
+
+def test_a_served_linear_solve_makes_no_other_call(monkeypatch):
+    # the compiled call forms the principal, its substitution and the scan,
+    # so the solver makes no product, tolerance pass or scan of its own
+    if ckernel.LIBRARY is ckernel.NUMPY:
+        pytest.skip("no compiled library")
+    A, (b, _) = _linear_operands(np.random.default_rng(35), 16, 16)
+    with monkeypatch.context() as mp:
+        mp.setattr(ckernel, "LIBRARY", ckernel.NUMPY)
+        want = solve_linear(A, b)
+    calls = _count_kernel_calls(monkeypatch)
+
+    def principal(*args, original=solver.linear_principal_solution):
+        calls.append("principal")
+        return original(*args)
+
+    monkeypatch.setattr(solver, "linear_principal_solution", principal)
+    assert solve_linear(A, b) == want
+    assert calls == []
+
+
+def test_the_query_serves_the_linear_form_at_16():
+    # 16×16 by 16×1, the shape of cli_mixed's smallest linear request
+    if ckernel.LIBRARY is ckernel.NUMPY:
+        pytest.skip("no compiled library")
+    A, (b, _) = _linear_operands(np.random.default_rng(36), 16, 16)
+    assert _query_and_call([A], [None], b) == (True, True)
+
+
+def test_a_linear_right_hand_side_with_two_columns_is_a_shape_error(monkeypatch):
+    # A ⊗ X = C with a 16×2 C is a term the compiled call would serve, but
+    # solve_linear refuses it before any call
+    rng = np.random.default_rng(37)
+    (A, *_), _, C = terms_operands(rng, 16, 2, 1)
+    calls = _count_kernel_calls(monkeypatch)
+    monkeypatch.setattr(ckernel.LIBRARY, "solve", lambda *args: calls.append("solve"))
+    with pytest.raises(ShapeError, match="right-hand side must be a column vector"):
+        solve_linear(A, C)
+    assert calls == []
 
 def test_concurrent_solves_match_one_at_a_time():
     # each thread keeps its own scratch for the compiled calls, so solves of

@@ -14,9 +14,12 @@ register tiles run, it times the double tile and each int16 instance of
 the build which of them ``int_tile_pays`` and ``i16_work`` pick.
 Solves: for p-term and two-sided instances on the solver's own integer
 data it times ``solve_sylvester`` with the fused call forced, and with it
-declined, so the solve is composed from product calls.  The forced call is
-``maxplus_solve`` built without its cost rule; the verdict of the shipped
-rule comes from the shipped library's query.
+declined, so the solve is composed from product calls; for the linear form,
+an m×m A by an m×1 b with m over the grid, it times ``solve_linear`` the same
+two ways.  The forced call is ``maxplus_solve`` built without its cost rule;
+the verdict of the shipped rule comes from the shipped library's query.  A
+tree whose ``solve_linear`` offers no call has its linear solves timed
+composed only, as that is the one way it runs them.
 
 Each time is the best per-call time of several rounds, the sides
 alternating within a round.  A shape is misrouted when the way the shipped
@@ -48,8 +51,8 @@ GRID = (1, 2, 3, 5, 6, 7, 8, 12, 13, 16, 24, 32, 33, 40, 48, 63, 64, 65, 80, 96,
         164, 200, 256, 268, 300)
 QUICK_GRID = (2, 6, 7, 16, 24, 32, 33, 64, 65, 124, 128, 129, 256)
 FORMS = (("p-term", 1), ("p-term", 2), ("p-term", 8), ("two-sided", 2))
-# the cli_mixed pool of perfbench/spec.py: (form, m, n, p); the linear
-# requests form one m×m·m×1 product each, which neither rule weighs
+# the cli_mixed pool of perfbench/spec.py: (form, m, n, p); the solve rule
+# weighs a linear request as the one term (A, None) at an m×1 C
 CLI_MIXED = (("p-term", 128, 128, 2), ("p-term", 16, 16, 1), ("p-term", 32, 48, 2), ("p-term", 64, 64, 4),
              ("p-term", 96, 40, 8), ("p-term", 128, 64, 2), ("p-term", 48, 32, 8), ("p-term", 128, 24, 1),
              ("two-sided", 128, 128, 2), ("two-sided", 32, 32, 2), ("two-sided", 64, 100, 2),
@@ -181,6 +184,9 @@ def _instance(form, m, n, p, seed):
     from maxplus_sylvester import instance_io, solver
     cfg = instance_io.GeneratorConfig(m=m, n=n, p=p, seed=seed)
     inst, witness = instance_io.generate_instance(cfg)
+    if form == "linear":
+        # C = A X0 B1 with B1 a 1×1 scalar, so A x = C has the solution X0 + B1
+        return solver.SylvesterInstance(A=inst.A, B=(None,), C=inst.C)
     if form == "two-sided":
         terms = (inst.A[0], None), (None, inst.B[0])
         return solver.two_sided_instance(inst.A[0], inst.B[0], solver.sylvester_apply(*terms, witness))
@@ -188,11 +194,15 @@ def _instance(form, m, n, p, seed):
 
 
 def solve_sweep(ckernel, cdll, shapes, rounds):
-    """Times of each solve shape fused (the forced call) and composed (the call declined)."""
+    """Times of each solve shape fused (the forced call) and composed (the call declined);
+    a linear shape the tree's ``solve_linear`` does not offer to the call is timed composed only."""
     from maxplus_sylvester import solver
+
+    offers = []
 
     class Composed(ckernel.Library):
         def solve(self, A_terms, B_terms, C):
+            offers.append(True)
             return None
 
     shipped, forced = ckernel.LIBRARY, ckernel.Library(cdll)
@@ -207,20 +217,25 @@ def solve_sweep(ckernel, cdll, shapes, rounds):
         if forced.solve(A, B, c) is None:
             raise SystemExit(f"the forced call declines {form} {m}x{n} p={p}: its data does not qualify")
         query = shipped._solve(ckernel._marks(A), ckernel._marks(B), c.ctypes.data, None, None, None, len(A), m, n)
-        served = query >= 0
 
         def run(library):
             def call():
                 ckernel.LIBRARY = library
-                solver.solve_sylvester(inst)
+                if form == "linear":
+                    solver.solve_linear(inst.A[0], inst.C)
+                else:
+                    solver.solve_sylvester(inst)
             return call
 
         try:
-            times = best_times({"fused": run(forced), "composed": run(composed)}, rounds)
+            offers.clear()
+            run(composed)()
+            ways = {"fused": run(forced), "composed": run(composed)} if offers else {"composed": run(composed)}
+            times = best_times(ways, rounds)
         finally:
             ckernel.LIBRARY = shipped
         rows.append({"form": form, "m": m, "n": n, "p": p, "us": {w: round(t * 1e6, 2) for w, t in times.items()},
-                     "rule_fuses": served})
+                     "offered": bool(offers), "rule_fuses": bool(offers) and query >= 0})
     return rows
 
 
@@ -264,7 +279,7 @@ class Rule:
     def solve_threshold(self, form, m, n, p):
         """The SOLVE_CALL_COST above which solve_pays passes the shape: its gain is
         2·SOLVE_CALL_COST per product the caller would make, plus a part that does not depend on it."""
-        factors = [m, n] if form == "two-sided" else [m] * p + [n] * p
+        factors = {"two-sided": [m, n], "linear": [m]}.get(form, [m] * p + [n] * p)
         rest = sum(2 * self.product_work(m, k, n) - self.i16_work(m, k, n) - self.i16_work(n, k, m) for k in factors)
         return -rest / (2 * len(factors))
 
@@ -338,6 +353,18 @@ def misrouted(products, solves, rule=None) -> list:
     return sorted(out, key=lambda x: -x["loss_share"])
 
 
+def linear_summary(solves) -> dict:
+    """The linear solves' route: the m the rule fuses and declines, and how much
+    faster than composed each fused one runs, or that the tree offers no call."""
+    linear = [s for s in solves if s["form"] == "linear"]
+    if not any(s["offered"] for s in linear):
+        return {"offered": False}
+    fused = [s for s in linear if s["rule_fuses"]]
+    return {"offered": True, "fuses_m": [s["m"] for s in fused],
+            "declines_m": [s["m"] for s in linear if not s["rule_fuses"]],
+            "fused_gain_share": [round(1 - s["us"]["fused"] / s["us"]["composed"], 3) for s in fused]}
+
+
 def print_misrouted(title, shapes):
     over = sum(x["loss_share"] >= MISROUTE_BAR for x in shapes)
     print(f"{title}: {len(shapes)} misrouted, {over} losing {MISROUTE_BAR:.0%} or more")
@@ -385,28 +412,31 @@ def main():
         shapes = [(form, m, n, p) for form, p in FORMS for m, n in itertools.product(grid, grid)
                   if not (p == 8 and m * n > 128 * 128)]
         shapes += [s for s in CLI_MIXED if s[0] != "linear"]
+        shapes += [("linear", m, 1, 1) for m in sorted({*grid, *(s[1] for s in CLI_MIXED if s[0] == "linear")})]
         solves = solve_sweep(ckernel, cdll, shapes, args.rounds)
+    timed = [s for s in solves if s["offered"]]  # the solves with two ways to weigh
     result = {"tree": str(args.tree), "grid": list(grid), "instances": instances,
               "constants": {k: v for k, v in consts.items() if k.startswith(("WEIGHT", "I16_ENTRY", "SOLVE_CALL"))},
-              "misrouted": misrouted(products, solves)}
+              "misrouted": misrouted(products, timed), "linear": linear_summary(solves)}
     print(f"{src}: {len(products)} products, {len(solves)} solves")
     print_misrouted("shipped rules", result["misrouted"])
+    print(f"linear: {result['linear']}")
     if {"WEIGHT_6X128", "WEIGHT_12X64"} <= consts.keys():
         rule = Rule(consts)
-        if any(rule.solve_fuses(s["form"], s["m"], s["n"], s["p"]) != s["rule_fuses"] for s in solves) or \
+        if any(rule.solve_fuses(s["form"], s["m"], s["n"], s["p"]) != s["rule_fuses"] for s in timed) or \
                 any(rule.product_takes(*r["shape"]) != r["rule_takes"] for r in products):
             raise SystemExit("the Python rules disagree with the shipped build's verdicts")
-        result["fit"] = fit(consts, products, solves)
-        left = misrouted(products, solves, Rule(dict(consts, **result["fit"]["constants"])))
+        result["fit"] = fit(consts, products, timed)
+        left = misrouted(products, timed, Rule(dict(consts, **result["fit"]["constants"])))
         result["fit"]["misrouted_over_bar"] = [x for x in left if x["loss_share"] >= MISROUTE_BAR]
         print(f"fitted constants: {result['fit']['constants']}")
         print_misrouted("fitted rules", result["fit"]["misrouted_over_bar"])
     for r in products:
         r.update(m=r["shape"][0], k=r["shape"][1], n=r["shape"][2], **{f"{w}_us": t for w, t in r["us"].items()})
     for s in solves:
-        s.update(fused_us=s["us"]["fused"], composed_us=s["us"]["composed"])
+        s.update(fused_us=s["us"].get("fused"), composed_us=s["us"]["composed"])
     result["products"] = table(products, ["m", "k", "n", "f64_us", *(f"{i}_us" for i in instances), "rule_takes"])
-    result["solves"] = table(solves, ["form", "m", "n", "p", "fused_us", "composed_us", "rule_fuses"])
+    result["solves"] = table(solves, ["form", "m", "n", "p", "fused_us", "composed_us", "offered", "rule_fuses"])
     args.out.write_text(dumps(result) + "\n")
 
 
